@@ -524,11 +524,6 @@ impl ActiveMessages {
         out
     }
 
-    /// True if no events remain.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     fn credits_mut(&mut self, src: NodeId, dst: NodeId) -> &mut u32 {
         let cap = self.config.credits;
         self.credits.entry((src, dst)).or_insert(cap)

@@ -200,11 +200,6 @@ impl<T> BatchingTransport<T> {
     pub fn inner(&self) -> &T {
         &self.inner
     }
-
-    /// The wrapped transport, mutably.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
 }
 
 impl<T: Transport> Transport for BatchingTransport<T> {

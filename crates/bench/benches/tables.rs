@@ -22,7 +22,7 @@ fn bench_figure1_cost(c: &mut Criterion) {
 
 fn bench_table2_miss_service(c: &mut Criterion) {
     c.bench_function("table2_miss_service", |b| {
-        b.iter(|| black_box(now_bench::table2()))
+        b.iter(|| black_box(now_bench::table2(&now_probe::Probe::disabled())))
     });
 }
 
@@ -95,7 +95,14 @@ fn bench_fig4_cosched(c: &mut Criterion) {
     g.sample_size(10);
     for app in &apps {
         g.bench_function(format!("local_{}", app.name.replace(' ', "_")), |b| {
-            b.iter(|| black_box(run(app, Scheduling::Local, &config)))
+            b.iter(|| {
+                black_box(run(
+                    app,
+                    Scheduling::Local,
+                    &config,
+                    &now_probe::Probe::disabled(),
+                ))
+            })
         });
     }
     g.finish();

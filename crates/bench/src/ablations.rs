@@ -120,7 +120,10 @@ pub fn scheduling_quantum() -> String {
         config.quantum = SimDuration::from_millis(q_ms);
         t.row_owned(vec![
             q_ms.to_string(),
-            format!("{:.1}", slowdown(&em3d, &config)),
+            format!(
+                "{:.1}",
+                slowdown(&em3d, &config, &now_probe::Probe::disabled())
+            ),
         ]);
     }
     t.render()
@@ -167,15 +170,10 @@ pub fn raid_write_path() -> String {
     t.render()
 }
 
-/// All ablations, concatenated.
-pub fn all() -> String {
-    all_jobs(1)
-}
-
-/// [`all`] with the six ablations fanned out over `jobs` worker threads.
+/// All ablations, concatenated, fanned out over `jobs` worker threads.
 /// Each ablation is an independent seeded sweep and the sections join in
 /// the fixed list order, so the output is byte-identical for any `jobs`.
-pub fn all_jobs(jobs: usize) -> String {
+pub fn all(jobs: usize) -> String {
     let sections: [fn() -> String; 6] = [
         nchance_budget,
         client_cache_size,

@@ -16,7 +16,6 @@
 //! repro contention --jobs 4        # fan independent runs over 4 threads
 //! repro contention --nodes 256     # 8 cells of 32 nodes per sweep point
 //! repro contention --nodes 256 --partitions 4  # shard each run over 4 cores
-//! repro --bench-out BENCH_repro.json --jobs 4  # wall-time harness, serial vs parallel
 //! repro contention --util          # append the resource-utilization observatory
 //! repro contention --profile       # append host-time profile (where the wall went)
 //! repro serve --profile-out out.collapsed  # flamegraph-ready collapsed stacks
@@ -42,8 +41,9 @@
 
 use std::env;
 use std::process::exit;
-use std::time::Instant;
+use std::str::FromStr;
 
+use now_bench::ReportOptions;
 use now_probe::recorder::{
     csv_concat, json_concat, windowed_csv_concat, TimeSeries, WindowedSeries,
 };
@@ -54,21 +54,16 @@ use now_sim::HostProfile;
 
 /// Every scenario name the CLI accepts as a positional argument, with a
 /// one-line description for `--help` and the unknown-argument message.
+/// Each paper artifact is described by the title its output prints.
 const SCENARIOS: &[(&str, &str)] = &[
-    ("table1", "LAN latency/bandwidth trends (Table 1)"),
-    ("table2", "Gator cost/performance prediction (Table 2)"),
-    (
-        "table3",
-        "netram vs disk paging on a day-long trace (Table 3)",
-    ),
-    ("table4", "RAID small-write costs (Table 4)"),
-    ("fig1", "DRAM price vs disk seek trends (Figure 1)"),
-    ("fig2", "LFS log cleaning under load (Figure 2)"),
-    ("fig3", "LANL workload turnaround on a NOW (Figure 3)"),
-    (
-        "fig4",
-        "coscheduling vs uncoordinated time-slicing (Figure 4)",
-    ),
+    ("table1", now_bench::TABLE1_TITLE),
+    ("table2", now_bench::TABLE2_TITLE),
+    ("table3", now_bench::TABLE3_TITLE),
+    ("table4", now_bench::TABLE4_TITLE),
+    ("fig1", now_bench::FIGURE1_TITLE),
+    ("fig2", now_bench::FIGURE2_TITLE),
+    ("fig3", now_bench::FIGURE3_TITLE),
+    ("fig4", now_bench::FIGURE4_TITLE),
     ("nfs", "NFS server saturation study"),
     ("comm", "communication layering costs"),
     ("restore", "64-MB memory restore time"),
@@ -90,6 +85,24 @@ const SCENARIOS: &[(&str, &str)] = &[
 
 /// Aliases accepted for the figure scenarios (`figure1` for `fig1`, ...).
 const SCENARIO_ALIASES: &[&str] = &["figure1", "figure2", "figure3", "figure4"];
+
+/// The report flags that take a value, with what the value must be.
+const VALUE_FLAGS: &[(&str, &str)] = &[
+    ("--jobs", "a positive worker count"),
+    ("--partitions", "a partition count (0 = one per core)"),
+    ("--nodes", "a positive multiple of 32"),
+    ("--am-batch", "a flush quantum in microseconds (0 = off)"),
+    ("--metrics-out", "a file path"),
+    ("--profile-out", "a file path"),
+    ("--trace-out", "a file path"),
+    ("--timeseries-out", "a file path"),
+];
+
+/// The `repro diff` flags that take a value.
+const DIFF_VALUE_FLAGS: &[(&str, &str)] = &[
+    ("--threshold", "a non-negative relative delta (e.g. 0.15)"),
+    ("--ignore", "a key substring"),
+];
 
 fn usage() -> String {
     let mut text = String::from(
@@ -117,7 +130,6 @@ fn usage() -> String {
          \x20 --profile-out PATH     write collapsed stacks (frame;frame count) for flamegraphs\n\
          \x20 --trace-out PATH       write a Chrome/Perfetto trace\n\
          \x20 --timeseries-out PATH  write flight-recorder samples (CSV, .json for JSON)\n\
-         \x20 --bench-out PATH       run the wall-time harness and write JSON\n\
          \x20 --help                 this message\n\
          \ndiff subcommand:\n\
          \x20 repro diff BASELINE.json CURRENT.json   compare two --metrics-out snapshots\n\
@@ -128,6 +140,49 @@ fn usage() -> String {
     text
 }
 
+/// Splits a value flag of `flags` out of `arg`, spelled `--flag VALUE`
+/// (VALUE pulled from `rest`) or `--flag=VALUE`: returns the flag, what
+/// its value must be, and the value. `None` when `arg` is no such flag;
+/// exits 2 when the spaced form is missing its value.
+fn value_flag(
+    arg: &str,
+    flags: &[(&'static str, &'static str)],
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<(&'static str, &'static str, String)> {
+    let &(flag, what) = flags.iter().find(|(flag, _)| {
+        arg == *flag || arg.strip_prefix(flag).is_some_and(|v| v.starts_with('='))
+    })?;
+    let value = match arg.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+        Some(v) => v.to_string(),
+        None => rest.next().unwrap_or_else(|| {
+            eprintln!("{flag} needs {what}");
+            exit(2);
+        }),
+    };
+    Some((flag, what, value))
+}
+
+/// Parses a flag's value, exiting 2 unless it parses and passes `ok`.
+fn parse_or_exit<T: FromStr>(flag: &str, what: &str, value: &str, ok: impl Fn(&T) -> bool) -> T {
+    match value.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => {
+            eprintln!("{flag} needs {what}, got {value:?}");
+            exit(2);
+        }
+    }
+}
+
+/// Writes an output file and says so on stderr (`hint` tells what to do
+/// with it); a failed write exits 1.
+fn write_or_exit(path: &str, body: impl AsRef<[u8]>, what: &str, hint: &str) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("cannot write {what} to {path}: {e}");
+        exit(1);
+    }
+    eprintln!("wrote {what} to {path}{hint}");
+}
+
 /// `repro diff baseline.json current.json` — the run-diff regression
 /// gate. Reads two `--metrics-out` snapshots, compares every numeric
 /// leaf by relative delta, and exits nonzero when anything moved past
@@ -136,34 +191,14 @@ fn run_diff(args: &[String]) -> ! {
     let mut threshold = 0.10_f64;
     let mut ignore: Vec<String> = Vec::new();
     let mut paths: Vec<String> = Vec::new();
-    let mut it = args.iter();
+    let mut it = args.iter().cloned();
     while let Some(arg) = it.next() {
-        if arg == "--threshold" {
-            match it.next().map(|s| s.parse()) {
-                Some(Ok(x)) if x >= 0.0 => threshold = x,
-                _ => {
-                    eprintln!("--threshold needs a non-negative relative delta (e.g. 0.15)");
-                    exit(2);
-                }
+        if let Some((flag, what, value)) = value_flag(&arg, DIFF_VALUE_FLAGS, &mut it) {
+            if flag == "--threshold" {
+                threshold = parse_or_exit(flag, what, &value, |&x: &f64| x >= 0.0);
+            } else {
+                ignore.push(value);
             }
-        } else if let Some(x) = arg.strip_prefix("--threshold=") {
-            match x.parse() {
-                Ok(x) if x >= 0.0 => threshold = x,
-                _ => {
-                    eprintln!("--threshold needs a non-negative relative delta, got {x:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--ignore" {
-            match it.next() {
-                Some(s) => ignore.push(s.clone()),
-                None => {
-                    eprintln!("--ignore needs a key substring");
-                    exit(2);
-                }
-            }
-        } else if let Some(s) = arg.strip_prefix("--ignore=") {
-            ignore.push(s.to_string());
         } else if arg == "--help" || arg == "-h" {
             print!("{}", usage());
             exit(0);
@@ -171,7 +206,7 @@ fn run_diff(args: &[String]) -> ! {
             eprintln!("unknown diff flag {arg:?}\n\n{}", usage());
             exit(2);
         } else {
-            paths.push(arg.clone());
+            paths.push(arg);
         }
     }
     let [baseline_path, current_path] = paths.as_slice() else {
@@ -209,130 +244,49 @@ fn main() {
     if args.first().map(String::as_str) == Some("diff") {
         run_diff(&args[1..]);
     }
+    let mut opts = ReportOptions::default();
     let mut fast = false;
-    let mut smoke = false;
-    let mut blame = false;
-    let mut profile = false;
     let mut util = false;
     let mut jobs_arg: Option<usize> = None;
     let mut partitions_arg: Option<u32> = None;
-    let mut nodes: u32 = 32;
-    let mut am_batch: u64 = 0;
     let mut metrics: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut profile_out: Option<String> = None;
     let mut timeseries_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut selected: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        if arg == "--fast" {
+        if let Some((flag, what, value)) = value_flag(&arg, VALUE_FLAGS, &mut it) {
+            match flag {
+                "--jobs" => {
+                    jobs_arg = Some(parse_or_exit(flag, what, &value, |&n: &usize| n >= 1));
+                }
+                "--partitions" => {
+                    partitions_arg = Some(parse_or_exit(flag, what, &value, |_| true))
+                }
+                "--nodes" => {
+                    opts.nodes =
+                        parse_or_exit(flag, what, &value, |&n: &u32| n >= 32 && n % 32 == 0);
+                }
+                "--am-batch" => opts.am_batch_us = parse_or_exit(flag, what, &value, |_| true),
+                "--metrics-out" => metrics_out = Some(value),
+                "--profile-out" => profile_out = Some(value),
+                "--trace-out" => trace_out = Some(value),
+                _ => timeseries_out = Some(value),
+            }
+        } else if arg == "--fast" {
             fast = true;
         } else if arg == "--smoke" {
-            smoke = true;
+            opts.smoke = true;
         } else if arg == "--blame" {
-            blame = true;
+            opts.blame = true;
         } else if arg == "--profile" || arg == "profile" {
             // `repro profile contention` reads naturally enough that the
             // bare token is accepted as an alias for the flag.
-            profile = true;
+            opts.profile = true;
         } else if arg == "--util" {
             util = true;
-        } else if arg == "--jobs" {
-            match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n >= 1 => jobs_arg = Some(n),
-                _ => {
-                    eprintln!("--jobs needs a positive worker count");
-                    exit(2);
-                }
-            }
-        } else if let Some(n) = arg.strip_prefix("--jobs=") {
-            match n.parse() {
-                Ok(n) if n >= 1 => jobs_arg = Some(n),
-                _ => {
-                    eprintln!("--jobs needs a positive worker count, got {n:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--partitions" {
-            match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => partitions_arg = Some(n),
-                _ => {
-                    eprintln!("--partitions needs a partition count (0 = one per core)");
-                    exit(2);
-                }
-            }
-        } else if let Some(n) = arg.strip_prefix("--partitions=") {
-            match n.parse() {
-                Ok(n) => partitions_arg = Some(n),
-                _ => {
-                    eprintln!("--partitions needs a partition count, got {n:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--nodes" {
-            match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n >= 32 && n % 32 == 0 => nodes = n,
-                _ => {
-                    eprintln!("--nodes needs a positive multiple of 32");
-                    exit(2);
-                }
-            }
-        } else if let Some(n) = arg.strip_prefix("--nodes=") {
-            match n.parse() {
-                Ok(n) if n >= 32 && n % 32 == 0 => nodes = n,
-                _ => {
-                    eprintln!("--nodes needs a positive multiple of 32, got {n:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--am-batch" {
-            match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => am_batch = n,
-                _ => {
-                    eprintln!("--am-batch needs a flush quantum in microseconds (0 = off)");
-                    exit(2);
-                }
-            }
-        } else if let Some(n) = arg.strip_prefix("--am-batch=") {
-            match n.parse() {
-                Ok(n) => am_batch = n,
-                _ => {
-                    eprintln!("--am-batch needs a flush quantum in microseconds, got {n:?}");
-                    exit(2);
-                }
-            }
-        } else if arg == "--bench-out" {
-            match it.next() {
-                Some(path) => bench_out = Some(path),
-                None => {
-                    eprintln!("--bench-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--bench-out=") {
-            bench_out = Some(path.to_string());
-        } else if arg == "--metrics-out" {
-            match it.next() {
-                Some(path) => metrics_out = Some(path),
-                None => {
-                    eprintln!("--metrics-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--metrics-out=") {
-            metrics_out = Some(path.to_string());
-        } else if arg == "--profile-out" {
-            match it.next() {
-                Some(path) => profile_out = Some(path),
-                None => {
-                    eprintln!("--profile-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--profile-out=") {
-            profile_out = Some(path.to_string());
         } else if arg == "--metrics" {
             metrics = Some("text".to_string());
         } else if let Some(format) = arg.strip_prefix("--metrics=") {
@@ -341,26 +295,6 @@ fn main() {
                 exit(2);
             }
             metrics = Some(format.to_string());
-        } else if arg == "--trace-out" {
-            match it.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--trace-out=") {
-            trace_out = Some(path.to_string());
-        } else if arg == "--timeseries-out" {
-            match it.next() {
-                Some(path) => timeseries_out = Some(path),
-                None => {
-                    eprintln!("--timeseries-out needs a file path");
-                    exit(2);
-                }
-            }
-        } else if let Some(path) = arg.strip_prefix("--timeseries-out=") {
-            timeseries_out = Some(path.to_string());
         } else if arg == "--help" || arg == "-h" {
             print!("{}", usage());
             return;
@@ -384,65 +318,14 @@ fn main() {
         }
     }
     // Asking for collapsed stacks is asking for the profiler.
-    if profile_out.is_some() {
-        profile = true;
-    }
-    let jobs = resolve_jobs(jobs_arg);
+    opts.profile |= profile_out.is_some();
+    // The flight recorder runs only when its output has somewhere to go.
+    opts.record = timeseries_out.is_some();
+    opts.jobs = resolve_jobs(jobs_arg);
     // CLI beats environment beats the serial default; 0 = one per core.
-    let partitions = partitions_arg
+    opts.partitions = partitions_arg
         .or_else(|| env::var("NOW_PARTITIONS").ok().and_then(|s| s.parse().ok()))
         .unwrap_or(1);
-
-    // The wall-time harness replaces the reports: time the heavy sweeps
-    // serial vs parallel, write the trajectory entries, and exit.
-    if let Some(path) = bench_out {
-        let entries = run_bench_harness(smoke, jobs);
-        let partitioned = run_partition_harness();
-        let distribute = now_bench::distribute_summary(true);
-        let batching = now_bench::am_batching_summary();
-        if let Err(e) = std::fs::write(
-            &path,
-            render_bench_json(&entries, &partitioned, &distribute, &batching),
-        ) {
-            eprintln!("cannot write bench results to {path}: {e}");
-            exit(1);
-        }
-        for e in &entries {
-            eprintln!(
-                "{}: serial {:.0} ms, parallel {:.0} ms at {} jobs ({:.2}x)",
-                e.bench,
-                e.serial_ms,
-                e.parallel_ms,
-                e.jobs,
-                e.speedup()
-            );
-        }
-        eprintln!(
-            "{}: serial {:.0} ms, partitioned {:.0} ms at {} partitions ({:.2}x single-run)",
-            partitioned.bench,
-            partitioned.serial_ms,
-            partitioned.partitioned_ms,
-            partitioned.partitions,
-            partitioned.single_run_speedup()
-        );
-        eprintln!(
-            "distribute_smoke: registry {:.1} ms, cooperative {:.1} ms, dedup {:.2}x, \
-             crossover at {} nodes",
-            distribute.registry_ms,
-            distribute.cooperative_ms,
-            distribute.dedup_factor,
-            distribute.crossover_nodes
-        );
-        eprintln!(
-            "am_batching: {:.0} -> {:.0} msgs/s at mean batch {:.1} ({:.2}x)",
-            batching.unbatched_msgs_per_s,
-            batching.batched_msgs_per_s,
-            batching.batch_size,
-            batching.rate_gain
-        );
-        eprintln!("wrote bench trajectory to {path}");
-        return;
-    }
 
     let all = selected.is_empty();
     let want = |name: &str| all || selected.iter().any(|s| s == name);
@@ -455,17 +338,15 @@ fn main() {
         .as_ref()
         .map_or_else(Probe::disabled, Registry::probe);
 
-    // The flight recorder runs only when its output has somewhere to go.
-    let record = timeseries_out.is_some();
-    // Any live telemetry sink routes the scaled reports through the
-    // observed path, so the probe actually sees the runs it will export.
-    let observe = blame || record || profile || registry.is_some();
     let mut series: Vec<(String, TimeSeries)> = Vec::new();
     let mut windowed: Vec<(String, WindowedSeries)> = Vec::new();
     // Host-time profiles from every profiled report, merged by label.
     let mut host_profile: Option<HostProfile> = None;
-    let mut merge_host = |run: &Option<HostProfile>| {
-        if let Some(p) = run {
+    let mut print_report = |mut r: now_bench::ObservedReport| {
+        println!("{}", r.text);
+        series.append(&mut r.series);
+        windowed.append(&mut r.windowed);
+        if let Some(p) = &r.profile {
             host_profile
                 .get_or_insert_with(HostProfile::default)
                 .merge(p);
@@ -479,13 +360,13 @@ fn main() {
         println!("{}", now_bench::figure1());
     }
     if want("table2") {
-        println!("{}", now_bench::table2_probed(&probe));
+        println!("{}", now_bench::table2(&probe));
     }
     if want("fig2") || want("figure2") {
-        println!("{}", now_bench::figure2_probed(&probe));
+        println!("{}", now_bench::figure2(&probe));
     }
     if want("table3") {
-        println!("{}", now_bench::table3_probed(!fast, &probe));
+        println!("{}", now_bench::table3(!fast, &probe));
     }
     if want("table4") {
         println!("{}", now_bench::table4());
@@ -494,7 +375,7 @@ fn main() {
         println!("{}", now_bench::figure3());
     }
     if want("fig4") || want("figure4") {
-        println!("{}", now_bench::figure4_probed(&probe));
+        println!("{}", now_bench::figure4(&probe));
     }
     if want("nfs") {
         println!("{}", now_bench::nfs_study());
@@ -506,19 +387,7 @@ fn main() {
         println!("{}", now_bench::restore_study());
     }
     if want("contention") {
-        if observe {
-            let mut r = now_bench::contention_observed_scaled(
-                smoke, blame, record, profile, &probe, jobs, nodes, partitions, am_batch,
-            );
-            println!("{}", r.text);
-            series.append(&mut r.series);
-            merge_host(&r.profile);
-        } else {
-            println!(
-                "{}",
-                now_bench::contention_scaled_jobs(smoke, jobs, nodes, partitions, am_batch)
-            );
-        }
+        print_report(now_bench::contention(&opts, &probe));
         // The message-rate-vs-batch-quantum deliverable rides with the
         // contention report. It sweeps its own quanta internally, so the
         // table is identical whatever --am-batch (or any other flag)
@@ -526,47 +395,22 @@ fn main() {
         println!("{}", now_bench::am_batching_table());
     }
     if want("availability") {
-        if observe {
-            let mut r = now_bench::availability_observed_scaled(
-                smoke, blame, record, profile, &probe, jobs, partitions,
-            );
-            println!("{}", r.text);
-            series.append(&mut r.series);
-            merge_host(&r.profile);
-        } else {
-            println!(
-                "{}",
-                now_bench::availability_observed_scaled(
-                    smoke, false, false, false, &probe, jobs, partitions
-                )
-                .text
-            );
-        }
+        print_report(now_bench::availability(&opts, &probe));
     }
     // The serving sweep is opt-in like the ablations: it is the unified
     // engine's population-scale story, not a paper table.
     if selected.iter().any(|s| s == "serve") {
-        let mut r = now_bench::serve_report_scaled(
-            smoke, blame, record, profile, &probe, jobs, partitions, am_batch,
-        );
-        println!("{}", r.text);
-        windowed.append(&mut r.windowed);
-        merge_host(&r.profile);
+        print_report(now_bench::serve(&opts, &probe));
     }
     // Image distribution is likewise opt-in: cold-starting the cluster
     // from a content-addressed registry, registry-only vs cooperative.
     if selected.iter().any(|s| s == "distribute") {
-        let mut r = now_bench::distribute_report_scaled(
-            smoke, blame, record, profile, &probe, jobs, nodes, partitions, am_batch,
-        );
-        println!("{}", r.text);
-        series.append(&mut r.series);
-        merge_host(&r.profile);
+        print_report(now_bench::distribute(&opts, &probe));
     }
     // Ablations are opt-in: they are design-choice sweeps, not paper
     // artifacts.
     if selected.iter().any(|s| s == "ablations") {
-        println!("{}", now_bench::ablations::all_jobs(jobs));
+        println!("{}", now_bench::ablations::all(opts.jobs));
     }
 
     if let Some(path) = timeseries_out {
@@ -597,23 +441,16 @@ fn main() {
             }
             windowed_csv_concat(&windowed)
         };
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("cannot write time series to {path}: {e}");
-            exit(1);
-        }
-        eprintln!("wrote gauge time series to {path}");
+        write_or_exit(&path, body, "gauge time series", "");
     }
 
-    if profile {
+    if opts.profile {
         match &host_profile {
             Some(p) => {
                 println!("{}", p.render_text());
                 if let Some(path) = profile_out {
-                    if let Err(e) = std::fs::write(&path, p.collapsed()) {
-                        eprintln!("cannot write collapsed stacks to {path}: {e}");
-                        exit(1);
-                    }
-                    eprintln!("wrote collapsed stacks to {path} (feed to a flamegraph tool)");
+                    let hint = " (feed to a flamegraph tool)";
+                    write_or_exit(&path, p.collapsed(), "collapsed stacks", hint);
                 }
             }
             None => eprintln!(
@@ -625,18 +462,12 @@ fn main() {
     }
 
     if let Some(registry) = registry {
-        if let Some(format) = metrics {
-            match format.as_str() {
-                "text" => println!("{}", registry.render_text()),
-                "csv" => print!("{}", registry.render_csv()),
-                "json" => println!("{}", registry.render_json()),
-                other => {
-                    // Unreachable from the CLI (parsing validates), but
-                    // never fall through silently.
-                    eprintln!("unknown metrics format {other:?} (want text, csv, or json)");
-                    println!("{}", registry.render_text());
-                }
-            }
+        // Parsing accepted only text, csv, or json.
+        match metrics.as_deref() {
+            Some("csv") => print!("{}", registry.render_csv()),
+            Some("json") => println!("{}", registry.render_json()),
+            Some(_) => println!("{}", registry.render_text()),
+            None => {}
         }
         if util {
             let snapshot = registry.snapshot();
@@ -651,20 +482,13 @@ fn main() {
             }
         }
         if let Some(path) = metrics_out {
-            let mut body = registry.render_json();
-            body.push('\n');
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("cannot write metrics snapshot to {path}: {e}");
-                exit(1);
-            }
-            eprintln!("wrote metrics snapshot to {path} (compare runs with repro diff)");
+            let body = registry.render_json() + "\n";
+            let hint = " (compare runs with repro diff)";
+            write_or_exit(&path, body, "metrics snapshot", hint);
         }
         if let Some(path) = trace_out {
-            if let Err(e) = std::fs::write(&path, registry.chrome_trace()) {
-                eprintln!("cannot write trace to {path}: {e}");
-                exit(1);
-            }
-            eprintln!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)");
+            let hint = " (open in Perfetto or chrome://tracing)";
+            write_or_exit(&path, registry.chrome_trace(), "Chrome trace", hint);
         }
         // Silent data loss would undermine every export above; say so.
         let snapshot = registry.snapshot();
@@ -684,220 +508,4 @@ fn main() {
             }
         }
     }
-}
-
-/// One wall-time measurement of a heavy sweep, serial vs parallel.
-struct BenchEntry {
-    bench: &'static str,
-    serial_ms: f64,
-    parallel_ms: f64,
-    jobs: usize,
-}
-
-impl BenchEntry {
-    fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.serial_ms / self.parallel_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-/// One wall-time measurement of a *single* scaled run, serial vs sharded
-/// over engine partitions — parallelism inside one simulation, where
-/// `--jobs` cannot help.
-struct PartitionedBenchEntry {
-    bench: &'static str,
-    serial_ms: f64,
-    partitioned_ms: f64,
-    partitions: u32,
-}
-
-impl PartitionedBenchEntry {
-    fn single_run_speedup(&self) -> f64 {
-        if self.partitioned_ms > 0.0 {
-            self.serial_ms / self.partitioned_ms
-        } else {
-            0.0
-        }
-    }
-}
-
-fn time_ms(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1_000.0
-}
-
-/// Times the availability Monte-Carlo and the contention sweep at one
-/// worker and at `jobs` workers. Each pair also cross-checks what the
-/// parallel layer promises: identical output, faster wall clock.
-///
-/// At `--jobs 1` the "parallel" leg would be the serial leg rerun under
-/// a different label — same code path, same thread — so it is skipped
-/// and the serial time reported for both columns (speedup 1.0 by
-/// construction). That halves harness wall time on 1-core containers,
-/// where fan-out has no parallelism to find anyway.
-fn run_bench_harness(smoke: bool, jobs: usize) -> Vec<BenchEntry> {
-    use now_raid::availability::FailureModel;
-
-    let model = FailureModel::paper_defaults();
-    let trials: u64 = 2_000;
-    let mut serial_mc = 0.0;
-    let serial_mc_ms = time_ms(|| {
-        serial_mc = now_fault::montecarlo::software_service_mttf_hours_jobs(
-            &model,
-            8,
-            trials,
-            now_bench::SEED,
-            1,
-        );
-    });
-    let parallel_mc_ms = if jobs == 1 {
-        serial_mc_ms
-    } else {
-        let mut parallel_mc = 0.0;
-        let ms = time_ms(|| {
-            parallel_mc = now_fault::montecarlo::software_service_mttf_hours_jobs(
-                &model,
-                8,
-                trials,
-                now_bench::SEED,
-                jobs,
-            );
-        });
-        assert_eq!(
-            serial_mc.to_bits(),
-            parallel_mc.to_bits(),
-            "parallel Monte-Carlo must match serial bit-for-bit"
-        );
-        ms
-    };
-
-    let mut serial_table = String::new();
-    let serial_sweep_ms = time_ms(|| serial_table = now_bench::contention_jobs(smoke, 1));
-    let parallel_sweep_ms = if jobs == 1 {
-        serial_sweep_ms
-    } else {
-        let mut parallel_table = String::new();
-        let ms = time_ms(|| parallel_table = now_bench::contention_jobs(smoke, jobs));
-        assert_eq!(
-            serial_table, parallel_table,
-            "parallel contention sweep must match serial byte-for-byte"
-        );
-        ms
-    };
-
-    let mut serial_serve = String::new();
-    let serial_serve_ms = time_ms(|| {
-        serial_serve = now_bench::serve_report_jobs(true, false, false, &Probe::disabled(), 1).text
-    });
-    let parallel_serve_ms = if jobs == 1 {
-        serial_serve_ms
-    } else {
-        let mut parallel_serve = String::new();
-        let ms = time_ms(|| {
-            parallel_serve =
-                now_bench::serve_report_jobs(true, false, false, &Probe::disabled(), jobs).text
-        });
-        assert_eq!(
-            serial_serve, parallel_serve,
-            "parallel serve sweep must match serial byte-for-byte"
-        );
-        ms
-    };
-
-    vec![
-        BenchEntry {
-            bench: "availability_mc_2000",
-            serial_ms: serial_mc_ms,
-            parallel_ms: parallel_mc_ms,
-            jobs,
-        },
-        BenchEntry {
-            bench: "contention_sweep",
-            serial_ms: serial_sweep_ms,
-            parallel_ms: parallel_sweep_ms,
-            jobs,
-        },
-        BenchEntry {
-            bench: "serve_smoke",
-            serial_ms: serial_serve_ms,
-            parallel_ms: parallel_serve_ms,
-            jobs,
-        },
-    ]
-}
-
-/// Times one 256-node contention run (8 cells, 8 background flows each)
-/// serial and sharded over 4 engine partitions, asserting the outcomes
-/// are identical — the partitioned engine's whole contract.
-fn run_partition_harness() -> PartitionedBenchEntry {
-    const NODES: u32 = 256;
-    const FLOWS: u32 = 8;
-    const PARTITIONS: u32 = 4;
-    let mut serial = None;
-    let mut partitioned = None;
-    let serial_ms = time_ms(|| serial = Some(now_bench::contention_point(FLOWS, NODES, 1)));
-    let partitioned_ms =
-        time_ms(|| partitioned = Some(now_bench::contention_point(FLOWS, NODES, PARTITIONS)));
-    assert_eq!(
-        serial, partitioned,
-        "the partitioned run must match the serial run exactly"
-    );
-    PartitionedBenchEntry {
-        bench: "contention_nodes256",
-        serial_ms,
-        partitioned_ms,
-        partitions: PARTITIONS,
-    }
-}
-
-fn render_bench_json(
-    entries: &[BenchEntry],
-    partitioned: &PartitionedBenchEntry,
-    distribute: &now_bench::DistributeSummary,
-    batching: &now_bench::AmBatchingSummary,
-) -> String {
-    let mut rows: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "  {{\"bench\": \"{}\", \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \
-                 \"jobs\": {}, \"speedup\": {:.3}}}",
-                e.bench,
-                e.serial_ms,
-                e.parallel_ms,
-                e.jobs,
-                e.speedup()
-            )
-        })
-        .collect();
-    rows.push(format!(
-        "  {{\"bench\": \"{}\", \"serial_ms\": {:.3}, \"partitioned_ms\": {:.3}, \
-         \"partitions\": {}, \"single_run_speedup\": {:.3}}}",
-        partitioned.bench,
-        partitioned.serial_ms,
-        partitioned.partitioned_ms,
-        partitioned.partitions,
-        partitioned.single_run_speedup()
-    ));
-    rows.push(format!(
-        "  {{\"bench\": \"distribute_smoke\", \"registry_ms\": {:.3}, \
-         \"cooperative_ms\": {:.3}, \"dedup_factor\": {:.3}, \"crossover_nodes\": {}}}",
-        distribute.registry_ms,
-        distribute.cooperative_ms,
-        distribute.dedup_factor,
-        distribute.crossover_nodes
-    ));
-    rows.push(format!(
-        "  {{\"bench\": \"am_batching\", \"unbatched_msgs_per_s\": {:.1}, \
-         \"batched_msgs_per_s\": {:.1}, \"batch_size\": {:.2}, \"rate_gain\": {:.3}}}",
-        batching.unbatched_msgs_per_s,
-        batching.batched_msgs_per_s,
-        batching.batch_size,
-        batching.rate_gain
-    ));
-    format!("[\n{}\n]\n", rows.join(",\n"))
 }

@@ -16,16 +16,41 @@ pub mod ablations;
 
 use std::sync::Arc;
 
+use now_am::BatchConfig;
+use now_core::{
+    DistributeSpec, FetchStrategy, ImageCatalogSpec, NowCluster, ScenarioObservations,
+    ScenarioObserver, ScenarioSpec, ServeSpec,
+};
 use now_models::gator;
 use now_models::{cost, nfs as nfs_model, remote_access, techtrend};
-use now_probe::causal::CausalLog;
+use now_probe::causal::{CausalLog, DEFAULT_CAUSAL_CAPACITY};
 use now_probe::recorder::{TimeSeries, WindowedSeries};
-use now_probe::Probe;
+use now_probe::{Probe, Registry};
 use now_sim::report::{render_figure, Series, TextTable};
-use now_sim::{HostProfile, SimDuration};
+use now_sim::{HostProfile, SimDuration, SimTime};
 
 /// The master seed used for every stochastic experiment in the harness.
 pub const SEED: u64 = 42;
+
+/// Title of [`table1`].
+pub const TABLE1_TITLE: &str = "Table 1 - MPPs vs workstations with the same microprocessor";
+/// Title of [`figure1`].
+pub const FIGURE1_TITLE: &str =
+    "Figure 1 - price of 128 SuperSparc CPUs + 4 GB DRAM + 128 GB disk + 128 screens";
+/// Title of [`table2`].
+pub const TABLE2_TITLE: &str = "Table 2 - 8-KB miss service time, Ethernet vs 155-Mbps ATM";
+/// Title of [`figure2`].
+pub const FIGURE2_TITLE: &str = "Figure 2 - multigrid execution time vs problem size";
+/// Title of [`table3`].
+pub const TABLE3_TITLE: &str =
+    "Table 3 - cooperative caching: 42 workstations, 16 MB/client, 128 MB server";
+/// Title of [`table4`].
+pub const TABLE4_TITLE: &str = "Table 4 - Gator atmospheric chemical tracer model";
+/// Title of [`figure3`].
+pub const FIGURE3_TITLE: &str =
+    "Figure 3 - slowdown of the 32-node MPP workload on a NOW with sequential users";
+/// Title of [`figure4`].
+pub const FIGURE4_TITLE: &str = "Figure 4 - slowdown of local scheduling relative to coscheduling";
 
 /// Table 1: MPP engineering lag and its performance cost.
 pub fn table1() -> String {
@@ -37,7 +62,7 @@ pub fn table1() -> String {
         "Lag (yr)",
         "Perf forfeited @50%/yr",
     ]);
-    t.title("Table 1 - MPPs vs workstations with the same microprocessor");
+    t.title(TABLE1_TITLE);
     for row in techtrend::table1_rows() {
         let lag = row.lag_years();
         let forfeit = techtrend::AnnualImprovement::CONSERVATIVE.performance_forfeit(lag);
@@ -56,7 +81,7 @@ pub fn table1() -> String {
 /// Figure 1: price of a 128-processor configuration under each packaging.
 pub fn figure1() -> String {
     let mut t = TextTable::new(&["Configuration", "Price ($M)", "Relative"]);
-    t.title("Figure 1 - price of 128 SuperSparc CPUs + 4 GB DRAM + 128 GB disk + 128 screens");
+    t.title(FIGURE1_TITLE);
     for sys in cost::CostModel::paper_defaults().figure1() {
         t.row_owned(vec![
             sys.packaging.label(),
@@ -67,15 +92,11 @@ pub fn figure1() -> String {
     t.render()
 }
 
-/// Table 2: time to service an 8-KB file-cache miss.
-pub fn table2() -> String {
-    table2_probed(&Probe::disabled())
-}
-
-/// [`table2`] with telemetry: publishes the fault-service decomposition as
+/// Table 2: time to service an 8-KB file-cache miss. An enabled `probe`
+/// also receives the fault-service decomposition as
 /// `netram.fault_service.*` gauges (µs), so a snapshot can be
 /// cross-checked against the table's printed constants.
-pub fn table2_probed(probe: &Probe) -> String {
+pub fn table2(probe: &Probe) -> String {
     let model = remote_access::AccessModel::paper_defaults();
     if probe.is_enabled() {
         use remote_access::Network::{Atm155, Ethernet10};
@@ -103,7 +124,7 @@ pub fn table2_probed(probe: &Probe) -> String {
         "ATM rem. mem (us)",
         "ATM rem. disk (us)",
     ]);
-    t.title("Table 2 - 8-KB miss service time, Ethernet vs 155-Mbps ATM");
+    t.title(TABLE2_TITLE);
     let cells = model.table2();
     let s = |f: fn(&remote_access::ServiceTime) -> f64| -> Vec<String> {
         cells
@@ -137,16 +158,13 @@ pub fn table2_probed(probe: &Probe) -> String {
 /// Figure 2: multigrid execution time vs problem size on the three memory
 /// configurations. The three machine curves are independent, so they run
 /// on separate scoped threads.
-pub fn figure2() -> String {
-    figure2_probed(&Probe::disabled())
-}
-
-/// [`figure2`] with telemetry: every multigrid run fires the `pager.*` /
-/// `netram.*` probes and records a `mem/multigrid` span, tagged with the
-/// curve's index as the probe node (0 = disk, 1 = big DRAM, 2 = network
-/// RAM). Counter updates are atomic and the trace is sorted at export, so
-/// the snapshot is identical run to run despite the worker threads.
-pub fn figure2_probed(probe: &Probe) -> String {
+///
+/// Every multigrid run fires the `pager.*` / `netram.*` probes and
+/// records a `mem/multigrid` span, tagged with the curve's index as the
+/// probe node (0 = disk, 1 = big DRAM, 2 = network RAM). Counter updates
+/// are atomic and the trace is sorted at export, so the snapshot is
+/// identical run to run despite the worker threads.
+pub fn figure2(probe: &Probe) -> String {
     use now_mem::multigrid::{figure2_sizes, run_probed, MemoryConfig};
     let configs = [
         ("32 MB + disk paging", MemoryConfig::local32_disk()),
@@ -184,7 +202,7 @@ pub fn figure2_probed(probe: &Probe) -> String {
     });
     debug_assert_eq!(series.len(), configs.len());
     render_figure(
-        "Figure 2 - multigrid execution time vs problem size",
+        FIGURE2_TITLE,
         "problem size (MB)",
         "execution time (s)",
         &series,
@@ -194,14 +212,10 @@ pub fn figure2_probed(probe: &Probe) -> String {
 /// Table 3: cooperative caching on the 42-workstation trace.
 ///
 /// `full_length` selects the paper's two-day trace (slow; used by the
-/// repro binary) or a 12-hour version (used in tests).
-pub fn table3(full_length: bool) -> String {
-    table3_probed(full_length, &Probe::disabled())
-}
-
-/// [`table3`] with telemetry: the three policy runs fire the `cache.*`
-/// counters (aggregated across policies).
-pub fn table3_probed(full_length: bool, probe: &Probe) -> String {
+/// repro binary) or a 12-hour version (used in tests). The three policy
+/// runs fire the `cache.*` counters on `probe` (aggregated across
+/// policies).
+pub fn table3(full_length: bool, probe: &Probe) -> String {
     use now_cache::{simulate_probed, CacheConfig, Policy};
     use now_trace::fs::{FsTrace, FsTraceConfig};
     let mut cfg = FsTraceConfig::paper_defaults();
@@ -210,7 +224,7 @@ pub fn table3_probed(full_length: bool, probe: &Probe) -> String {
     }
     let trace = FsTrace::generate(&cfg, SEED);
     let mut t = TextTable::new(&["Policy", "Cache miss rate (%)", "Read response (ms)"]);
-    t.title("Table 3 - cooperative caching: 42 workstations, 16 MB/client, 128 MB server");
+    t.title(TABLE3_TITLE);
     for (name, policy) in [
         ("Client-server", Policy::ClientServer),
         ("Cooperative (greedy fwd)", Policy::GreedyForwarding),
@@ -236,7 +250,7 @@ pub fn table4() -> String {
         "Total (s)",
         "Cost ($M)",
     ]);
-    t.title("Table 4 - Gator atmospheric chemical tracer model");
+    t.title(TABLE4_TITLE);
     for p in gator::table4() {
         t.row_owned(vec![
             p.machine.clone(),
@@ -255,27 +269,23 @@ pub fn figure3() -> String {
     let points = now_glunix::mixed::figure3_series(SEED);
     let series = [Series::new("32-node LANL workload on a NOW", points)];
     render_figure(
-        "Figure 3 - slowdown of the 32-node MPP workload on a NOW with sequential users",
+        FIGURE3_TITLE,
         "workstations in NOW",
         "execution dilation (dedicated MPP = 1.0)",
         &series,
     )
 }
 
-/// Figure 4: local vs gang scheduling slowdown per application.
-pub fn figure4() -> String {
-    figure4_probed(&Probe::disabled())
-}
-
-/// [`figure4`] with telemetry: every gang and local run fires the
-/// `cosched.*` probes (slot fill, skew, migrations, stalls).
-pub fn figure4_probed(probe: &Probe) -> String {
-    let series: Vec<Series> = now_glunix::cosched::figure4_series_probed(probe)
+/// Figure 4: local vs gang scheduling slowdown per application. Every
+/// gang and local run fires the `cosched.*` probes on `probe` (slot fill,
+/// skew, migrations, stalls).
+pub fn figure4(probe: &Probe) -> String {
+    let series: Vec<Series> = now_glunix::cosched::figure4_series(probe)
         .into_iter()
         .map(|(name, points)| Series::new(&name, points))
         .collect();
     render_figure(
-        "Figure 4 - slowdown of local scheduling relative to coscheduling",
+        FIGURE4_TITLE,
         "competing jobs per node",
         "slowdown vs gang scheduling",
         &series,
@@ -345,62 +355,99 @@ pub fn comm_layers() -> String {
     t.render()
 }
 
-/// The shared-fabric contention experiment: the coupled scenario (BSP
-/// job + out-of-core paging + cooperative cache on one engine and one
-/// fabric) swept over growing background traffic.
-///
-/// Not a paper artifact — it demonstrates what the unified engine adds:
-/// with every subsystem's bytes on the same wires, loading the fabric
-/// degrades netram fetch latency and the parallel job's makespan
-/// *together*, where the old per-subsystem simulators could not interact
-/// at all.
-pub fn contention() -> String {
-    contention_observed(false, false, false, &Probe::disabled()).text
+/// The knobs the scaled reports share — exactly `repro`'s flags, parsed
+/// once. [`Default`] is the classic report: the full sweep, nothing
+/// observed, serial, one 32-node cell, batching off.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReportOptions {
+    /// Smaller sweeps and fewer Monte-Carlo trials, for CI.
+    pub smoke: bool,
+    /// Append critical-path blame tables to the report text.
+    pub blame: bool,
+    /// Run the flight recorder and return its series.
+    pub record: bool,
+    /// Attribute host time per component and return the merged profile
+    /// (serial runs only; multi-cell runs skip it).
+    pub profile: bool,
+    /// Worker threads the independent runs of a sweep fan out over
+    /// (forced to 1 while a shared enabled probe watches).
+    pub jobs: usize,
+    /// Cluster size, a positive multiple of 32: the contention scenario
+    /// runs `nodes / 32` independent 32-node cells per point, and the
+    /// distribution sweep extends to `nodes` fetchers.
+    pub nodes: u32,
+    /// Engine partitions each single run is sharded over (0 = one per
+    /// core). Requests clamp to the run's cell count, so only multi-cell
+    /// contention runs actually shard.
+    pub partitions: u32,
+    /// Active-message flush quantum in microseconds (0 = batching off,
+    /// byte-identical to the classic transport).
+    pub am_batch_us: u64,
 }
 
-/// [`contention`] with the sweep points fanned out over `jobs` worker
-/// threads. Each point is an independent seeded scenario, so the rendered
-/// table is byte-identical to the serial one for any `jobs`.
-pub fn contention_jobs(smoke: bool, jobs: usize) -> String {
-    contention_observed_jobs(smoke, false, false, &Probe::disabled(), jobs).text
+impl Default for ReportOptions {
+    fn default() -> Self {
+        ReportOptions {
+            smoke: false,
+            blame: false,
+            record: false,
+            profile: false,
+            jobs: 1,
+            nodes: 32,
+            partitions: 1,
+            am_batch_us: 0,
+        }
+    }
 }
 
-/// [`contention_jobs`] on a scaled cluster: `nodes` must be a positive
-/// multiple of 32, and every point runs `nodes / 32` independent 32-node
-/// cells sharded over `partitions` engine partitions (see
-/// [`ScenarioSpec::cells`](now_core::ScenarioSpec)). The rendered table
-/// is byte-identical at every `partitions` value — the knob only moves
-/// wall-clock time, which is the point of `repro --bench-out`'s
-/// single-run speedup entry.
-pub fn contention_scaled_jobs(
-    smoke: bool,
-    jobs: usize,
-    nodes: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> String {
-    contention_observed_scaled(
-        smoke,
-        false,
-        false,
-        false,
-        &Probe::disabled(),
-        jobs,
-        nodes,
-        partitions,
-        am_batch_us,
-    )
-    .text
+impl ReportOptions {
+    /// An observer for one run: `blame` attaches a fresh causal log of
+    /// `causal_capacity` records, `record` a flight recorder sampling
+    /// every `cadence` (downsampled into `window_budget` windows when
+    /// given), and `profile` asks the engine for host-time attribution.
+    ///
+    /// The recorder samples registered gauges, so recording with a
+    /// disabled `probe` would log flat zeros — in that case the run gets
+    /// a private [`Registry`] probe instead (whose snapshot nobody reads;
+    /// it only backs the gauges).
+    fn observer(
+        &self,
+        probe: &Probe,
+        causal_capacity: usize,
+        cadence: SimDuration,
+        window_budget: Option<usize>,
+    ) -> ScenarioObserver {
+        let probe = if self.record && !probe.is_enabled() {
+            Registry::new().probe()
+        } else {
+            probe.clone()
+        };
+        ScenarioObserver {
+            probe,
+            causal: self
+                .blame
+                .then(|| Arc::new(CausalLog::with_capacity(causal_capacity))),
+            sample_every: self.record.then_some(cadence),
+            trace_sample_every: 1,
+            window_budget,
+            profile: self.profile,
+        }
+    }
+
+    /// The active-message batching knobs every run's fabric gets.
+    fn am_batch(&self) -> BatchConfig {
+        BatchConfig::quantum_us(self.am_batch_us)
+    }
 }
 
-/// A rendered report plus the flight recorder's per-run gauge series
-/// (empty unless the run was asked to record).
+/// A rendered report plus what its runs recorded.
 #[derive(Debug, Clone, Default)]
 pub struct ObservedReport {
     /// The report text: the experiment's table(s), followed by one
     /// critical-path blame table per run when blame was requested.
     pub text: String,
-    /// `(run label, samples)` per scenario run, in report order.
+    /// `(run label, samples)` per scenario run, in report order (empty
+    /// unless the report was asked to record).
     pub series: Vec<(String, TimeSeries)>,
     /// `(run label, downsampled samples)` per run for reports whose
     /// recorder runs windowed (the serving sweep), in report order.
@@ -410,22 +457,35 @@ pub struct ObservedReport {
     pub profile: Option<HostProfile>,
 }
 
-/// Folds one run's optional profile into the sweep-level digest.
-fn merge_profile(merged: &mut Option<HostProfile>, run: &Option<HostProfile>) {
-    if let Some(p) = run {
-        merged.get_or_insert_with(HostProfile::default).merge(p);
-    }
-}
+/// The flight recorder's sampling cadence for the coupled-scenario and
+/// distribution reports: fine enough to catch the paging process's two
+/// sweeps within the scenario horizon, coarse enough to keep the CSV
+/// small.
+const RECORDER_CADENCE: SimDuration = SimDuration::from_millis(50);
 
-/// Says so on stderr when any run's bounded causal log filled up and
-/// dropped records: the blame tables just rendered walked an incomplete
-/// DAG, and silence would pass that off as the whole story.
-fn warn_causal_drops<'a>(
+/// Runs one report's sweep: the `runs` fan out over `opts.jobs` workers
+/// and come back in sweep order, so the report is byte-identical for any
+/// `jobs`. A shared *enabled* probe forces the sweep serial: concurrent
+/// runs would interleave their gauge writes on that one registry in
+/// wall-clock order — the nondeterminism the serial path never has.
+/// Per-run causal logs and per-run private registries parallelise
+/// freely. Returns the results and the runs' merged host profile.
+fn sweep<S: Sync, O: Send>(
     report: &str,
-    observers: impl Iterator<Item = &'a now_core::ScenarioObserver>,
-) {
-    let dropped: u64 = observers
-        .filter_map(|o| o.causal.as_ref())
+    cluster: &NowCluster,
+    runs: &[(S, ScenarioObserver)],
+    run: fn(&NowCluster, &S, &ScenarioObserver) -> (O, ScenarioObservations),
+    opts: &ReportOptions,
+    probe: &Probe,
+) -> (Vec<(O, ScenarioObservations)>, Option<HostProfile>) {
+    let jobs = if probe.is_enabled() { 1 } else { opts.jobs };
+    let results = cluster.run_many(runs, jobs, run);
+    // Say so when any run's bounded causal log filled up and dropped
+    // records: the blame tables walked an incomplete DAG, and silence
+    // would pass that off as the whole story.
+    let dropped: u64 = runs
+        .iter()
+        .filter_map(|(_, o)| o.causal.as_ref())
         .map(|log| log.dropped())
         .sum();
     if dropped > 0 {
@@ -434,116 +494,46 @@ fn warn_causal_drops<'a>(
              blame tables may be truncated"
         );
     }
+    let mut profile: Option<HostProfile> = None;
+    for p in results.iter().filter_map(|(_, obs)| obs.profile.as_ref()) {
+        profile.get_or_insert_with(HostProfile::default).merge(p);
+    }
+    (results, profile)
 }
 
-/// The flight recorder's sampling cadence for the observed reports: fine
-/// enough to catch the paging process's two sweeps within the scenario
-/// horizon, coarse enough to keep the CSV small.
-fn recorder_cadence() -> SimDuration {
-    SimDuration::from_millis(50)
-}
-
-/// An observer for one observed-report run: `blame` attaches a fresh
-/// causal log, `record` a flight recorder at [`recorder_cadence`], and
-/// `profile` asks the engine for host-time attribution.
+/// The shared-fabric contention experiment: the coupled scenario (BSP
+/// job + out-of-core paging + cooperative cache on one engine and one
+/// fabric) swept over growing background traffic.
 ///
-/// The recorder samples registered gauges, so recording with a disabled
-/// `probe` would log flat zeros — in that case the runs get a private
-/// [`Registry`] probe instead (whose snapshot nobody reads; it only backs
-/// the gauges).
-fn observer_for(
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-) -> now_core::ScenarioObserver {
-    use now_probe::Registry;
-    let probe = if record && !probe.is_enabled() {
-        Registry::new().probe()
-    } else {
-        probe.clone()
-    };
-    now_core::ScenarioObserver {
-        probe,
-        causal: blame.then(|| Arc::new(CausalLog::new())),
-        sample_every: record.then(recorder_cadence),
-        profile,
-        ..now_core::ScenarioObserver::disabled()
-    }
-}
-
-/// The worker count scenario fan-outs actually use: the caller's `jobs`,
-/// forced to 1 while a shared *enabled* probe is watching. Concurrent
-/// runs would interleave their gauge writes on that one registry in
-/// wall-clock order — the nondeterminism the serial path never has — so
-/// telemetry-carrying sweeps stay serial. Per-run causal logs and per-run
-/// private registries are unaffected: they parallelise freely.
-fn scenario_jobs(jobs: usize, probe: &Probe) -> usize {
-    if probe.is_enabled() {
-        1
-    } else {
-        jobs
-    }
-}
-
-/// [`contention`] with observability: `blame` appends a critical-path
-/// blame table per background-load point (where the BSP job's makespan
-/// went), `record` returns the flight recorder's gauge series per point,
-/// and `smoke` trims the sweep for CI. With everything off this renders
-/// byte-identically to [`contention`].
-pub fn contention_observed(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-) -> ObservedReport {
-    contention_observed_jobs(smoke, blame, record, probe, 1)
-}
-
-/// [`contention_observed`] with the sweep points fanned out over `jobs`
-/// worker threads (see [`scenario_jobs`] for when that is forced serial).
-/// Each point builds its own engine and observer, and rows render in
-/// sweep order, so the report is byte-identical for any `jobs`.
-pub fn contention_observed_jobs(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-    jobs: usize,
-) -> ObservedReport {
-    contention_observed_scaled(smoke, blame, record, false, probe, jobs, 32, 1, 0)
-}
-
-/// [`contention_observed_jobs`] on a scaled cluster (see
-/// [`contention_scaled_jobs`] for the `nodes` / `partitions` contract).
-/// At `nodes = 32` this is exactly the classic report; beyond that each
-/// point is a population of cells and the table says so in its title.
-/// `am_batch_us` sets the active-message flush quantum on every run's
-/// fabric (0 = batching off, byte-identical to the classic transport).
+/// Not a paper artifact — it demonstrates what the unified engine adds:
+/// with every subsystem's bytes on the same wires, loading the fabric
+/// degrades netram fetch latency and the parallel job's makespan
+/// *together*, where the old per-subsystem simulators could not interact
+/// at all.
+///
+/// `blame` appends a blame table per background-load point (where the
+/// BSP job's makespan went) and `record` returns the flight recorder's
+/// series per point. At `nodes = 32` this is the classic single-cell
+/// report; beyond that every point runs a population of cells, sharded
+/// over `partitions`, and the title says so. The table is byte-identical
+/// at every `jobs` and `partitions` value.
 ///
 /// # Panics
 ///
-/// Panics unless `nodes` is a positive multiple of 32.
-#[allow(clippy::too_many_arguments)] // the CLI's flag set, in flag order
-pub fn contention_observed_scaled(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    nodes: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> ObservedReport {
-    use now_core::{NowCluster, ScenarioSpec};
+/// Panics unless `opts.nodes` is a positive multiple of 32.
+pub fn contention(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
+    let nodes = opts.nodes;
     assert!(
         nodes >= 32 && nodes.is_multiple_of(32),
         "the contention scenario scales in 32-node cells; {nodes} nodes is \
          not a positive multiple of 32"
     );
     let cells = nodes / 32;
-    let flows: &[u32] = if smoke { &[0, 4, 8] } else { &[0, 2, 4, 8, 16] };
+    let flows: &[u32] = if opts.smoke {
+        &[0, 4, 8]
+    } else {
+        &[0, 2, 4, 8, 16]
+    };
     let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
     let mut t = TextTable::new(&[
         "Background flows",
@@ -560,11 +550,9 @@ pub fn contention_observed_scaled(
     } else {
         t.title("Contention - one fabric under the paging + BSP job + file cache scenario");
     }
-    let mut blame_text = String::new();
-    let mut series = Vec::new();
     // Observers are built serially up front (fixed order), then the runs
     // fan out; results come back in sweep order.
-    let runs: Vec<(ScenarioSpec, now_core::ScenarioObserver)> = flows
+    let runs: Vec<(ScenarioSpec, ScenarioObserver)> = flows
         .iter()
         .map(|&n| {
             (
@@ -572,18 +560,25 @@ pub fn contention_observed_scaled(
                     background_flows: n,
                     seed: SEED,
                     cells,
-                    partitions,
-                    am_batch: now_am::BatchConfig::quantum_us(am_batch_us),
+                    partitions: opts.partitions,
+                    am_batch: opts.am_batch(),
                     ..ScenarioSpec::contention_default()
                 },
-                observer_for(blame, record, profile, probe),
+                opts.observer(probe, DEFAULT_CAUSAL_CAPACITY, RECORDER_CADENCE, None),
             )
         })
         .collect();
-    let results = cluster.run_scenarios_observed(&runs, scenario_jobs(jobs, probe));
-    let mut merged_profile = None;
+    let (results, profile) = sweep(
+        "contention",
+        &cluster,
+        &runs,
+        NowCluster::run_scenario_observed,
+        opts,
+        probe,
+    );
+    let mut blame_text = String::new();
+    let mut series = Vec::new();
     for (&n, (out, obs)) in flows.iter().zip(results) {
-        merge_profile(&mut merged_profile, &obs.profile);
         t.row_owned(vec![
             format!("{n}"),
             format!(
@@ -600,101 +595,36 @@ pub fn contention_observed_scaled(
                 &table.render_text(&format!("Blame - job makespan, {n} background flows")),
             );
         }
-        if record {
+        if opts.record {
             series.push((format!("flows={n}"), obs.timeseries));
         }
     }
-    warn_causal_drops("contention", runs.iter().map(|(_, o)| o));
     ObservedReport {
         text: format!("{}{blame_text}", t.render()),
         series,
         windowed: Vec::new(),
-        profile: merged_profile,
-    }
-}
-
-/// Runs the coupled scenario once per entry of `flows`, returning each
-/// flow count with its outcome. Everything but the background load is
-/// held fixed, so the outcomes isolate what contention costs.
-pub fn contention_series(flows: &[u32]) -> Vec<(u32, now_core::ScenarioOutcome)> {
-    contention_series_jobs(flows, 1)
-}
-
-/// [`contention_series`] with the runs fanned out over `jobs` worker
-/// threads; outcomes are identical to the serial sweep for any `jobs`.
-pub fn contention_series_jobs(flows: &[u32], jobs: usize) -> Vec<(u32, now_core::ScenarioOutcome)> {
-    use now_core::{NowCluster, ScenarioSpec};
-    let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
-    let specs: Vec<ScenarioSpec> = flows
-        .iter()
-        .map(|&n| ScenarioSpec {
-            background_flows: n,
-            seed: SEED,
-            ..ScenarioSpec::contention_default()
-        })
-        .collect();
-    flows
-        .iter()
-        .copied()
-        .zip(cluster.run_scenarios(&specs, jobs))
-        .collect()
-}
-
-/// One scaled contention run: `nodes / 32` independent 32-node cells at
-/// `flows` background flows each, sharded over `partitions` engine
-/// partitions. The outcome is byte-identical at every `partitions` value;
-/// `repro --bench-out` times this at 1 vs 4 partitions to report the
-/// single-run speedup.
-///
-/// # Panics
-///
-/// Panics unless `nodes` is a positive multiple of 32.
-pub fn contention_point(flows: u32, nodes: u32, partitions: u32) -> now_core::ScenarioOutcome {
-    use now_core::{NowCluster, ScenarioSpec};
-    assert!(
-        nodes >= 32 && nodes.is_multiple_of(32),
-        "the contention scenario scales in 32-node cells; {nodes} nodes is \
-         not a positive multiple of 32"
-    );
-    let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
-    cluster.run_scenario(&ScenarioSpec {
-        background_flows: flows,
-        seed: SEED,
-        cells: nodes / 32,
-        partitions,
-        ..ScenarioSpec::contention_default()
-    })
-}
-
-/// The flush quanta the message-rate sweep visits, in microseconds.
-/// 0 is the unbatched baseline every gain is measured against.
-const AM_BATCH_QUANTA: [u64; 6] = [0, 2, 4, 8, 16, 32];
-
-/// Hot-spot sender count and per-sender request count for the
-/// message-rate sweep: 4 senders each firing 256 8-byte requests at
-/// 4/µs — the paper's small-message regime, where per-message protocol
-/// cost (a credit held across a round trip dominated by `o` and switch
-/// latency), not wire bytes, bounds the rate.
-const AM_BATCH_SENDERS: u32 = 4;
-const AM_BATCH_PER_SENDER: u32 = 256;
-
-/// The active-message config the message-rate sweep runs under: default
-/// credits, lossless wire, and a timeout generous enough that deep
-/// batches never trip spurious retransmissions.
-fn am_batch_config() -> now_am::AmConfig {
-    now_am::AmConfig {
-        timeout: SimDuration::from_secs(1),
-        ..now_am::AmConfig::default()
+        profile,
     }
 }
 
 /// The message-rate-vs-batch-quantum table: the hot-spot pattern rerun
-/// at each flush quantum of [`AM_BATCH_QUANTA`], reporting achieved
-/// messages per simulated second, the mean batch depth, and the gain
-/// over the unbatched baseline. Deterministic — same table every run —
-/// and independent of every CLI knob, so the byte-diff gates hold.
+/// at flush quanta from 0 (the unbatched baseline) to 32 µs, reporting
+/// achieved messages per simulated second, the mean batch depth, and the
+/// gain over the unbatched baseline. Deterministic — same table every
+/// run — and independent of every CLI knob, so the byte-diff gates hold.
+///
+/// 4 senders each fire 256 8-byte requests at 4/µs — the paper's
+/// small-message regime, where per-message protocol cost (a credit held
+/// across a round trip dominated by `o` and switch latency), not wire
+/// bytes, bounds the rate. The config keeps default credits and a
+/// lossless wire, with a timeout generous enough that deep batches never
+/// trip spurious retransmissions.
 pub fn am_batching_table() -> String {
     use now_net::presets;
+    let config = now_am::AmConfig {
+        timeout: SimDuration::from_secs(1),
+        ..now_am::AmConfig::default()
+    };
     let mut t = TextTable::new(&[
         "Flush quantum (us)",
         "Msgs/s",
@@ -706,14 +636,8 @@ pub fn am_batching_table() -> String {
          (4 senders x 256 8-byte requests)",
     );
     let mut base_rate = None;
-    for &q in &AM_BATCH_QUANTA {
-        let point = now_am::batched_hotspot_rate(
-            presets::am_atm(8),
-            am_batch_config(),
-            q,
-            AM_BATCH_SENDERS,
-            AM_BATCH_PER_SENDER,
-        );
+    for q in [0u64, 2, 4, 8, 16, 32] {
+        let point = now_am::batched_hotspot_rate(presets::am_atm(8), config, q, 4, 256);
         let base = *base_rate.get_or_insert(point.msgs_per_s);
         t.row_owned(vec![
             format!("{q}"),
@@ -725,122 +649,25 @@ pub fn am_batching_table() -> String {
     t.render()
 }
 
-/// The batching headline for `repro --bench-out`: unbatched vs batched
-/// message rate at the sweep's densest point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AmBatchingSummary {
-    /// Hot-spot message rate with batching off.
-    pub unbatched_msgs_per_s: f64,
-    /// Hot-spot message rate at the best swept quantum.
-    pub batched_msgs_per_s: f64,
-    /// Mean batch depth at that quantum.
-    pub batch_size: f64,
-    /// `batched / unbatched`.
-    pub rate_gain: f64,
-}
-
-/// Measures [`AmBatchingSummary`]: the unbatched baseline against the
-/// best point of the [`AM_BATCH_QUANTA`] sweep. Simulated-time rates,
-/// so the entry is deterministic run to run.
-pub fn am_batching_summary() -> AmBatchingSummary {
-    use now_net::presets;
-    let run = |q| {
-        now_am::batched_hotspot_rate(
-            presets::am_atm(8),
-            am_batch_config(),
-            q,
-            AM_BATCH_SENDERS,
-            AM_BATCH_PER_SENDER,
-        )
-    };
-    let base = run(0);
-    let best = AM_BATCH_QUANTA[1..]
-        .iter()
-        .map(|&q| run(q))
-        .max_by(|a, b| a.msgs_per_s.total_cmp(&b.msgs_per_s))
-        .expect("the sweep has batched points");
-    AmBatchingSummary {
-        unbatched_msgs_per_s: base.msgs_per_s,
-        batched_msgs_per_s: best.msgs_per_s,
-        batch_size: best.mean_batch,
-        rate_gain: best.msgs_per_s / base.msgs_per_s,
-    }
-}
-
 /// The availability experiment: Monte-Carlo failure simulation
 /// cross-checked against the paper's closed-form availability math, plus
 /// the coupled scenario re-run under injected faults.
 ///
 /// `smoke` cuts the Monte-Carlo trial count for CI; the fault scenarios
-/// are identical either way.
-pub fn availability(smoke: bool) -> String {
-    availability_probed(smoke, &Probe::disabled())
-}
-
-/// [`availability`] with the Monte-Carlo trials and the fault scenarios
-/// fanned out over `jobs` worker threads. Per-trial seed splitting and
-/// in-order reduction keep the report byte-identical for any `jobs`.
-pub fn availability_jobs(smoke: bool, jobs: usize) -> String {
-    availability_observed_jobs(smoke, false, false, &Probe::disabled(), jobs).text
-}
-
-/// [`availability`] with a telemetry probe: the scenario runs count
-/// `fault.injected[.kind]`, `fault.detected`, `fault.restarts`, and
-/// `fault.rebuild_chunks` on it.
-pub fn availability_probed(smoke: bool, probe: &Probe) -> String {
-    availability_observed(smoke, false, false, probe).text
-}
-
-/// [`availability`] with observability: `blame` appends, per fault
-/// scenario, a blame table for the BSP job's makespan (where the stall
-/// went) and — when a disk rebuild ran — for the rebuild chain (recovery
-/// attributed to the rebuild traffic); `record` returns the flight
-/// recorder's series per scenario. With everything off this renders
-/// byte-identically to [`availability`].
-pub fn availability_observed(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-) -> ObservedReport {
-    availability_observed_jobs(smoke, blame, record, probe, 1)
-}
-
-/// [`availability_observed`] with the Monte-Carlo trials and the fault
-/// scenarios fanned out over `jobs` worker threads. The estimators split
-/// one seed per trial and reduce in trial order, so their cells — and the
-/// whole report — are byte-identical for any `jobs` (scenario fan-out is
-/// forced serial while a shared enabled probe watches; see
-/// [`scenario_jobs`]).
-pub fn availability_observed_jobs(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-    jobs: usize,
-) -> ObservedReport {
-    availability_observed_scaled(smoke, blame, record, false, probe, jobs, 1)
-}
-
-/// [`availability_observed_jobs`] with a `partitions` request threaded
-/// onto every scenario spec, for CLI symmetry with the contention report.
-/// Every fault scenario here is a single cell (injected faults cannot
-/// shard — their control messages have zero latency), so the request
-/// clamps to 1 and the report is byte-identical at any value.
-pub fn availability_observed_scaled(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    partitions: u32,
-) -> ObservedReport {
-    use now_core::NowCluster;
+/// are identical either way. The trials and the fault scenarios fan out
+/// over `jobs` workers: the estimators split one seed per trial and
+/// reduce in trial order, so the report is byte-identical for any `jobs`.
+/// `blame` appends, per fault scenario, a blame table for the BSP job's
+/// makespan (where the stall went) and — when a disk rebuild ran — for
+/// the rebuild chain; `record` returns the flight recorder's series per
+/// scenario. `partitions` is threaded onto every spec, but injected
+/// faults cannot shard, so every run is a single serial cell; `nodes`
+/// and `am_batch_us` do not apply.
+pub fn availability(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
     use now_fault::montecarlo;
     use now_raid::availability::FailureModel;
 
-    let trials: u64 = if smoke { 200 } else { 2_000 };
+    let trials: u64 = if opts.smoke { 200 } else { 2_000 };
     let m = FailureModel::paper_defaults();
     let mut mc = TextTable::new(&[
         "Quantity",
@@ -858,23 +685,23 @@ pub fn availability_observed_scaled(
         (
             "RAID-5 MTTDL",
             |m, n| m.raid5_mttdl_hours(n),
-            montecarlo::raid5_mttdl_hours_jobs,
+            montecarlo::raid5_mttdl_hours,
         ),
         (
             "Software RAID service MTTF",
             |m, n| m.software_raid_service_mttf_hours(n),
-            montecarlo::software_service_mttf_hours_jobs,
+            montecarlo::software_service_mttf_hours,
         ),
         (
             "Hardware RAID service MTTF",
             |m, n| m.hardware_raid_service_mttf_hours(n),
-            montecarlo::hardware_service_mttf_hours_jobs,
+            montecarlo::hardware_service_mttf_hours,
         ),
     ];
     for (name, closed_fn, mc_fn) in quantities {
         for n in [8u32, 16] {
             let closed = closed_fn(&m, n);
-            let estimate = mc_fn(&m, n, trials, SEED, jobs);
+            let estimate = mc_fn(&m, n, trials, SEED, opts.jobs);
             mc.row_owned(vec![
                 name.to_string(),
                 format!("{n}"),
@@ -895,25 +722,30 @@ pub fn availability_observed_scaled(
     ]);
     deg.title("Degraded vs healthy - the coupled scenario under injected faults");
     let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
-    let mut blame_text = String::new();
-    let mut series = Vec::new();
     let named_specs = availability_specs();
-    let runs: Vec<(now_core::ScenarioSpec, now_core::ScenarioObserver)> = named_specs
+    let runs: Vec<(ScenarioSpec, ScenarioObserver)> = named_specs
         .iter()
         .map(|(_, spec)| {
             (
-                now_core::ScenarioSpec {
-                    partitions,
+                ScenarioSpec {
+                    partitions: opts.partitions,
                     ..spec.clone()
                 },
-                observer_for(blame, record, profile, probe),
+                opts.observer(probe, DEFAULT_CAUSAL_CAPACITY, RECORDER_CADENCE, None),
             )
         })
         .collect();
-    let results = cluster.run_scenarios_observed(&runs, scenario_jobs(jobs, probe));
-    let mut merged_profile = None;
+    let (results, profile) = sweep(
+        "availability",
+        &cluster,
+        &runs,
+        NowCluster::run_scenario_observed,
+        opts,
+        probe,
+    );
+    let mut blame_text = String::new();
+    let mut series = Vec::new();
     for ((name, _), (out, obs)) in named_specs.iter().zip(results) {
-        merge_profile(&mut merged_profile, &obs.profile);
         deg.row_owned(vec![
             name.to_string(),
             format!("{:.0}", out.mean_netram_fetch_us.unwrap_or(0.0)),
@@ -928,36 +760,24 @@ pub fn availability_observed_scaled(
                 blame_text.push_str(&table.render_text(&format!("Blame - {tag} chain, {name}")));
             }
         }
-        if record {
+        if opts.record {
             series.push((name.to_string(), obs.timeseries));
         }
     }
-    warn_causal_drops("availability", runs.iter().map(|(_, o)| o));
     ObservedReport {
         text: format!("{}\n{}{blame_text}", mc.render(), deg.render()),
         series,
         windowed: Vec::new(),
-        profile: merged_profile,
+        profile,
     }
 }
 
-/// The fault scenarios behind [`availability`]'s degraded-vs-healthy
+/// The named fault scenarios behind [`availability`]'s degraded-vs-healthy
 /// table: the coupled run unharmed, with a dead network-RAM host (single
 /// copy, then mirrored), with a crashed BSP worker replaced by a spare,
 /// and with a failed-then-rebuilt storage disk.
-pub fn availability_series(probe: &Probe) -> Vec<(&'static str, now_core::ScenarioOutcome)> {
-    let cluster = now_core::NowCluster::builder().nodes(32).seed(SEED).build();
-    availability_specs()
-        .into_iter()
-        .map(|(name, spec)| (name, cluster.run_scenario_probed(&spec, probe)))
-        .collect()
-}
-
-/// The named fault scenarios behind the degraded-vs-healthy table, as
-/// specs (so callers choose how to observe the runs).
-fn availability_specs() -> Vec<(&'static str, now_core::ScenarioSpec)> {
-    use now_core::{Fault, FaultPlan, ScenarioSpec};
-    use now_sim::SimTime;
+fn availability_specs() -> Vec<(&'static str, ScenarioSpec)> {
+    use now_core::{Fault, FaultPlan};
 
     let base = ScenarioSpec {
         job_rounds: 50,
@@ -971,7 +791,7 @@ fn availability_specs() -> Vec<(&'static str, now_core::ScenarioSpec)> {
     // 500 ms: mid-spill of the paging process's first sweep, so the dead
     // host holds pages; 5 ms: before the BSP job's early barriers.
     let host_crash = FaultPlan::new().at(SimTime::from_millis(500), Fault::NodeCrash { node: 9 });
-    let specs = [
+    vec![
         ("healthy", base.clone()),
         (
             "netram host dead",
@@ -1004,8 +824,7 @@ fn availability_specs() -> Vec<(&'static str, now_core::ScenarioSpec)> {
                 ..base
             },
         ),
-    ];
-    specs.into_iter().collect()
+    ]
 }
 
 /// Window budget of the serving flight recorder: every series holds at
@@ -1024,17 +843,14 @@ const SERVE_SAMPLED_CHAINS: u64 = 64;
 /// The serving flight recorder's cadence. The raw sample count grows with
 /// the horizon, but the windowed recorder compacts it into
 /// [`SERVE_WINDOW_BUDGET`] windows regardless.
-fn serve_cadence() -> SimDuration {
-    SimDuration::from_millis(5)
-}
+const SERVE_CADENCE: SimDuration = SimDuration::from_millis(5);
 
 /// One population point of the serving sweep: the shared workload shape
 /// (web-like Zipf catalog, 10-second mean think time, 8-KB objects) with
 /// only the population varying.
-fn serve_spec(population: u64) -> now_core::ServeSpec {
+fn serve_spec(population: u64, opts: &ReportOptions) -> ServeSpec {
     use now_cache::{AccessCosts, ServeConfig, ThinkTime};
-    use now_sim::SimTime;
-    now_core::ServeSpec {
+    ServeSpec {
         config: ServeConfig {
             population,
             think: ThinkTime::Exponential { mean_ms: 10_000.0 },
@@ -1049,45 +865,17 @@ fn serve_spec(population: u64) -> now_core::ServeSpec {
             retain_exact: false,
         },
         front_ends: 8,
-        partitions: 1,
-        am_batch: now_am::BatchConfig::disabled(),
+        partitions: opts.partitions,
+        am_batch: opts.am_batch(),
     }
 }
 
 /// Expected open-loop request count of a serving spec: horizon times the
 /// population's aggregate arrival rate. Used to scale the causal sampling
 /// rate, so it only needs to be right to a small factor.
-fn serve_expected_requests(spec: &now_core::ServeSpec) -> u64 {
+fn serve_expected_requests(spec: &ServeSpec) -> u64 {
     let rate_per_sec = spec.config.population as f64 / (spec.config.think.mean_ns() / 1e9);
     (spec.config.horizon.as_secs_f64() * rate_per_sec) as u64
-}
-
-/// An observer for one serving run. Unlike [`observer_for`], every
-/// observation structure is memory-bounded by construction: the causal
-/// log samples ~[`SERVE_SAMPLED_CHAINS`] chains into a capacity-bounded
-/// buffer, and the flight recorder downsamples into
-/// [`SERVE_WINDOW_BUDGET`] windows.
-fn serve_observer_for(
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    expected_requests: u64,
-) -> now_core::ScenarioObserver {
-    use now_probe::Registry;
-    let probe = if record && !probe.is_enabled() {
-        Registry::new().probe()
-    } else {
-        probe.clone()
-    };
-    now_core::ScenarioObserver {
-        probe,
-        causal: blame.then(|| Arc::new(CausalLog::with_capacity(SERVE_CAUSAL_CAPACITY))),
-        sample_every: record.then(serve_cadence),
-        trace_sample_every: (expected_requests / SERVE_SAMPLED_CHAINS).max(1),
-        window_budget: record.then_some(SERVE_WINDOW_BUDGET),
-        profile,
-    }
 }
 
 /// The population-scale serving report: the building as a campus server.
@@ -1098,43 +886,16 @@ fn serve_observer_for(
 /// stays flat as the population (and event count) grows — the point of
 /// the streaming observation layer. A saturation line marks where open-
 /// loop arrivals outrun the server and p99 explodes.
-pub fn serve_report(smoke: bool) -> String {
-    serve_report_jobs(smoke, false, false, &Probe::disabled(), 1).text
-}
-
-/// [`serve_report`] with observability and fan-out: `blame` appends a
-/// critical-path table for one sampled request chain per population,
-/// `record` returns the windowed flight-recorder series, and the sweep
-/// points run over `jobs` worker threads (byte-identical output for any
-/// `jobs`; forced serial while a shared enabled probe watches).
-pub fn serve_report_jobs(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-    jobs: usize,
-) -> ObservedReport {
-    serve_report_scaled(smoke, blame, record, false, probe, jobs, 1, 0)
-}
-
-/// [`serve_report_jobs`] with a `partitions` request threaded onto every
-/// serving spec, for CLI symmetry with the contention report. The whole
-/// population is one event-coupled component (every request contends for
-/// one server cache), so the request clamps to 1 and the report is
-/// byte-identical at any value.
-#[allow(clippy::too_many_arguments)] // the CLI's flag set, in flag order
-pub fn serve_report_scaled(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    partitions: u32,
-    am_batch_us: u64,
-) -> ObservedReport {
-    use now_core::{NowCluster, ScenarioObserver, ServeSpec};
-    let populations: &[u64] = if smoke {
+///
+/// Every observation structure is memory-bounded: `blame` samples
+/// ~[`SERVE_SAMPLED_CHAINS`] request chains per population into a
+/// capacity-bounded log and appends one sampled chain's table, and
+/// `record` returns flight-recorder series downsampled into
+/// [`SERVE_WINDOW_BUDGET`] windows. The whole population is one
+/// event-coupled component, so `partitions` clamps to 1; `nodes` does not
+/// apply. The report is byte-identical for any `jobs` and `partitions`.
+pub fn serve(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
+    let populations: &[u64] = if opts.smoke {
         &[20_000, 100_000, 1_000_000]
     } else {
         &[20_000, 100_000, 1_000_000, 5_000_000, 20_000_000]
@@ -1155,23 +916,31 @@ pub fn serve_report_scaled(
     let runs: Vec<(ServeSpec, ScenarioObserver)> = populations
         .iter()
         .map(|&p| {
-            let mut spec = serve_spec(p);
-            spec.partitions = partitions;
-            spec.am_batch = now_am::BatchConfig::quantum_us(am_batch_us);
-            let expected = serve_expected_requests(&spec);
-            (
-                spec,
-                serve_observer_for(blame, record, profile, probe, expected),
-            )
+            let spec = serve_spec(p, opts);
+            let observer = ScenarioObserver {
+                trace_sample_every: (serve_expected_requests(&spec) / SERVE_SAMPLED_CHAINS).max(1),
+                ..opts.observer(
+                    probe,
+                    SERVE_CAUSAL_CAPACITY,
+                    SERVE_CADENCE,
+                    Some(SERVE_WINDOW_BUDGET),
+                )
+            };
+            (spec, observer)
         })
         .collect();
-    let results = cluster.run_serves_observed(&runs, scenario_jobs(jobs, probe));
+    let (results, profile) = sweep(
+        "serve",
+        &cluster,
+        &runs,
+        NowCluster::run_serve_observed,
+        opts,
+        probe,
+    );
     let mut blame_text = String::new();
     let mut windowed = Vec::new();
-    let mut merged_profile = None;
     let mut p99s: Vec<f64> = Vec::new();
     for (&pop, (out, obs)) in populations.iter().zip(results) {
-        merge_profile(&mut merged_profile, &obs.profile);
         let pct = |x: u64| 100.0 * x as f64 / out.requests.max(1) as f64;
         let p99 = out.latency_ms(0.99).unwrap_or(0.0);
         p99s.push(p99);
@@ -1192,7 +961,7 @@ pub fn serve_report_scaled(
                 &table.render_text(&format!("Blame - sampled request chain, population {pop}")),
             );
         }
-        if record {
+        if opts.record {
             windowed.push((format!("pop={pop}"), obs.windowed));
         }
     }
@@ -1209,12 +978,11 @@ pub fn serve_report_scaled(
         }
         None => String::from("Saturation: not reached within the sweep\n"),
     };
-    warn_causal_drops("serve", runs.iter().map(|(_, o)| o));
     ObservedReport {
         text: format!("{}{saturation}{blame_text}", t.render()),
         series: Vec::new(),
         windowed,
-        profile: merged_profile,
+        profile,
     }
 }
 
@@ -1234,11 +1002,11 @@ const DISTRIBUTE_CAUSAL_CAPACITY: usize = 1 << 16;
 
 /// The image catalog each distribution sweep publishes: the smoke
 /// catalog for CI, a larger one (8 images on a 24-file base) otherwise.
-fn distribute_catalog(smoke: bool) -> now_core::ImageCatalogSpec {
+fn distribute_catalog(smoke: bool) -> ImageCatalogSpec {
     if smoke {
-        now_core::ImageCatalogSpec::smoke(SEED)
+        ImageCatalogSpec::smoke(SEED)
     } else {
-        now_core::ImageCatalogSpec {
+        ImageCatalogSpec {
             images: 8,
             base_files: 24,
             app_files: 8,
@@ -1266,173 +1034,70 @@ fn distribute_sweep(smoke: bool, max_nodes: u32) -> Vec<u32> {
     points
 }
 
-/// An observer for one distribution run. The whole run is a single
-/// causal trace (one root fans out to every fetcher), so blame sampling
-/// is all-or-nothing: `trace_sample_every` is pinned to 1.
-fn distribute_observer_for(
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-) -> now_core::ScenarioObserver {
-    use now_probe::Registry;
-    let probe = if record && !probe.is_enabled() {
-        Registry::new().probe()
-    } else {
-        probe.clone()
-    };
-    now_core::ScenarioObserver {
-        probe,
-        causal: blame.then(|| Arc::new(CausalLog::with_capacity(DISTRIBUTE_CAUSAL_CAPACITY))),
-        sample_every: record.then(recorder_cadence),
-        trace_sample_every: 1,
-        profile,
-        ..now_core::ScenarioObserver::disabled()
-    }
-}
-
-/// One strategy's spec at one sweep point.
-fn distribute_spec(
-    smoke: bool,
-    strategy: now_core::FetchStrategy,
-    fetchers: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> now_core::DistributeSpec {
-    now_core::DistributeSpec {
-        catalog: distribute_catalog(smoke),
-        fetchers,
-        registry_nics: DISTRIBUTE_REGISTRY_NICS,
-        cache_budget: DISTRIBUTE_CACHE_BUDGET,
-        strategy,
-        seed: SEED,
-        horizon: now_sim::SimTime::from_secs(1),
-        partitions,
-        am_batch: now_am::BatchConfig::quantum_us(am_batch_us),
-    }
-}
-
-/// Both strategies at every sweep point:
-/// `(fetchers, registry run, cooperative run)` in sweep order.
-type DistributePoint = (
-    u32,
-    (now_core::DistributeOutcome, now_core::ScenarioObservations),
-    (now_core::DistributeOutcome, now_core::ScenarioObservations),
-);
-
-#[allow(clippy::too_many_arguments)] // the CLI's flag set, in flag order
-fn distribute_points(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    nodes: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> Vec<DistributePoint> {
-    use now_core::{DistributeSpec, FetchStrategy, NowCluster, ScenarioObserver};
-    let sweep = distribute_sweep(smoke, nodes);
-    let max_fetchers = *sweep.last().expect("sweep is never empty");
-    let cluster = NowCluster::builder()
-        .nodes(max_fetchers + DISTRIBUTE_REGISTRY_NICS)
-        .seed(SEED)
-        .build();
-    // Registry and cooperative runs interleave per point, so a partial
-    // read of the results still pairs correctly.
-    let runs: Vec<(DistributeSpec, ScenarioObserver)> = sweep
-        .iter()
-        .flat_map(|&f| {
-            [FetchStrategy::Registry, FetchStrategy::Cooperative].map(|s| {
-                (
-                    distribute_spec(smoke, s, f, partitions, am_batch_us),
-                    distribute_observer_for(blame, record, profile, probe),
-                )
-            })
-        })
-        .collect();
-    let mut results = cluster
-        .run_distributes_observed(&runs, scenario_jobs(jobs, probe))
-        .into_iter();
-    let points = sweep
-        .iter()
-        .map(|&f| {
-            let registry = results.next().expect("one registry run per point");
-            let cooperative = results.next().expect("one cooperative run per point");
-            (f, registry, cooperative)
-        })
-        .collect();
-    warn_causal_drops("distribute", runs.iter().map(|(_, o)| o));
-    points
-}
-
 /// The image-distribution report: cold-starting the cluster from a
 /// content-addressed registry, registry-only vs cooperative.
 ///
 /// Not a paper artifact — it extends the serving story to the step the
 /// paper takes for granted: getting identical software onto N nodes.
 /// Content addressing dedups the catalog (the table's dedup factor) and
-/// the sweep shows the crossover where peer-to-peer block exchange beats
-/// hammering the registry, as its NICs saturate.
-pub fn distribute_report(smoke: bool) -> String {
-    distribute_report_jobs(smoke, false, false, &Probe::disabled(), 1).text
-}
-
-/// [`distribute_report`] with observability and fan-out: `blame` appends
-/// critical-path blame tables (where the largest cold start's makespan
-/// went, per strategy), `record` returns the flight recorder's gauge
-/// series per run, and the sweep fans out over `jobs` worker threads
-/// (byte-identical output for any `jobs`; forced serial while a shared
-/// enabled probe watches).
-pub fn distribute_report_jobs(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    probe: &Probe,
-    jobs: usize,
-) -> ObservedReport {
-    distribute_report_scaled(smoke, blame, record, false, probe, jobs, 32, 1, 0)
-}
-
-/// [`distribute_report_jobs`] with the sweep extended to `nodes`
-/// fetchers and a `partitions` request threaded onto every spec, for CLI
-/// symmetry with the contention report. A distribution run is one
-/// event-coupled component (every fetch contends for the same registry
-/// NICs and tracker), so the request clamps to 1 and the report is
-/// byte-identical at any value.
+/// the sweep, out to `nodes` fetchers, shows the crossover where
+/// peer-to-peer block exchange beats hammering the registry, as its NICs
+/// saturate.
+///
+/// `blame` appends blame tables for the largest cold start, per
+/// strategy, and `record` returns the flight recorder's series per run.
+/// A distribution run is one event-coupled component, so `partitions`
+/// clamps to 1. The report is byte-identical for any `jobs` and
+/// `partitions`.
 ///
 /// # Panics
 ///
-/// Panics unless `nodes` is a positive multiple of 32 (the CLI
-/// contract shared by every scaled report).
-#[allow(clippy::too_many_arguments)] // the CLI's flag set, in flag order
-pub fn distribute_report_scaled(
-    smoke: bool,
-    blame: bool,
-    record: bool,
-    profile: bool,
-    probe: &Probe,
-    jobs: usize,
-    nodes: u32,
-    partitions: u32,
-    am_batch_us: u64,
-) -> ObservedReport {
+/// Panics unless `opts.nodes` is a positive multiple of 32 (the contract
+/// every scaled report shares).
+pub fn distribute(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
+    let nodes = opts.nodes;
     assert!(
         nodes >= 32 && nodes.is_multiple_of(32),
         "the distribution sweep scales like the other reports; {nodes} nodes \
          is not a positive multiple of 32"
     );
-    let points = distribute_points(
-        smoke,
-        blame,
-        record,
-        profile,
+    let sweep_points = distribute_sweep(opts.smoke, nodes);
+    let max_fetchers = *sweep_points.last().expect("sweep is never empty");
+    let cluster = NowCluster::builder()
+        .nodes(max_fetchers + DISTRIBUTE_REGISTRY_NICS)
+        .seed(SEED)
+        .build();
+    // Registry and cooperative runs interleave per point; the whole run
+    // is a single causal trace (one root fans out to every fetcher), so
+    // blame sampling is all-or-nothing: every chain is recorded.
+    let runs: Vec<(DistributeSpec, ScenarioObserver)> = sweep_points
+        .iter()
+        .flat_map(|&fetchers| {
+            [FetchStrategy::Registry, FetchStrategy::Cooperative].map(|strategy| {
+                (
+                    DistributeSpec {
+                        catalog: distribute_catalog(opts.smoke),
+                        fetchers,
+                        registry_nics: DISTRIBUTE_REGISTRY_NICS,
+                        cache_budget: DISTRIBUTE_CACHE_BUDGET,
+                        strategy,
+                        seed: SEED,
+                        horizon: SimTime::from_secs(1),
+                        partitions: opts.partitions,
+                        am_batch: opts.am_batch(),
+                    },
+                    opts.observer(probe, DISTRIBUTE_CAUSAL_CAPACITY, RECORDER_CADENCE, None),
+                )
+            })
+        })
+        .collect();
+    let (results, profile) = sweep(
+        "distribute",
+        &cluster,
+        &runs,
+        NowCluster::run_distribute_observed,
+        opts,
         probe,
-        jobs,
-        nodes,
-        partitions,
-        am_batch_us,
     );
     let mut t = TextTable::new(&[
         "Nodes",
@@ -1449,12 +1114,11 @@ pub fn distribute_report_scaled(
     ));
     let mut blame_text = String::new();
     let mut series = Vec::new();
-    let mut merged_profile = None;
     let mut crossover: Option<u32> = None;
-    let last = points.last().map(|(f, _, _)| *f);
-    for (f, (reg, reg_obs), (coop, coop_obs)) in &points {
-        merge_profile(&mut merged_profile, &reg_obs.profile);
-        merge_profile(&mut merged_profile, &coop_obs.profile);
+    for (&f, pair) in sweep_points.iter().zip(results.chunks_exact(2)) {
+        let [(reg, reg_obs), (coop, coop_obs)] = pair else {
+            unreachable!("chunks_exact(2) yields pairs")
+        };
         assert_eq!(
             reg.content_digest, coop.content_digest,
             "strategies must deliver byte-identical images at {f} nodes"
@@ -1462,7 +1126,7 @@ pub fn distribute_report_scaled(
         let reg_ms = reg.makespan_ms();
         let coop_ms = coop.makespan_ms();
         if crossover.is_none() && coop_ms < reg_ms {
-            crossover = Some(*f);
+            crossover = Some(f);
         }
         let peer_pct = 100.0 * coop.peer_blocks as f64
             / (coop.peer_blocks + coop.registry_blocks).max(1) as f64;
@@ -1474,7 +1138,7 @@ pub fn distribute_report_scaled(
             format!("{:.2}", coop_ms / reg_ms.max(f64::MIN_POSITIVE)),
             format!("{peer_pct:.0}"),
         ]);
-        if Some(*f) == last {
+        if f == max_fetchers {
             for (label, obs) in [("registry", reg_obs), ("cooperative", coop_obs)] {
                 if let Some((_, table)) = obs.blame.first() {
                     blame_text.push('\n');
@@ -1486,7 +1150,7 @@ pub fn distribute_report_scaled(
                 }
             }
         }
-        if record {
+        if opts.record {
             series.push((format!("registry n={f}"), reg_obs.timeseries.clone()));
             series.push((format!("cooperative n={f}"), coop_obs.timeseries.clone()));
         }
@@ -1501,37 +1165,7 @@ pub fn distribute_report_scaled(
         text: format!("{}{crossover_line}{blame_text}", t.render()),
         series,
         windowed: Vec::new(),
-        profile: merged_profile,
-    }
-}
-
-/// Headline numbers of the distribution sweep, for `--bench-out`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DistributeSummary {
-    /// Registry-only makespan at the largest sweep point, in ms.
-    pub registry_ms: f64,
-    /// Cooperative makespan at the largest sweep point, in ms.
-    pub cooperative_ms: f64,
-    /// The catalog's dedup factor.
-    pub dedup_factor: f64,
-    /// First sweep point where cooperative beat registry (0 if never).
-    pub crossover_nodes: u32,
-}
-
-/// Runs the (smoke or full) sweep unobserved and extracts the headline
-/// numbers the bench JSON records.
-pub fn distribute_summary(smoke: bool) -> DistributeSummary {
-    let points = distribute_points(smoke, false, false, false, &Probe::disabled(), 1, 32, 1, 0);
-    let crossover = points
-        .iter()
-        .find(|(_, (reg, _), (coop, _))| coop.makespan_ms() < reg.makespan_ms())
-        .map_or(0, |(f, _, _)| *f);
-    let (_, (reg, _), (coop, _)) = points.last().expect("sweep is never empty");
-    DistributeSummary {
-        registry_ms: reg.makespan_ms(),
-        cooperative_ms: coop.makespan_ms(),
-        dedup_factor: reg.dedup_factor,
-        crossover_nodes: crossover,
+        profile,
     }
 }
 
@@ -1559,12 +1193,19 @@ pub fn restore_study() -> String {
 mod tests {
     use super::*;
 
+    fn smoke() -> ReportOptions {
+        ReportOptions {
+            smoke: true,
+            ..ReportOptions::default()
+        }
+    }
+
     #[test]
     fn every_report_renders_nonempty() {
         for (name, text) in [
             ("table1", table1()),
             ("figure1", figure1()),
-            ("table2", table2()),
+            ("table2", table2(&Probe::disabled())),
             ("table4", table4()),
             ("nfs", nfs_study()),
             ("comm", comm_layers()),
@@ -1575,18 +1216,50 @@ mod tests {
     }
 
     #[test]
+    fn every_paper_artifact_prints_its_title() {
+        // `repro --help` describes each artifact by the same constant its
+        // renderer titles the output with, so the two cannot drift apart.
+        let probe = Probe::disabled();
+        for (title, text) in [
+            (TABLE1_TITLE, table1()),
+            (TABLE2_TITLE, table2(&probe)),
+            (TABLE3_TITLE, table3(false, &probe)),
+            (TABLE4_TITLE, table4()),
+            (FIGURE1_TITLE, figure1()),
+            (FIGURE2_TITLE, figure2(&probe)),
+            (FIGURE3_TITLE, figure3()),
+            (FIGURE4_TITLE, figure4(&probe)),
+        ] {
+            assert!(
+                text.contains(&format!("== {title} ==")),
+                "{title:?} missing from:\n{text}"
+            );
+        }
+    }
+
+    #[test]
     fn contention_degrades_monotonically() {
         // The unified engine's headline property: netram fetch latency and
         // the coupled job's makespan both worsen, and only worsen, as
         // competing traffic grows on the shared fabric.
-        let series = contention_series(&[0, 2, 4, 8, 16]);
-        let fetch: Vec<f64> = series
+        let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
+        let outcomes: Vec<now_core::ScenarioOutcome> = [0u32, 2, 4, 8, 16]
             .iter()
-            .map(|(_, out)| out.mean_netram_fetch_us.expect("netram in use"))
+            .map(|&flows| {
+                cluster.run_scenario(&ScenarioSpec {
+                    background_flows: flows,
+                    seed: SEED,
+                    ..ScenarioSpec::contention_default()
+                })
+            })
             .collect();
-        let makespan: Vec<f64> = series
+        let fetch: Vec<f64> = outcomes
             .iter()
-            .map(|(_, out)| out.job_makespan.as_millis_f64())
+            .map(|out| out.mean_netram_fetch_us.expect("netram in use"))
+            .collect();
+        let makespan: Vec<f64> = outcomes
+            .iter()
+            .map(|out| out.job_makespan.as_millis_f64())
             .collect();
         for w in fetch.windows(2) {
             assert!(w[1] >= w[0], "fetch latency dipped under load: {fetch:?}");
@@ -1606,17 +1279,25 @@ mod tests {
 
     #[test]
     fn availability_report_renders_and_is_deterministic() {
-        let a = availability(true);
+        let a = availability(&smoke(), &Probe::disabled()).text;
         assert!(a.contains("Monte-Carlo"), "{a}");
         assert!(a.contains("RAID-5 MTTDL"), "{a}");
         assert!(a.contains("worker crash + spare"), "{a}");
         assert!(a.contains("disk fail + rebuild"), "{a}");
-        assert_eq!(a, availability(true), "fixed seed must reproduce");
+        assert_eq!(
+            a,
+            availability(&smoke(), &Probe::disabled()).text,
+            "fixed seed must reproduce"
+        );
     }
 
     #[test]
     fn availability_scenarios_degrade_where_they_should() {
-        let series = availability_series(&Probe::disabled());
+        let cluster = NowCluster::builder().nodes(32).seed(SEED).build();
+        let series: Vec<(&str, now_core::ScenarioOutcome)> = availability_specs()
+            .into_iter()
+            .map(|(name, spec)| (name, cluster.run_scenario(&spec)))
+            .collect();
         let get = |name: &str| {
             series
                 .iter()
@@ -1641,65 +1322,69 @@ mod tests {
 
     #[test]
     fn contention_report_renders() {
-        let t = contention();
+        let t = contention(&ReportOptions::default(), &Probe::disabled()).text;
         assert!(t.contains("Background flows"), "{t}");
         assert!(t.lines().count() > 4, "{t}");
     }
 
     #[test]
     fn serve_report_renders_and_is_deterministic() {
-        let a = serve_report(true);
+        let a = serve(&smoke(), &Probe::disabled()).text;
         assert!(a.contains("Serving at building scale"), "{a}");
         assert!(a.contains("Saturation:"), "{a}");
         assert!(a.lines().count() > 5, "{a}");
-        assert_eq!(a, serve_report(true), "fixed seed must reproduce");
+        assert_eq!(
+            a,
+            serve(&smoke(), &Probe::disabled()).text,
+            "fixed seed must reproduce"
+        );
     }
 
     #[test]
     fn distribute_report_renders_and_is_deterministic() {
-        let a = distribute_report(true);
+        let a = distribute(&smoke(), &Probe::disabled()).text;
         assert!(a.contains("Image distribution"), "{a}");
         assert!(a.contains("Crossover:"), "{a}");
         assert!(a.lines().count() > 5, "{a}");
-        assert_eq!(a, distribute_report(true), "fixed seed must reproduce");
+        assert_eq!(
+            a,
+            distribute(&smoke(), &Probe::disabled()).text,
+            "fixed seed must reproduce"
+        );
     }
 
     #[test]
     fn distribute_crossover_emerges_within_the_smoke_sweep() {
         // The subsystem's headline claim: registry-only wins (or ties)
         // while its NICs are idle, cooperative wins once they saturate.
-        let points = distribute_points(true, false, false, false, &Probe::disabled(), 1, 32, 1, 0);
-        let (first, (first_reg, _), (first_coop, _)) = points.first().expect("sweep");
+        // Rows read `nodes, dedup, registry ms, cooperative ms, coop/reg`.
+        let report = distribute(&smoke(), &Probe::disabled()).text;
+        let rows: Vec<Vec<&str>> = report
+            .lines()
+            .filter(|l| l.chars().next().is_some_and(|c| c.is_ascii_digit()))
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        let ratio = |row: &[&str]| row[4].parse::<f64>().expect("coop/reg cell");
+        let (first, last) = (&rows[0], &rows[rows.len() - 1]);
         assert!(
-            first_reg.makespan_ms() <= first_coop.makespan_ms(),
-            "at {first} nodes the registry should not lose: \
-             {:.1} vs {:.1} ms",
-            first_reg.makespan_ms(),
-            first_coop.makespan_ms()
-        );
-        let (last, (last_reg, _), (last_coop, _)) = points.last().expect("sweep");
-        assert!(
-            last_coop.makespan_ms() < last_reg.makespan_ms(),
-            "at {last} nodes cooperative must win: {:.1} vs {:.1} ms",
-            last_coop.makespan_ms(),
-            last_reg.makespan_ms()
-        );
-        let summary = distribute_summary(true);
-        assert!(
-            summary.crossover_nodes > 0 && summary.crossover_nodes <= *last,
-            "crossover must land inside the sweep: {summary:?}"
+            ratio(first) >= 1.0,
+            "at {} nodes the registry should not lose:\n{report}",
+            first[0]
         );
         assert!(
-            summary.dedup_factor > 1.5,
-            "catalog must dedup: {summary:?}"
+            ratio(last) < 1.0,
+            "at {} nodes cooperative must win:\n{report}",
+            last[0]
         );
+        let dedup: f64 = last[1].trim_end_matches('x').parse().expect("dedup cell");
+        assert!(dedup > 1.5, "catalog must dedup: {dedup}");
     }
 
     #[test]
     fn serve_observation_footprint_is_flat_across_the_sweep() {
         // Every population prints the same observation KB cell: the
         // sketch is O(buckets) however many requests stream through it.
-        let report = serve_report(true);
+        let report = serve(&smoke(), &Probe::disabled()).text;
         let obs_cells: Vec<&str> = report
             .lines()
             .filter(|l| l.chars().next().is_some_and(|c| c.is_ascii_digit()))
@@ -1714,7 +1399,7 @@ mod tests {
 
     #[test]
     fn table2_prints_the_paper_totals() {
-        let t = table2();
+        let t = table2(&Probe::disabled());
         for expected in ["6900", "21700", "1050", "15850"] {
             assert!(t.contains(expected), "missing {expected} in:\n{t}");
         }

@@ -4,13 +4,13 @@
 //! this also pins the thread-collection order and the commutativity of
 //! probe counter updates.
 
-use now_probe::Registry;
+use now_probe::{Probe, Registry};
 
 #[test]
 fn figure2_render_and_telemetry_are_byte_identical_across_runs() {
     let run = || {
         let registry = Registry::new();
-        let rendered = now_bench::figure2_probed(&registry.probe());
+        let rendered = now_bench::figure2(&registry.probe());
         (
             rendered,
             registry.render_text(),
@@ -33,7 +33,7 @@ fn table2_gauges_match_paper_constants() {
     // The acceptance cross-check: the published fault-service gauges are
     // exactly Table 2's printed cells.
     let registry = Registry::new();
-    now_bench::table2_probed(&registry.probe());
+    now_bench::table2(&registry.probe());
     let csv = registry.render_csv();
     for want in [
         "gauge,netram.fault_service.memory_copy_us,250.0,",
@@ -107,11 +107,11 @@ fn probe_free_runs_match_probed_runs() {
     // when a live probe rides along.
     let registry = Registry::new();
     assert_eq!(
-        now_bench::table2(),
-        now_bench::table2_probed(&registry.probe())
+        now_bench::table2(&Probe::disabled()),
+        now_bench::table2(&registry.probe())
     );
     assert_eq!(
-        now_bench::figure4(),
-        now_bench::figure4_probed(&registry.probe())
+        now_bench::figure4(&Probe::disabled()),
+        now_bench::figure4(&registry.probe())
     );
 }

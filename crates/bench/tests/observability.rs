@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use now_bench::{availability_observed, contention_observed, SEED};
+use now_bench::{ReportOptions, SEED};
 use now_core::{NowCluster, ScenarioObserver, ScenarioSpec};
 use now_probe::causal::{category, CausalLog};
 use now_probe::recorder::csv_concat;
@@ -81,8 +81,14 @@ fn fabric_blame_share_is_monotone_in_background_load() {
 
 #[test]
 fn observed_contention_is_deterministic() {
-    let a = contention_observed(true, true, true, &Probe::disabled());
-    let b = contention_observed(true, true, true, &Probe::disabled());
+    let opts = ReportOptions {
+        smoke: true,
+        blame: true,
+        record: true,
+        ..ReportOptions::default()
+    };
+    let a = now_bench::contention(&opts, &Probe::disabled());
+    let b = now_bench::contention(&opts, &Probe::disabled());
     assert_eq!(a.text, b.text, "blame tables must be byte-identical");
     assert_eq!(
         csv_concat(&a.series),
@@ -105,7 +111,11 @@ fn observed_contention_is_deterministic() {
 
 #[test]
 fn disabled_observer_adds_nothing_to_the_report() {
-    let r = contention_observed(true, false, false, &Probe::disabled());
+    let opts = ReportOptions {
+        smoke: true,
+        ..ReportOptions::default()
+    };
+    let r = now_bench::contention(&opts, &Probe::disabled());
     assert!(r.series.is_empty(), "no recorder was attached");
     assert!(
         !r.text.contains("Blame"),
@@ -211,7 +221,12 @@ fn distribute_blame_partitions_the_cold_start_makespan() {
 
 #[test]
 fn availability_blame_attributes_recovery_to_the_rebuild() {
-    let r = availability_observed(true, true, false, &Probe::disabled());
+    let opts = ReportOptions {
+        smoke: true,
+        blame: true,
+        ..ReportOptions::default()
+    };
+    let r = now_bench::availability(&opts, &Probe::disabled());
     assert!(
         r.text
             .contains("Blame - rebuild chain, disk fail + rebuild"),

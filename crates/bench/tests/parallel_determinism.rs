@@ -7,38 +7,53 @@
 //! check the promise where it matters — the rendered tables the `repro`
 //! binary ships.
 
+use now_bench::{ObservedReport, ReportOptions};
 use now_probe::Probe;
+
+/// Smoke options at `jobs` workers.
+fn at_jobs(jobs: usize) -> ReportOptions {
+    ReportOptions {
+        smoke: true,
+        jobs,
+        ..ReportOptions::default()
+    }
+}
+
+fn contention(opts: &ReportOptions) -> ObservedReport {
+    now_bench::contention(opts, &Probe::disabled())
+}
 
 #[test]
 fn contention_table_is_byte_identical_across_jobs() {
-    let serial = now_bench::contention_jobs(true, 1);
+    let serial = contention(&at_jobs(1)).text;
     for jobs in [2usize, 8] {
         assert_eq!(
             serial,
-            now_bench::contention_jobs(true, jobs),
+            contention(&at_jobs(jobs)).text,
             "contention table diverged at jobs={jobs}"
         );
     }
     assert_eq!(
-        now_bench::contention_jobs(true, 8),
-        now_bench::contention_jobs(true, 8),
+        contention(&at_jobs(8)).text,
+        contention(&at_jobs(8)).text,
         "contention table diverged between repeated runs at jobs=8"
     );
 }
 
 #[test]
 fn availability_report_is_byte_identical_across_jobs() {
-    let serial = now_bench::availability_jobs(true, 1);
+    let availability = |jobs| now_bench::availability(&at_jobs(jobs), &Probe::disabled()).text;
+    let serial = availability(1);
     for jobs in [2usize, 8] {
         assert_eq!(
             serial,
-            now_bench::availability_jobs(true, jobs),
+            availability(jobs),
             "availability report diverged at jobs={jobs}"
         );
     }
     assert_eq!(
-        now_bench::availability_jobs(true, 8),
-        now_bench::availability_jobs(true, 8),
+        availability(8),
+        availability(8),
         "availability report diverged between repeated runs at jobs=8"
     );
 }
@@ -47,9 +62,12 @@ fn availability_report_is_byte_identical_across_jobs() {
 fn blame_tables_are_byte_identical_across_jobs() {
     // Causal logs are per run, so blame parallelises; the full observed
     // report (table + blame appendix) must still match the serial one.
-    let probe = Probe::disabled();
-    let serial = now_bench::contention_observed_jobs(true, true, false, &probe, 1);
-    let parallel = now_bench::contention_observed_jobs(true, true, false, &probe, 8);
+    let blame = |jobs| ReportOptions {
+        blame: true,
+        ..at_jobs(jobs)
+    };
+    let serial = contention(&blame(1));
+    let parallel = contention(&blame(8));
     assert_eq!(serial.text, parallel.text);
     assert!(
         serial.text.contains("Blame - job makespan"),
@@ -62,18 +80,23 @@ fn blame_tables_are_byte_identical_across_jobs() {
 fn batched_contention_is_byte_identical_across_jobs_and_partitions() {
     // Batching state is per cell-fabric, so neither the fan-out worker
     // count nor the partition count may leak into a batched report.
-    let serial = now_bench::contention_scaled_jobs(true, 1, 32, 1, 8);
+    let batched = |jobs, partitions| ReportOptions {
+        partitions,
+        am_batch_us: 8,
+        ..at_jobs(jobs)
+    };
+    let serial = contention(&batched(1, 1)).text;
     for jobs in [2usize, 8] {
         assert_eq!(
             serial,
-            now_bench::contention_scaled_jobs(true, jobs, 32, 1, 8),
+            contention(&batched(jobs, 1)).text,
             "batched contention diverged at jobs={jobs}"
         );
     }
     for partitions in [2u32, 4] {
         assert_eq!(
             serial,
-            now_bench::contention_scaled_jobs(true, 1, 32, partitions, 8),
+            contention(&batched(1, partitions)).text,
             "batched contention diverged at partitions={partitions}"
         );
     }
@@ -81,15 +104,21 @@ fn batched_contention_is_byte_identical_across_jobs_and_partitions() {
 
 #[test]
 fn contention_series_matches_across_jobs() {
-    let serial = now_bench::contention_series_jobs(&[0, 4], 1);
-    let parallel = now_bench::contention_series_jobs(&[0, 4], 8);
-    assert_eq!(serial, parallel);
+    // The flight-recorder series of every sweep point, not just the
+    // rendered table, must be independent of the worker count.
+    let recorded = |jobs| ReportOptions {
+        record: true,
+        ..at_jobs(jobs)
+    };
+    let serial = contention(&recorded(1)).series;
+    assert!(!serial.is_empty(), "recording must produce series");
+    assert_eq!(serial, contention(&recorded(8)).series);
 }
 
 #[test]
 fn ablations_are_byte_identical_across_jobs() {
-    let serial = now_bench::ablations::all_jobs(1);
-    assert_eq!(serial, now_bench::ablations::all_jobs(8));
+    let serial = now_bench::ablations::all(1);
+    assert_eq!(serial, now_bench::ablations::all(8));
 }
 
 #[test]
@@ -99,8 +128,7 @@ fn enabled_probe_sees_identical_counts_whatever_jobs_asked() {
     use now_probe::Registry;
     let snap = |jobs: usize| {
         let registry = Registry::new();
-        let text =
-            now_bench::contention_observed_jobs(true, false, false, &registry.probe(), jobs).text;
+        let text = now_bench::contention(&at_jobs(jobs), &registry.probe()).text;
         (text, registry.snapshot().counters)
     };
     assert_eq!(snap(1), snap(8));

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use now_bench::SEED;
+use now_bench::{ReportOptions, SEED};
 use now_cache::{AccessCosts, ServeConfig, ThinkTime};
 use now_core::{NowCluster, ScenarioObserver, ServeSpec};
 use now_probe::causal::CausalLog;
@@ -52,29 +52,51 @@ fn observer(expected_requests: u64) -> ScenarioObserver {
     }
 }
 
+/// The smoke serving report under `opts` (smoke forced on).
+fn report(opts: ReportOptions) -> now_bench::ObservedReport {
+    let opts = ReportOptions {
+        smoke: true,
+        ..opts
+    };
+    now_bench::serve(&opts, &Probe::disabled())
+}
+
 #[test]
 fn serve_report_is_byte_identical_across_jobs_and_runs() {
-    let probe = Probe::disabled();
-    let serial = now_bench::serve_report_jobs(true, false, false, &probe, 1);
+    let at_jobs = |jobs| {
+        report(ReportOptions {
+            jobs,
+            ..ReportOptions::default()
+        })
+        .text
+    };
+    let serial = at_jobs(1);
     for jobs in [2usize, 4] {
         assert_eq!(
-            serial.text,
-            now_bench::serve_report_jobs(true, false, false, &probe, jobs).text,
+            serial,
+            at_jobs(jobs),
             "serve report diverged at jobs={jobs}"
         );
     }
     assert_eq!(
-        now_bench::serve_report_jobs(true, false, false, &probe, 4).text,
-        now_bench::serve_report_jobs(true, false, false, &probe, 4).text,
+        at_jobs(4),
+        at_jobs(4),
         "serve report diverged between repeated runs at jobs=4"
     );
 }
 
 #[test]
 fn serve_windowed_series_match_across_jobs() {
-    let probe = Probe::disabled();
-    let serial = now_bench::serve_report_jobs(true, true, true, &probe, 1);
-    let parallel = now_bench::serve_report_jobs(true, true, true, &probe, 4);
+    let observed = |jobs| {
+        report(ReportOptions {
+            blame: true,
+            record: true,
+            jobs,
+            ..ReportOptions::default()
+        })
+    };
+    let serial = observed(1);
+    let parallel = observed(4);
     assert_eq!(serial.text, parallel.text);
     assert_eq!(serial.windowed, parallel.windowed);
     assert!(!serial.windowed.is_empty(), "recorder must produce series");

@@ -115,11 +115,6 @@ impl FetchConfig {
             fixed_ns_per_byte: 50,
         }
     }
-
-    /// Fabric nodes a run needs: fetchers plus registry NICs.
-    pub fn fabric_nodes(&self) -> u32 {
-        self.fetchers + self.registry_nics
-    }
 }
 
 /// Counters of one distribution run.

@@ -269,7 +269,7 @@ impl NowCluster {
         let mut config = CoschedConfig::paper_defaults(competing_jobs);
         config.nodes = self.nodes.min(16); // app models are sized for ≤16
         config.seed = self.seed;
-        cosched::run(app, scheduling, &config)
+        cosched::run(app, scheduling, &config, &now_probe::Probe::disabled())
     }
 
     /// Overlays a parallel job trace on this cluster while its owners keep

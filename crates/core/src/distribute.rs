@@ -17,22 +17,18 @@
 //! `cas.peer` and `cas.disk`, the same telescoping accounting the other
 //! scenarios use.
 
-use std::sync::Arc;
-
 use now_am::BatchConfig;
 use now_cas::{
     CasEvent, CooperativeFetch, FetchConfig, FetchCore, FetchStrategy, ImageCatalog,
     ImageCatalogSpec, RegistryFetch,
 };
-use now_probe::causal::critical_path;
-use now_probe::recorder::{TimeSeries, WindowedSeries};
-use now_sim::parallel::run_indexed;
-use now_sim::{Engine, EventCast, SimTime};
+use now_probe::Probe;
+use now_sim::{ComponentId, Engine, SimTime};
 
 use crate::cluster::NowCluster;
-use crate::scenario::{
-    batched_fabric, gauges_with_batch, RecorderComponent, RecorderEvent, ScenarioObservations,
-    ScenarioObserver,
+use crate::harness::{
+    self, fabric_engine, Accounting, RecorderEvent, Recording, ScenarioObservations,
+    ScenarioObserver, Workload,
 };
 
 /// Events of the distribution engine: the fetch strategy plus the
@@ -45,29 +41,10 @@ pub enum DistributeScenarioEvent {
     Record(RecorderEvent),
 }
 
-impl EventCast<CasEvent> for DistributeScenarioEvent {
-    fn upcast(ev: CasEvent) -> Self {
-        DistributeScenarioEvent::Cas(ev)
-    }
-    fn downcast(self) -> CasEvent {
-        match self {
-            DistributeScenarioEvent::Cas(ev) => ev,
-            other => panic!("expected a Cas event, got {other:?}"),
-        }
-    }
-}
-
-impl EventCast<RecorderEvent> for DistributeScenarioEvent {
-    fn upcast(ev: RecorderEvent) -> Self {
-        DistributeScenarioEvent::Record(ev)
-    }
-    fn downcast(self) -> RecorderEvent {
-        match self {
-            DistributeScenarioEvent::Record(ev) => ev,
-            other => panic!("expected a Record event, got {other:?}"),
-        }
-    }
-}
+now_sim::event_cast!(DistributeScenarioEvent {
+    Cas(CasEvent),
+    Record(RecorderEvent),
+});
 
 /// Parameters of one distribution run (see
 /// [`NowCluster::run_distribute`]).
@@ -111,9 +88,6 @@ const DISTRIBUTE_RECORDED_GAUGES: [&str; 6] = [
     "cas.cached_bytes",
     "net.queue_wait_us",
 ];
-
-/// Component names by registration order, for blame-table rendering.
-const DISTRIBUTE_COMPONENT_NAMES: [&str; 2] = ["cas", "recorder"];
 
 /// Outcome of one distribution run.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,6 +146,108 @@ impl DistributeOutcome {
     }
 }
 
+/// One distribution run as the harness sees it: the whole cold start
+/// in one fetch-strategy component.
+struct Distribute<'a> {
+    cluster: &'a NowCluster,
+    spec: &'a DistributeSpec,
+}
+
+impl Workload for Distribute<'_> {
+    type Event = DistributeScenarioEvent;
+    type Engine = Engine<DistributeScenarioEvent>;
+    type Ids = ComponentId;
+    type Outcome = DistributeOutcome;
+
+    fn engine(&self, probe: &Probe) -> Self::Engine {
+        fabric_engine(self.cluster, self.spec.am_batch, probe)
+    }
+
+    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> ComponentId {
+        let spec = self.spec;
+        let catalog = ImageCatalog::generate(&spec.catalog);
+        let config = FetchConfig::new(
+            spec.fetchers,
+            spec.registry_nics,
+            spec.cache_budget,
+            spec.seed,
+        );
+        let id = match spec.strategy {
+            FetchStrategy::Registry => {
+                let mut fetch = RegistryFetch::new(catalog, config);
+                fetch.set_probe(probe);
+                engine.register(fetch)
+            }
+            FetchStrategy::Cooperative => {
+                let mut fetch = CooperativeFetch::new(catalog, config);
+                fetch.set_probe(probe);
+                engine.register(fetch)
+            }
+        };
+        engine.schedule_at(
+            id,
+            SimTime::ZERO,
+            DistributeScenarioEvent::Cas(CasEvent::Start),
+        );
+        id
+    }
+
+    fn component_names(&self) -> Vec<&'static str> {
+        vec!["cas"]
+    }
+
+    fn marks(&self) -> &'static [(&'static str, &'static str)] {
+        &[("distribute", "distribute.complete")]
+    }
+
+    fn recorder(&self, probe: &Probe) -> Recording {
+        Recording {
+            probe: probe.clone(),
+            gauges: &DISTRIBUTE_RECORDED_GAUGES,
+            batch: self.spec.am_batch,
+            horizon: self.spec.horizon,
+        }
+    }
+
+    fn outcome(
+        &self,
+        engine: &Self::Engine,
+        id: ComponentId,
+        acct: &Accounting<'_>,
+    ) -> DistributeOutcome {
+        let core: &FetchCore = match self.spec.strategy {
+            FetchStrategy::Registry => engine.component::<RegistryFetch>(id).core(),
+            FetchStrategy::Cooperative => engine.component::<CooperativeFetch>(id).core(),
+        };
+        assert!(core.complete(), "every fetcher must finish its plan");
+        let stats = core.stats();
+        let store_stats = core.store().stats();
+        DistributeOutcome {
+            fetchers: self.spec.fetchers,
+            images: core.manifests().len(),
+            unique_blocks: core.store().len(),
+            logical_bytes: store_stats.logical_bytes,
+            unique_bytes: store_stats.unique_bytes,
+            dedup_factor: store_stats.dedup_factor(),
+            makespan: core.makespan(),
+            registry_blocks: stats.registry_blocks,
+            registry_bytes: stats.registry_bytes,
+            peer_blocks: stats.peer_blocks,
+            peer_bytes: stats.peer_bytes,
+            disk_reads: stats.disk_reads,
+            lookups: stats.lookups,
+            lookup_hits: stats.lookup_hits,
+            evictions: stats.evictions,
+            verify_failures: stats.verify_failures,
+            content_digest: core.content_digest(),
+            workload_bytes: core.approx_bytes(),
+            observation_bytes: acct.publish_observation_bytes(0),
+            causal_records: acct.causal_records,
+            causal_dropped: acct.causal_dropped,
+        }
+    }
+}
+
 impl NowCluster {
     /// Runs the image-distribution cold start on this cluster's fabric,
     /// unobserved (no causal log, no recorder).
@@ -198,172 +274,28 @@ impl NowCluster {
         spec: &DistributeSpec,
         observer: &ScenarioObserver,
     ) -> (DistributeOutcome, ScenarioObservations) {
-        // A new run is a new utilization epoch (see the coupled scenario).
-        observer.probe.util_epoch();
-        let probe = &observer.probe;
         let n = self.nodes();
-        let needed = spec.fetchers + spec.registry_nics;
         assert!(
-            needed <= n,
+            spec.fetchers + spec.registry_nics <= n,
             "distribution needs {} fetchers + {} registry NICs; only {n} nodes",
             spec.fetchers,
             spec.registry_nics
         );
-
-        let catalog = ImageCatalog::generate(&spec.catalog);
-        let mut config = FetchConfig::new(
-            spec.fetchers,
-            spec.registry_nics,
-            spec.cache_budget,
-            spec.seed,
-        );
-        config.seed = spec.seed;
-
-        let mut network = self.interconnect().network(n);
-        network.set_probe(probe.clone());
-        let mut engine: Engine<DistributeScenarioEvent> =
-            Engine::with_transport(batched_fabric(network, spec.am_batch, probe));
-        if let Some(log) = &observer.causal {
-            engine.set_causal_sink_sampled(
-                Arc::clone(log) as Arc<dyn now_sim::CausalSink>,
-                observer.trace_sample_every.max(1),
-            );
-        }
-
-        let cas_id = match spec.strategy {
-            FetchStrategy::Registry => {
-                let mut fetch = RegistryFetch::new(catalog, config);
-                fetch.set_probe(probe);
-                engine.register(fetch)
-            }
-            FetchStrategy::Cooperative => {
-                let mut fetch = CooperativeFetch::new(catalog, config);
-                fetch.set_probe(probe);
-                engine.register(fetch)
-            }
-        };
-
-        let recorder_id = observer.sample_every.map(|every| {
-            engine.register(RecorderComponent::with_gauges(
-                probe,
-                &gauges_with_batch(&DISTRIBUTE_RECORDED_GAUGES, spec.am_batch),
-                every,
-                spec.horizon,
-                observer.window_budget,
-            ))
-        });
-
-        engine.schedule_at(
-            cas_id,
-            SimTime::ZERO,
-            DistributeScenarioEvent::Cas(CasEvent::Start),
-        );
-        if let Some(id) = recorder_id {
-            engine.schedule_at(
-                id,
-                SimTime::ZERO,
-                DistributeScenarioEvent::Record(RecorderEvent::Sample),
-            );
-        }
-
-        if observer.profile {
-            engine.enable_profiler(&DISTRIBUTE_COMPONENT_NAMES);
-        }
-        engine.run();
-        let profile = engine.take_profile();
-
-        let (timeseries, windowed, recorder_bytes) = match recorder_id {
-            Some(id) => {
-                let recorder = engine.component::<RecorderComponent>(id);
-                (
-                    recorder.timeseries(),
-                    recorder.windowed(),
-                    recorder.approx_bytes(),
-                )
-            }
-            None => (TimeSeries::new(Vec::new()), WindowedSeries::default(), 0),
-        };
-        let blame = match &observer.causal {
-            Some(log) => critical_path(log, "distribute.complete", &DISTRIBUTE_COMPONENT_NAMES)
-                .map(|table| ("distribute", table))
-                .into_iter()
-                .collect(),
-            None => Vec::new(),
-        };
-        let (causal_records, causal_dropped, causal_bytes) = match &observer.causal {
-            Some(log) => (log.len(), log.dropped(), log.approx_bytes()),
-            None => (0, 0, 0),
-        };
-
-        let core: &FetchCore = match spec.strategy {
-            FetchStrategy::Registry => engine.component::<RegistryFetch>(cas_id).core(),
-            FetchStrategy::Cooperative => engine.component::<CooperativeFetch>(cas_id).core(),
-        };
-        assert!(core.complete(), "every fetcher must finish its plan");
-        let stats = core.stats();
-        let store_stats = core.store().stats();
-        let observation_bytes = causal_bytes + recorder_bytes;
-        probe
-            .gauge("probe.observation_bytes")
-            .set(observation_bytes as f64);
-        let outcome = DistributeOutcome {
-            fetchers: spec.fetchers,
-            images: core.manifests().len(),
-            unique_blocks: core.store().len(),
-            logical_bytes: store_stats.logical_bytes,
-            unique_bytes: store_stats.unique_bytes,
-            dedup_factor: store_stats.dedup_factor(),
-            makespan: core.makespan(),
-            registry_blocks: stats.registry_blocks,
-            registry_bytes: stats.registry_bytes,
-            peer_blocks: stats.peer_blocks,
-            peer_bytes: stats.peer_bytes,
-            disk_reads: stats.disk_reads,
-            lookups: stats.lookups,
-            lookup_hits: stats.lookup_hits,
-            evictions: stats.evictions,
-            verify_failures: stats.verify_failures,
-            content_digest: core.content_digest(),
-            workload_bytes: core.approx_bytes(),
-            observation_bytes,
-            causal_records,
-            causal_dropped,
-        };
-        (
-            outcome,
-            ScenarioObservations {
-                blame,
-                timeseries,
-                windowed,
-                profile,
+        harness::run(
+            &Distribute {
+                cluster: self,
+                spec,
             },
+            observer,
         )
-    }
-
-    /// Runs each `(spec, observer)` pair as an independent observed
-    /// distribution run over up to `jobs` worker threads, in input order.
-    ///
-    /// As with [`NowCluster::run_scenarios_observed`], give each run its
-    /// own observer; callers sharing one enabled probe should keep
-    /// `jobs = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_distribute`](Self::run_distribute).
-    pub fn run_distributes_observed(
-        &self,
-        runs: &[(DistributeSpec, ScenarioObserver)],
-        jobs: usize,
-    ) -> Vec<(DistributeOutcome, ScenarioObservations)> {
-        run_indexed(jobs, runs, |_, (spec, observer)| {
-            self.run_distribute_observed(spec, observer)
-        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::cluster::Interconnect;
     use now_probe::causal::CausalLog;
     use now_probe::Registry;
@@ -376,7 +308,7 @@ mod tests {
             .build()
     }
 
-    fn spec(strategy: FetchStrategy, fetchers: u32) -> DistributeSpec {
+    pub(crate) fn spec(strategy: FetchStrategy, fetchers: u32) -> DistributeSpec {
         DistributeSpec {
             catalog: ImageCatalogSpec::smoke(11),
             fetchers,
@@ -435,24 +367,6 @@ mod tests {
         assert!(observed.causal_records > 0);
         let (_, blame) = &obs.blame[0];
         assert!(blame.total > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn parallel_fanout_matches_serial() {
-        let runs: Vec<(DistributeSpec, ScenarioObserver)> = [2u32, 4, 8]
-            .iter()
-            .map(|&f| {
-                (
-                    spec(FetchStrategy::Cooperative, f),
-                    ScenarioObserver::disabled(),
-                )
-            })
-            .collect();
-        let serial = cluster().run_distributes_observed(&runs, 1);
-        let fanned = cluster().run_distributes_observed(&runs, 4);
-        for ((a, _), (b, _)) in serial.iter().zip(&fanned) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

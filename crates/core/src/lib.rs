@@ -44,6 +44,7 @@ mod cluster;
 mod control;
 mod distribute;
 mod gator_sim;
+mod harness;
 mod scenario;
 mod serve;
 
@@ -51,9 +52,10 @@ pub use cluster::{Interconnect, NowBuilder, NowCluster, NowError};
 pub use control::{ClusterControl, ControlEvent, ControlWiring, FaultOutcome};
 pub use distribute::{DistributeOutcome, DistributeScenarioEvent, DistributeSpec};
 pub use gator_sim::{simulate_gator, GatorSimResult};
+pub use harness::{RecorderEvent, ScenarioObservations, ScenarioObserver};
 pub use scenario::{
-    BspJobComponent, JobEvent, RecorderEvent, ScenarioEvent, ScenarioObservations,
-    ScenarioObserver, ScenarioOutcome, ScenarioSpec, TrafficComponent, TrafficEvent,
+    BspJobComponent, JobEvent, ScenarioEvent, ScenarioOutcome, ScenarioSpec, TrafficComponent,
+    TrafficEvent,
 };
 pub use serve::{ServeOutcome, ServeScenarioEvent, ServeSpec};
 

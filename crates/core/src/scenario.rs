@@ -18,7 +18,6 @@
 //! server on node `n-1`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use now_am::{BatchConfig, BatchingTransport, FabricTransport};
 use now_cache::{CacheComponent, CacheConfig, CacheEvent, Policy, SimResult};
@@ -26,12 +25,10 @@ use now_fault::{Fault, FaultInjectorComponent, FaultPlan, InjectorEvent};
 use now_glunix::membership::MembershipConfig;
 use now_mem::multigrid::{MemoryConfig, MultigridConfig, RunResult, PAGE_BYTES};
 use now_mem::{MultigridComponent, PageEvent, RemoteAccessCost};
-use now_probe::causal::{category, critical_path, BlameTable, CausalLog};
-use now_probe::recorder::{TimeSeries, WindowedSeries};
+use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
-use now_sim::parallel::run_indexed;
 use now_sim::{
-    Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast, HostProfile, Lookahead,
+    Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast, Lookahead,
     PartitionedEngine, SimDuration, SimTime, TransferCost, Transport,
 };
 use now_trace::fs::{FsTrace, FsTraceConfig};
@@ -39,6 +36,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::cluster::NowCluster;
 use crate::control::{ClusterControl, ControlEvent, ControlWiring, FaultOutcome};
+use crate::harness::{
+    self, fabric_engine, Accounting, Host, RecorderEvent, Recording, ScenarioObservations,
+    ScenarioObserver, Workload,
+};
 
 /// Spare workstations reserved as replacements for dead workers.
 const SPARE_NODES: usize = 2;
@@ -63,53 +64,15 @@ pub enum ScenarioEvent {
     Record(RecorderEvent),
 }
 
-impl EventCast<PageEvent> for ScenarioEvent {
-    fn upcast(ev: PageEvent) -> Self {
-        ScenarioEvent::Page(ev)
-    }
-    fn downcast(self) -> PageEvent {
-        match self {
-            ScenarioEvent::Page(ev) => ev,
-            other => panic!("expected a Page event, got {other:?}"),
-        }
-    }
-}
-
-impl EventCast<CacheEvent> for ScenarioEvent {
-    fn upcast(ev: CacheEvent) -> Self {
-        ScenarioEvent::Cache(ev)
-    }
-    fn downcast(self) -> CacheEvent {
-        match self {
-            ScenarioEvent::Cache(ev) => ev,
-            other => panic!("expected a Cache event, got {other:?}"),
-        }
-    }
-}
-
-impl EventCast<InjectorEvent> for ScenarioEvent {
-    fn upcast(ev: InjectorEvent) -> Self {
-        ScenarioEvent::Inject(ev)
-    }
-    fn downcast(self) -> InjectorEvent {
-        match self {
-            ScenarioEvent::Inject(ev) => ev,
-            other => panic!("expected an Inject event, got {other:?}"),
-        }
-    }
-}
-
-impl EventCast<ControlEvent> for ScenarioEvent {
-    fn upcast(ev: ControlEvent) -> Self {
-        ScenarioEvent::Control(ev)
-    }
-    fn downcast(self) -> ControlEvent {
-        match self {
-            ScenarioEvent::Control(ev) => ev,
-            other => panic!("expected a Control event, got {other:?}"),
-        }
-    }
-}
+now_sim::event_cast!(ScenarioEvent {
+    Page(PageEvent),
+    Cache(CacheEvent),
+    Job(JobEvent),
+    Traffic(TrafficEvent),
+    Inject(InjectorEvent),
+    Control(ControlEvent),
+    Record(RecorderEvent),
+});
 
 // The injector broadcasts bare `Fault` values; in this engine they are
 // addressed to the control, so they ride inside its event type.
@@ -121,42 +84,6 @@ impl EventCast<Fault> for ScenarioEvent {
         match self {
             ScenarioEvent::Control(ControlEvent::Fault(ev)) => ev,
             other => panic!("expected a Fault event, got {other:?}"),
-        }
-    }
-}
-
-impl EventCast<RecorderEvent> for ScenarioEvent {
-    fn upcast(ev: RecorderEvent) -> Self {
-        ScenarioEvent::Record(ev)
-    }
-    fn downcast(self) -> RecorderEvent {
-        match self {
-            ScenarioEvent::Record(ev) => ev,
-            other => panic!("expected a Record event, got {other:?}"),
-        }
-    }
-}
-
-impl EventCast<JobEvent> for ScenarioEvent {
-    fn upcast(ev: JobEvent) -> Self {
-        ScenarioEvent::Job(ev)
-    }
-    fn downcast(self) -> JobEvent {
-        match self {
-            ScenarioEvent::Job(ev) => ev,
-            other => panic!("expected a Job event, got {other:?}"),
-        }
-    }
-}
-
-impl EventCast<TrafficEvent> for ScenarioEvent {
-    fn upcast(ev: TrafficEvent) -> Self {
-        ScenarioEvent::Traffic(ev)
-    }
-    fn downcast(self) -> TrafficEvent {
-        match self {
-            ScenarioEvent::Traffic(ev) => ev,
-            other => panic!("expected a Traffic event, got {other:?}"),
         }
     }
 }
@@ -424,13 +351,6 @@ impl<M: EventCast<TrafficEvent> + 'static> Component<M> for TrafficComponent {
     }
 }
 
-/// Events driving a [`RecorderComponent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecorderEvent {
-    /// Sample every registered gauge once.
-    Sample,
-}
-
 /// The gauges the flight recorder samples, in column order. Every entry
 /// is published by a scenario component (or the network) once probes are
 /// wired, so observed runs always produce a full-width series.
@@ -442,98 +362,6 @@ const RECORDED_GAUGES: [&str; 6] = [
     "net.queue_wait_us",
     "traffic.frames",
 ];
-
-/// Where a [`RecorderComponent`] accumulates its samples: a raw
-/// [`TimeSeries`] keeping every row, or a [`WindowedSeries`] downsampled
-/// to a fixed window budget (memory independent of run length).
-#[derive(Debug)]
-pub(crate) enum RecorderSink {
-    /// Every sample retained.
-    Raw(TimeSeries),
-    /// At most `budget` merged windows retained.
-    Windowed(WindowedSeries),
-}
-
-/// The time-series flight recorder: an engine component that reads the
-/// registered gauges at a fixed sim-time cadence and accumulates a
-/// [`RecorderSink`]. Registered only in observed runs, after every other
-/// component, so its presence never renumbers the scenario's components.
-#[derive(Debug)]
-pub(crate) struct RecorderComponent {
-    gauges: Vec<Gauge>,
-    interval: SimDuration,
-    horizon: SimTime,
-    sink: RecorderSink,
-}
-
-impl RecorderComponent {
-    /// A recorder over an explicit gauge list (the serving scenario
-    /// samples its own gauges, not the coupled scenario's, and batched
-    /// runs append `net.batch_occupancy` — see [`gauges_with_batch`]).
-    pub(crate) fn with_gauges(
-        probe: &Probe,
-        names: &[&str],
-        interval: SimDuration,
-        horizon: SimTime,
-        window_budget: Option<usize>,
-    ) -> Self {
-        assert!(
-            interval > SimDuration::ZERO,
-            "the recorder needs a nonzero cadence"
-        );
-        let columns: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-        RecorderComponent {
-            gauges: names.iter().map(|n| probe.gauge(n)).collect(),
-            interval,
-            horizon,
-            sink: match window_budget {
-                Some(budget) => RecorderSink::Windowed(WindowedSeries::new(columns, budget)),
-                None => RecorderSink::Raw(TimeSeries::new(columns)),
-            },
-        }
-    }
-
-    /// The raw series (empty when the recorder ran windowed).
-    pub(crate) fn timeseries(&self) -> TimeSeries {
-        match &self.sink {
-            RecorderSink::Raw(ts) => ts.clone(),
-            RecorderSink::Windowed(_) => TimeSeries::new(Vec::new()),
-        }
-    }
-
-    /// The windowed series (empty when the recorder ran raw).
-    pub(crate) fn windowed(&self) -> WindowedSeries {
-        match &self.sink {
-            RecorderSink::Raw(_) => WindowedSeries::default(),
-            RecorderSink::Windowed(ws) => ws.clone(),
-        }
-    }
-
-    /// Approximate footprint of the recorded series, for the
-    /// `probe.observation_bytes` self-accounting gauge.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        match &self.sink {
-            RecorderSink::Raw(ts) => ts.approx_bytes(),
-            RecorderSink::Windowed(ws) => ws.approx_bytes(),
-        }
-    }
-}
-
-impl<M: EventCast<RecorderEvent> + 'static> Component<M> for RecorderComponent {
-    fn on_event(&mut self, ctx: &mut Ctx<'_, M>, event: M) {
-        let RecorderEvent::Sample = event.downcast();
-        let now = ctx.now();
-        let values: Vec<f64> = self.gauges.iter().map(Gauge::get).collect();
-        match &mut self.sink {
-            RecorderSink::Raw(ts) => ts.push(now, values),
-            RecorderSink::Windowed(ws) => ws.push(now, &values),
-        }
-        let next = now + self.interval;
-        if next <= self.horizon {
-            ctx.schedule_at(next, M::upcast(RecorderEvent::Sample));
-        }
-    }
-}
 
 /// Parameters of the coupled scenario (see [`NowCluster::run_scenario`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -656,69 +484,10 @@ pub struct ScenarioOutcome {
     pub faults: FaultOutcome,
 }
 
-/// What to watch during a scenario run: a telemetry probe (always), an
-/// optional causal log (critical-path blame), and an optional flight-
-/// recorder cadence (gauge time series). The all-disabled observer makes
-/// [`NowCluster::run_scenario_observed`] behave exactly like
-/// [`NowCluster::run_scenario`].
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioObserver {
-    /// Telemetry sink wired through the network and every component.
-    pub probe: Probe,
-    /// When set, the engine records every event's provenance here and the
-    /// run returns per-subsystem [`BlameTable`]s.
-    pub causal: Option<Arc<CausalLog>>,
-    /// When set, a flight recorder samples the registered gauges at this
-    /// sim-time cadence until the spec's horizon.
-    pub sample_every: Option<SimDuration>,
-    /// Record one causal chain in every `trace_sample_every` (0 and 1
-    /// both mean every chain). Sampling bounds causal-log memory on
-    /// request-scale workloads; the simulated history is identical at
-    /// every rate because observation never feeds back into timing.
-    pub trace_sample_every: u64,
-    /// When set, the flight recorder downsamples into a [`WindowedSeries`]
-    /// of at most this many windows (min 2) instead of retaining every
-    /// sample, and [`ScenarioObservations::windowed`] carries the result.
-    pub window_budget: Option<usize>,
-    /// When set, the engine attributes host (wall-clock) time to each
-    /// component and [`ScenarioObservations::profile`] carries the
-    /// [`HostProfile`]. Serial runs only: multi-cell runs interleave
-    /// partitions on threads, where per-component wall time has no single
-    /// meaning, so they skip profiling. The simulated history is
-    /// byte-identical either way.
-    pub profile: bool,
-}
-
-impl ScenarioObserver {
-    /// An observer that watches nothing (probe disabled, no causal log,
-    /// no recorder).
-    pub fn disabled() -> Self {
-        ScenarioObserver::default()
-    }
-}
-
-/// What [`NowCluster::run_scenario_observed`] saw beyond the outcome.
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioObservations {
-    /// Critical-path blame tables, one per completed subsystem chain:
-    /// `("job", ...)`, `("paging", ...)`, `("cache", ...)`, and — when a
-    /// disk rebuild ran — `("rebuild", ...)`. Empty without a causal log.
-    pub blame: Vec<(&'static str, BlameTable)>,
-    /// The flight recorder's gauge samples. Empty without a cadence, and
-    /// empty when a window budget routed the samples to `windowed`.
-    pub timeseries: TimeSeries,
-    /// The flight recorder's downsampled samples. Empty unless both a
-    /// cadence and a window budget were set.
-    pub windowed: WindowedSeries,
-    /// Host-time attribution. Present only when the observer asked for
-    /// profiling and the run was serial (`cells == 1`).
-    pub profile: Option<HostProfile>,
-}
-
-/// Component names by registration order, for blame-table rendering.
-const SCENARIO_COMPONENT_NAMES: [&str; 7] = [
-    "job", "paging", "cache", "traffic", "control", "injector", "recorder",
-];
+/// Component labels of one cell by registration order, for blame tables
+/// and the host profile.
+const CELL_COMPONENT_NAMES: [&str; 6] =
+    ["job", "paging", "cache", "traffic", "control", "injector"];
 
 /// One partition's view of a multi-cell run: cell `c` owns global nodes
 /// `c*nodes_per_cell..(c+1)*nodes_per_cell` and a private fabric, and this
@@ -755,39 +524,6 @@ impl Transport for CellTransport {
 }
 
 /// Boxes a run's cost-model transport: the priced fabric, wrapped in the
-/// batching aggregator when a nonzero flush quantum asks for it. With
-/// batching off the fabric is boxed bare, so disabled runs carry zero
-/// extra state and stay byte-identical to the pre-batching transport.
-pub(crate) fn batched_fabric(
-    network: now_net::Network,
-    batch: BatchConfig,
-    probe: &Probe,
-) -> Box<dyn Transport> {
-    let fabric = FabricTransport::new(network);
-    if batch.enabled() {
-        let mut wrapped = BatchingTransport::new(fabric, batch);
-        wrapped.set_probe(probe.clone());
-        Box::new(wrapped)
-    } else {
-        Box::new(fabric)
-    }
-}
-
-/// The recorder's gauge list for a run: the scenario's base columns,
-/// plus `net.batch_occupancy` only when batching is on — disabled runs
-/// must record exactly the pre-batching columns or their observation
-/// snapshots (and the repro diff gate) would change.
-pub(crate) fn gauges_with_batch(
-    base: &'static [&'static str],
-    batch: BatchConfig,
-) -> Vec<&'static str> {
-    let mut names = base.to_vec();
-    if batch.enabled() {
-        names.push("net.batch_occupancy");
-    }
-    names
-}
-
 /// The completion marks the blame extractor walks back from, with the
 /// short tag each table is reported under.
 const SCENARIO_MARKS: [(&str, &str); 4] = [
@@ -796,6 +532,394 @@ const SCENARIO_MARKS: [(&str, &str); 4] = [
     ("cache", "cache.complete"),
     ("rebuild", "rebuild.complete"),
 ];
+
+/// Where one cell of the coupled scenario sits.
+struct Cell {
+    /// Engine partition the cell's components are homed in.
+    partition: u32,
+    /// The cell's first global node (`c * nodes` for cell `c`).
+    offset: u32,
+    /// Seed of the cell's generated traces.
+    seed: u64,
+    /// Nodes the fault control's membership spans: the whole cluster.
+    cluster_nodes: u32,
+}
+
+/// One cell's component ids, for outcome extraction.
+struct CellIds {
+    job: ComponentId,
+    solver: ComponentId,
+    cache: ComponentId,
+    traffic: ComponentId,
+    control: ComponentId,
+    injector: ComponentId,
+}
+
+/// Registers one cell of the coupled scenario on the `n` nodes starting
+/// at `cell.offset` and seeds its events, every component publishing to
+/// `probe`.
+///
+/// Registration (job, solver, cache, traffic, control, injector) and
+/// seeding (job, solver, cache, traffic, injector, control) follow a
+/// fixed order: component ids and causal sequence numbers depend on it.
+fn build_cell(
+    host: &mut impl Host<ScenarioEvent>,
+    spec: &ScenarioSpec,
+    n: u32,
+    cell: &Cell,
+    probe: &Probe,
+) -> CellIds {
+    let (p, off, k, h) = (
+        cell.partition,
+        cell.offset,
+        spec.job_workers,
+        spec.netram_hosts,
+    );
+    let worker_nodes: Vec<u32> = (off..off + k).collect();
+    let pager_node = off + k;
+    let host_nodes: Vec<u32> = (off + k + 1..=off + k + h).collect();
+    let server_node = off + n - 1;
+
+    // The BSP job.
+    let mut job = BspJobComponent::new(
+        worker_nodes.clone(),
+        spec.job_rounds,
+        spec.job_compute,
+        spec.job_message_bytes,
+    );
+    job.set_probe(probe);
+    let job_id = host.register_in(p, job);
+
+    // The out-of-core paging process. The fixed-cost constants in the
+    // memory config are placeholders: under the fabric cost model every
+    // fetch is priced by the live network, not by them.
+    let memory = MemoryConfig::LocalWithNetRam {
+        mb: spec.paging_local_mb,
+        hosts: h,
+        mb_per_host: spec.netram_mb_per_host,
+        cost: RemoteAccessCost::table2_atm(),
+    };
+    let app = MultigridConfig {
+        sweeps: spec.paging_sweeps,
+        ..MultigridConfig::paper_defaults()
+    };
+    let pages = spec.paging_problem_mb * 1024 * 1024 / PAGE_BYTES;
+    let mut built_pager = memory.build_pager();
+    built_pager.set_probe(probe.clone());
+    if spec.netram_mirrored {
+        built_pager.set_netram_mirrored(true);
+    }
+    let mut solver = MultigridComponent::new(
+        built_pager,
+        app.compute_per_page(),
+        pages,
+        u64::from(app.sweeps) * pages,
+    )
+    .with_placement(pager_node, host_nodes.clone());
+    solver.set_probe(probe);
+    let solver_id = host.register_in(p, solver);
+
+    // The cooperative file cache, its clients sharing the workers'
+    // nodes and its server on the cell's last node.
+    let mut trace_config = FsTraceConfig::small();
+    trace_config.clients = k;
+    trace_config.duration = spec.horizon;
+    trace_config.accesses_per_sec = spec.cache_accesses_per_sec;
+    let trace = FsTrace::generate(&trace_config, cell.seed);
+    let mut config = CacheConfig::small(Policy::NChance { n: 2 });
+    config.seed = cell.seed;
+    let mut cache =
+        CacheComponent::new(trace, config).with_placement(worker_nodes.clone(), server_node);
+    cache.set_probe(probe);
+    let first_access = cache.first_access_time();
+    let cache_id = host.register_in(p, cache);
+
+    // Background traffic: flow `i` rides from netram host `i % h` into
+    // worker `i % k` — the same links paging and the job depend on.
+    let flows: Vec<(u32, u32)> = (0..spec.background_flows)
+        .map(|i| (host_nodes[(i % h) as usize], worker_nodes[(i % k) as usize]))
+        .collect();
+    let mut traffic = TrafficComponent::new(
+        flows,
+        spec.background_bytes,
+        spec.background_interval,
+        SimTime::ZERO + spec.horizon,
+    );
+    traffic.set_probe(probe);
+    let traffic_id = host.register_in(p, traffic);
+
+    // Fault machinery. Nodes past the netram hosts (and before the
+    // server) are idle: the first few are held as spares for dead
+    // workers, the rest carry the storage array's disks.
+    let idle: Vec<u32> = (off + k + h + 1..server_node).collect();
+    let spare_count = SPARE_NODES.min(idle.len());
+    // Reverse so `pop` dispatches the lowest-numbered spare first.
+    let spares: Vec<u32> = idle[..spare_count].iter().rev().copied().collect();
+    let mut storage: Vec<u32> = idle[spare_count..].to_vec();
+    if storage.is_empty() {
+        storage.push(server_node);
+    }
+    let membership = MembershipConfig {
+        heartbeat: spec.fault_heartbeat,
+        ..MembershipConfig::default()
+    };
+    let detection_window = spec.fault_heartbeat * u64::from(membership.miss_limit + 1);
+    let tick_until = spec.faults.last_time().unwrap_or(SimTime::ZERO)
+        + detection_window
+        + spec.fault_restart_delay
+        + spec.fault_heartbeat * 2;
+    let mut control = ClusterControl::new(
+        cell.cluster_nodes,
+        membership,
+        spec.fault_restart_delay,
+        spec.raid_rebuild_mb * 1024 * 1024,
+        ControlWiring {
+            job_id,
+            solver_id,
+            cache_id,
+            workers: worker_nodes,
+            host_base: off + k + 1,
+            hosts: h,
+            spares,
+            storage,
+        },
+        tick_until,
+    );
+    control.set_probe(probe.clone());
+    let control_id = host.register_in(p, control);
+    let mut injector = FaultInjectorComponent::new(spec.faults.clone(), vec![control_id]);
+    injector.set_probe(probe.clone());
+    let injector_id = host.register_in(p, injector);
+
+    // Seed in fixed order: job, solver, cache, traffic.
+    host.seed(job_id, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
+    host.seed(
+        solver_id,
+        SimTime::ZERO,
+        ScenarioEvent::Page(PageEvent::Step),
+    );
+    if let Some(t) = first_access {
+        host.seed(cache_id, t, ScenarioEvent::Cache(CacheEvent::Access(0)));
+    }
+    if spec.background_flows > 0 {
+        host.seed(
+            traffic_id,
+            SimTime::ZERO,
+            ScenarioEvent::Traffic(TrafficEvent::Tick),
+        );
+    }
+    // With no faults scheduled, the injector and control receive zero
+    // events: the run's history is byte-identical to a fault-free build
+    // of the engine.
+    if let Some(first_fault) = spec.faults.first_time() {
+        host.seed(
+            injector_id,
+            first_fault,
+            ScenarioEvent::Inject(InjectorEvent::Fire),
+        );
+        host.seed(
+            control_id,
+            SimTime::ZERO + spec.fault_heartbeat,
+            ScenarioEvent::Control(ControlEvent::Tick),
+        );
+    }
+    CellIds {
+        job: job_id,
+        solver: solver_id,
+        cache: cache_id,
+        traffic: traffic_id,
+        control: control_id,
+        injector: injector_id,
+    }
+}
+
+/// Reads one cell's outcome off the finished engine.
+fn cell_outcome(host: &impl Host<ScenarioEvent>, ids: &CellIds) -> ScenarioOutcome {
+    let job = host.component::<BspJobComponent>(ids.job);
+    let solver = host.component::<MultigridComponent>(ids.solver);
+    let traffic = host.component::<TrafficComponent>(ids.traffic);
+    let control = host.component::<ClusterControl>(ids.control);
+    let injector = host.component::<FaultInjectorComponent>(ids.injector);
+    ScenarioOutcome {
+        job_makespan: job.makespan().expect(
+            "the BSP job runs to completion (a crashed worker needs a \
+             spare or a scripted reboot)",
+        ),
+        mean_netram_fetch_us: solver.mean_netram_fetch_us(),
+        paging: solver.result(),
+        cache: host.component::<CacheComponent>(ids.cache).result(),
+        background_frames: traffic.frames(),
+        mean_background_latency_us: traffic.mean_latency_us(),
+        faults: FaultOutcome {
+            injected: injector.injected(),
+            detected: control.detected(),
+            mean_detection_ms: control.mean_detection_ms(),
+            restarts: control.restarts(),
+            rebuilt_bytes: control.rebuilt_bytes(),
+            job_stall: job.fault_stall(),
+        },
+    }
+}
+
+/// The flight recorder of a coupled run, sampling through `probe`.
+fn coupled_recording(spec: &ScenarioSpec, probe: Probe) -> Recording {
+    Recording {
+        probe,
+        gauges: &RECORDED_GAUGES,
+        batch: spec.am_batch,
+        horizon: SimTime::ZERO + spec.horizon,
+    }
+}
+
+/// The classic single-cell coupled run: a serial [`Engine`] over the
+/// cluster's fabric.
+struct Coupled<'a> {
+    cluster: &'a NowCluster,
+    spec: &'a ScenarioSpec,
+}
+
+impl Workload for Coupled<'_> {
+    type Event = ScenarioEvent;
+    type Engine = Engine<ScenarioEvent>;
+    type Ids = CellIds;
+    type Outcome = ScenarioOutcome;
+
+    fn engine(&self, probe: &Probe) -> Self::Engine {
+        fabric_engine(self.cluster, self.spec.am_batch, probe)
+    }
+
+    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> CellIds {
+        let n = self.cluster.nodes();
+        let cell = Cell {
+            partition: 0,
+            offset: 0,
+            seed: self.spec.seed,
+            cluster_nodes: n,
+        };
+        build_cell(engine, self.spec, n, &cell, probe)
+    }
+
+    fn component_names(&self) -> Vec<&'static str> {
+        CELL_COMPONENT_NAMES.to_vec()
+    }
+
+    fn marks(&self) -> &'static [(&'static str, &'static str)] {
+        &SCENARIO_MARKS
+    }
+
+    fn recorder(&self, probe: &Probe) -> Recording {
+        coupled_recording(self.spec, probe.clone())
+    }
+
+    fn outcome(&self, engine: &Self::Engine, ids: CellIds, _: &Accounting<'_>) -> ScenarioOutcome {
+        cell_outcome(engine, &ids)
+    }
+}
+
+/// The multi-cell coupled run: `cells` replicas of the scenario, each on
+/// its own copy of the fabric (global nodes `c*n..(c+1)*n`, seed
+/// `seed + c`, telemetry under a `cell{c}.` prefix), sharded over engine
+/// partitions on scoped threads (`home[c]` is cell `c`'s partition).
+///
+/// Cells share nothing — no wires, no caches, no pages — so the
+/// component map is event-closed and [`PartitionedEngine`] runs it under
+/// [`Lookahead::Closed`]: every partition drains to completion in a
+/// single unbounded window, with zero barrier crossings. The history,
+/// outcome, and observations are byte-identical at every partition
+/// count; only wall-clock time changes. Each cell is built exactly like
+/// the single-cell run, cell-major, so a one-cell spec run through
+/// either path produces the same per-cell history.
+struct Cells<'a> {
+    cluster: &'a NowCluster,
+    spec: &'a ScenarioSpec,
+    home: Vec<u32>,
+}
+
+impl Workload for Cells<'_> {
+    type Event = ScenarioEvent;
+    type Engine = PartitionedEngine<ScenarioEvent>;
+    type Ids = Vec<CellIds>;
+    type Outcome = ScenarioOutcome;
+
+    fn engine(&self, probe: &Probe) -> Self::Engine {
+        let n = self.cluster.nodes();
+        let partitions = self.home.iter().copied().max().unwrap_or(0) as usize + 1;
+        // One private fabric per cell; each partition's cost model
+        // multiplexes the fabrics of the cells homed there.
+        let mut fabrics: Vec<BTreeMap<u32, BatchingTransport<FabricTransport>>> =
+            (0..partitions).map(|_| BTreeMap::new()).collect();
+        for (c, &p) in (0..self.spec.cells).zip(&self.home) {
+            let mut network = self.cluster.interconnect().network(n);
+            let scoped = probe.scoped(&format!("cell{c}."));
+            network.set_probe(scoped.clone());
+            // The wrapper with a zero quantum is a pure pass-through, so
+            // unbatched multi-cell runs stay byte-identical.
+            let mut fabric =
+                BatchingTransport::new(FabricTransport::new(network), self.spec.am_batch);
+            fabric.set_probe(scoped);
+            fabrics[p as usize].insert(c, fabric);
+        }
+        let cost_models: Vec<CostModel> = fabrics
+            .into_iter()
+            .map(|cells| {
+                CostModel::Fabric(Box::new(CellTransport {
+                    nodes_per_cell: n,
+                    cells,
+                }))
+            })
+            .collect();
+        PartitionedEngine::new(cost_models, Lookahead::Closed)
+    }
+
+    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> Vec<CellIds> {
+        let n = self.cluster.nodes();
+        (0..self.spec.cells)
+            .zip(&self.home)
+            .map(|(c, &partition)| {
+                let cell = Cell {
+                    partition,
+                    offset: c * n,
+                    seed: self.spec.seed.wrapping_add(u64::from(c)),
+                    cluster_nodes: self.spec.cells * n,
+                };
+                build_cell(
+                    engine,
+                    self.spec,
+                    n,
+                    &cell,
+                    &probe.scoped(&format!("cell{c}.")),
+                )
+            })
+            .collect()
+    }
+
+    fn component_names(&self) -> Vec<&'static str> {
+        CELL_COMPONENT_NAMES.repeat(self.spec.cells as usize)
+    }
+
+    fn marks(&self) -> &'static [(&'static str, &'static str)] {
+        &SCENARIO_MARKS
+    }
+
+    fn recorder(&self, probe: &Probe) -> Recording {
+        // The recorder is homed in partition 0 with cell 0, whose gauges
+        // it samples: recorder and cell 0 share an event queue, so their
+        // relative order — and the recorded series — is the same at
+        // every partition count.
+        coupled_recording(self.spec, probe.scoped("cell0."))
+    }
+
+    fn outcome(
+        &self,
+        engine: &Self::Engine,
+        ids: Vec<CellIds>,
+        _: &Accounting<'_>,
+    ) -> ScenarioOutcome {
+        let per_cell: Vec<ScenarioOutcome> =
+            ids.iter().map(|ids| cell_outcome(engine, ids)).collect();
+        aggregate_cells(&per_cell)
+    }
+}
 
 impl NowCluster {
     /// Runs the coupled scenario: the BSP job, the out-of-core paging
@@ -810,644 +934,66 @@ impl NowCluster {
     /// Panics if the node allocation does not fit: the cluster needs
     /// `job_workers + netram_hosts + 2` nodes or more.
     pub fn run_scenario(&self, spec: &ScenarioSpec) -> ScenarioOutcome {
-        self.run_scenario_probed(spec, &Probe::disabled())
+        self.run_scenario_observed(spec, &ScenarioObserver::disabled())
+            .0
     }
 
-    /// [`run_scenario`](Self::run_scenario) with a telemetry probe wired
-    /// through the fabric and every subsystem: the fault machinery counts
-    /// `fault.*`, the network gauges `net.queue_wait_us`, and the
-    /// components publish the gauges the flight recorder samples.
+    /// [`run_scenario`](Self::run_scenario) plus whatever `observer`
+    /// watches: a telemetry probe wired through the fabric and every
+    /// subsystem (the fault machinery counts `fault.*`, the network
+    /// gauges `net.queue_wait_us`, and the components publish the gauges
+    /// the flight recorder samples), causal tracing, and the flight
+    /// recorder. The simulated history is identical whatever the observer
+    /// watches: probes, the causal sink, and the recorder never feed back
+    /// into event timing (the recorder rides its own event chain, which
+    /// touches no shared state).
+    ///
+    /// A spec with `cells > 1` runs that many independent 32-node cells,
+    /// sharded over `partitions` engine partitions; the result is
+    /// byte-identical at every partition count.
     ///
     /// # Panics
     ///
-    /// Panics like [`run_scenario`](Self::run_scenario).
-    pub fn run_scenario_probed(&self, spec: &ScenarioSpec, probe: &Probe) -> ScenarioOutcome {
-        self.run_scenario_observed(
-            spec,
-            &ScenarioObserver {
-                probe: probe.clone(),
-                ..ScenarioObserver::disabled()
-            },
-        )
-        .0
-    }
-
-    /// [`run_scenario_probed`](Self::run_scenario_probed) plus causal
-    /// tracing and the flight recorder, per `observer`. The simulated
-    /// history is identical whatever the observer watches: probes, the
-    /// causal sink, and the recorder never feed back into event timing
-    /// (the recorder rides its own event chain, which touches no shared
-    /// state).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_scenario`](Self::run_scenario).
+    /// Panics like [`run_scenario`](Self::run_scenario), and on a
+    /// multi-cell spec with a non-empty fault plan: control-plane
+    /// messages are delivered with zero latency, which no conservative
+    /// lookahead covers, so faulted runs must stay at `cells = 1`.
     pub fn run_scenario_observed(
         &self,
         spec: &ScenarioSpec,
         observer: &ScenarioObserver,
     ) -> (ScenarioOutcome, ScenarioObservations) {
-        // A new run is a new utilization epoch: resource ledgers shared
-        // across a sweep close the previous run's wall and start idle.
-        observer.probe.util_epoch();
+        let (n, k, h) = (self.nodes(), spec.job_workers, spec.netram_hosts);
+        assert!(
+            k + h + 2 <= n,
+            "scenario needs {k} workers + {h} netram hosts + pager + server; \
+             only {n} nodes"
+        );
         if spec.cells > 1 {
-            return self.run_scenario_cells(spec, observer);
-        }
-        let probe = &observer.probe;
-        let n = self.nodes();
-        let k = spec.job_workers;
-        let h = spec.netram_hosts;
-        assert!(
-            k + h + 2 <= n,
-            "scenario needs {k} workers + {h} netram hosts + pager + server; \
-             only {n} nodes"
-        );
-        let worker_nodes: Vec<u32> = (0..k).collect();
-        let pager_node = k;
-        let host_nodes: Vec<u32> = (k + 1..=k + h).collect();
-        let server_node = n - 1;
-
-        let mut network = self.interconnect().network(n);
-        network.set_probe(probe.clone());
-        let mut engine: Engine<ScenarioEvent> =
-            Engine::with_transport(batched_fabric(network, spec.am_batch, probe));
-        if let Some(log) = &observer.causal {
-            engine.set_causal_sink_sampled(
-                Arc::clone(log) as Arc<dyn now_sim::CausalSink>,
-                observer.trace_sample_every.max(1),
+            assert!(
+                spec.faults.is_empty(),
+                "faulted runs cannot shard across cells: fault control messages \
+                 have zero latency, which no conservative lookahead covers (run \
+                 with cells = 1)"
             );
-        }
-
-        // The BSP job.
-        let mut job = BspJobComponent::new(
-            worker_nodes.clone(),
-            spec.job_rounds,
-            spec.job_compute,
-            spec.job_message_bytes,
-        );
-        job.set_probe(probe);
-        let job_id = engine.register(job);
-
-        // The out-of-core paging process. The fixed-cost constants in the
-        // memory config are placeholders: under the fabric cost model every
-        // fetch is priced by the live network, not by them.
-        let memory = MemoryConfig::LocalWithNetRam {
-            mb: spec.paging_local_mb,
-            hosts: h,
-            mb_per_host: spec.netram_mb_per_host,
-            cost: RemoteAccessCost::table2_atm(),
-        };
-        let app = MultigridConfig {
-            sweeps: spec.paging_sweeps,
-            ..MultigridConfig::paper_defaults()
-        };
-        let pages = spec.paging_problem_mb * 1024 * 1024 / PAGE_BYTES;
-        let mut built_pager = memory.build_pager();
-        built_pager.set_probe(probe.clone());
-        if spec.netram_mirrored {
-            built_pager.set_netram_mirrored(true);
-        }
-        let mut solver = MultigridComponent::new(
-            built_pager,
-            app.compute_per_page(),
-            pages,
-            u64::from(app.sweeps) * pages,
-        )
-        .with_placement(pager_node, host_nodes.clone());
-        solver.set_probe(probe);
-        let solver_id = engine.register(solver);
-
-        // The cooperative file cache, its clients sharing the workers'
-        // nodes and its server on the last node.
-        let mut trace_config = FsTraceConfig::small();
-        trace_config.clients = k;
-        trace_config.duration = spec.horizon;
-        trace_config.accesses_per_sec = spec.cache_accesses_per_sec;
-        let trace = FsTrace::generate(&trace_config, spec.seed);
-        let first_access = {
-            let mut config = CacheConfig::small(Policy::NChance { n: 2 });
-            config.seed = spec.seed;
-            let client_nodes: Vec<u32> = (0..k).collect();
-            let mut component =
-                CacheComponent::new(trace, config).with_placement(client_nodes, server_node);
-            component.set_probe(probe);
-            let first = component.first_access_time();
-            (engine.register(component), first)
-        };
-        let (cache_id, first_access) = first_access;
-
-        // Background traffic: flow `i` rides from netram host `i % h` into
-        // worker `i % k` — the same links paging and the job depend on.
-        let flows: Vec<(u32, u32)> = (0..spec.background_flows)
-            .map(|i| (host_nodes[(i % h) as usize], worker_nodes[(i % k) as usize]))
-            .collect();
-        let mut traffic = TrafficComponent::new(
-            flows,
-            spec.background_bytes,
-            spec.background_interval,
-            SimTime::ZERO + spec.horizon,
-        );
-        traffic.set_probe(probe);
-        let traffic_id = engine.register(traffic);
-
-        // Fault machinery. Nodes past the netram hosts (and before the
-        // server) are idle: the first few are held as spares for dead
-        // workers, the rest carry the storage array's disks.
-        let idle: Vec<u32> = (k + h + 1..n.saturating_sub(1)).collect();
-        let spare_count = SPARE_NODES.min(idle.len());
-        // Reverse so `pop` dispatches the lowest-numbered spare first.
-        let spares: Vec<u32> = idle[..spare_count].iter().rev().copied().collect();
-        let mut storage: Vec<u32> = idle[spare_count..].to_vec();
-        if storage.is_empty() {
-            storage.push(server_node);
-        }
-        let membership = MembershipConfig {
-            heartbeat: spec.fault_heartbeat,
-            ..MembershipConfig::default()
-        };
-        let detection_window = spec.fault_heartbeat * u64::from(membership.miss_limit + 1);
-        let tick_until = spec.faults.last_time().unwrap_or(SimTime::ZERO)
-            + detection_window
-            + spec.fault_restart_delay
-            + spec.fault_heartbeat * 2;
-        let mut control = ClusterControl::new(
-            n,
-            membership,
-            spec.fault_restart_delay,
-            spec.raid_rebuild_mb * 1024 * 1024,
-            ControlWiring {
-                job_id,
-                solver_id,
-                cache_id,
-                workers: worker_nodes.clone(),
-                host_base: k + 1,
-                hosts: h,
-                spares,
-                storage,
-            },
-            tick_until,
-        );
-        control.set_probe(probe.clone());
-        let control_id = engine.register(control);
-        let mut injector = FaultInjectorComponent::new(spec.faults.clone(), vec![control_id]);
-        injector.set_probe(probe.clone());
-        let injector_id = engine.register(injector);
-
-        // The flight recorder registers last (component ids above are
-        // stable whether or not it exists) and only when asked for.
-        let recorder_id = observer.sample_every.map(|every| {
-            engine.register(RecorderComponent::with_gauges(
-                probe,
-                &gauges_with_batch(&RECORDED_GAUGES, spec.am_batch),
-                every,
-                SimTime::ZERO + spec.horizon,
-                observer.window_budget,
-            ))
-        });
-
-        // Seed in fixed order: job, solver, cache, traffic.
-        engine.schedule_at(job_id, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
-        engine.schedule_at(
-            solver_id,
-            SimTime::ZERO,
-            ScenarioEvent::Page(PageEvent::Step),
-        );
-        if let Some(t) = first_access {
-            engine.schedule_at(cache_id, t, ScenarioEvent::Cache(CacheEvent::Access(0)));
-        }
-        if spec.background_flows > 0 {
-            engine.schedule_at(
-                traffic_id,
-                SimTime::ZERO,
-                ScenarioEvent::Traffic(TrafficEvent::Tick),
-            );
-        }
-        // With no faults scheduled, the injector and control receive zero
-        // events: the run's history is byte-identical to a fault-free
-        // build of the engine.
-        if let Some(first_fault) = spec.faults.first_time() {
-            engine.schedule_at(
-                injector_id,
-                first_fault,
-                ScenarioEvent::Inject(InjectorEvent::Fire),
-            );
-            engine.schedule_at(
-                control_id,
-                SimTime::ZERO + spec.fault_heartbeat,
-                ScenarioEvent::Control(ControlEvent::Tick),
-            );
-        }
-        if let Some(id) = recorder_id {
-            engine.schedule_at(
-                id,
-                SimTime::ZERO,
-                ScenarioEvent::Record(RecorderEvent::Sample),
-            );
-        }
-
-        if observer.profile {
-            engine.enable_profiler(&SCENARIO_COMPONENT_NAMES);
-        }
-        engine.run();
-        let profile = engine.take_profile();
-
-        let (timeseries, windowed) = match recorder_id {
-            Some(id) => {
-                let recorder = engine.component::<RecorderComponent>(id);
-                (recorder.timeseries(), recorder.windowed())
-            }
-            None => (TimeSeries::new(Vec::new()), WindowedSeries::default()),
-        };
-        let blame = match &observer.causal {
-            Some(log) => SCENARIO_MARKS
-                .iter()
-                .filter_map(|&(tag, label)| {
-                    critical_path(log, label, &SCENARIO_COMPONENT_NAMES).map(|table| (tag, table))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-
-        let job = engine.component::<BspJobComponent>(job_id);
-        let solver = engine.component::<MultigridComponent>(solver_id);
-        let traffic = engine.component::<TrafficComponent>(traffic_id);
-        let control = engine.component::<ClusterControl>(control_id);
-        let injector = engine.component::<FaultInjectorComponent>(injector_id);
-        let outcome = ScenarioOutcome {
-            job_makespan: job.makespan().expect(
-                "the BSP job runs to completion (a crashed worker needs a \
-                 spare or a scripted reboot)",
-            ),
-            mean_netram_fetch_us: solver.mean_netram_fetch_us(),
-            paging: solver.result(),
-            cache: engine.component::<CacheComponent>(cache_id).result(),
-            background_frames: traffic.frames(),
-            mean_background_latency_us: traffic.mean_latency_us(),
-            faults: FaultOutcome {
-                injected: injector.injected(),
-                detected: control.detected(),
-                mean_detection_ms: control.mean_detection_ms(),
-                restarts: control.restarts(),
-                rebuilt_bytes: control.rebuilt_bytes(),
-                job_stall: job.fault_stall(),
-            },
-        };
-        (
-            outcome,
-            ScenarioObservations {
-                blame,
-                timeseries,
-                windowed,
-                profile,
-            },
-        )
-    }
-
-    /// The multi-cell path of
-    /// [`run_scenario_observed`](Self::run_scenario_observed): `cells`
-    /// replicas of the coupled scenario, each on its own copy of the
-    /// fabric (global nodes `c*n..(c+1)*n`, seed `seed + c`, telemetry
-    /// under a `cell{c}.` prefix), sharded over `partitions` engine
-    /// partitions on scoped threads.
-    ///
-    /// Cells share nothing — no wires, no caches, no pages — so the
-    /// component map is event-closed and [`PartitionedEngine`] runs it
-    /// under [`Lookahead::Closed`]: every partition drains to completion
-    /// in a single unbounded window, with zero barrier crossings. The
-    /// history, outcome, and observations are byte-identical at every
-    /// partition count; only wall-clock time changes.
-    ///
-    /// Mirrors the serial body above: same components, same registration
-    /// order (cell-major), same seeding order, so a one-cell spec run
-    /// through either path produces the same per-cell history.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_scenario`](Self::run_scenario), and on a
-    /// non-empty fault plan: control-plane messages are delivered with
-    /// zero latency, which no conservative lookahead covers, so faulted
-    /// runs must stay at `cells = 1`.
-    fn run_scenario_cells(
-        &self,
-        spec: &ScenarioSpec,
-        observer: &ScenarioObserver,
-    ) -> (ScenarioOutcome, ScenarioObservations) {
-        let probe = &observer.probe;
-        let cells = spec.cells;
-        assert!(
-            spec.faults.is_empty(),
-            "faulted runs cannot shard across cells: fault control messages \
-             have zero latency, which no conservative lookahead covers (run \
-             with cells = 1)"
-        );
-        let n = self.nodes();
-        let k = spec.job_workers;
-        let h = spec.netram_hosts;
-        assert!(
-            k + h + 2 <= n,
-            "scenario needs {k} workers + {h} netram hosts + pager + server; \
-             only {n} nodes"
-        );
-        let home = self.plan_partitions(cells, spec.partitions);
-        let partitions = home.iter().copied().max().unwrap_or(0) as usize + 1;
-
-        // One private fabric per cell; each partition's cost model
-        // multiplexes the fabrics of the cells homed there.
-        let mut fabrics: Vec<BTreeMap<u32, BatchingTransport<FabricTransport>>> =
-            (0..partitions).map(|_| BTreeMap::new()).collect();
-        for c in 0..cells {
-            let mut network = self.interconnect().network(n);
-            let scoped = probe.scoped(&format!("cell{c}."));
-            network.set_probe(scoped.clone());
-            // The wrapper with a zero quantum is a pure pass-through, so
-            // unbatched multi-cell runs stay byte-identical.
-            let mut fabric = BatchingTransport::new(FabricTransport::new(network), spec.am_batch);
-            fabric.set_probe(scoped);
-            fabrics[home[c as usize] as usize].insert(c, fabric);
-        }
-        let cost_models: Vec<CostModel> = fabrics
-            .into_iter()
-            .map(|cells| {
-                CostModel::Fabric(Box::new(CellTransport {
-                    nodes_per_cell: n,
-                    cells,
-                }))
-            })
-            .collect();
-        let mut engine: PartitionedEngine<ScenarioEvent> =
-            PartitionedEngine::new(cost_models, Lookahead::Closed);
-        if let Some(log) = &observer.causal {
-            engine.set_causal_sink_sampled(
-                Arc::clone(log) as Arc<dyn now_sim::CausalSink>,
-                observer.trace_sample_every.max(1),
-            );
-        }
-
-        struct CellIds {
-            job: ComponentId,
-            solver: ComponentId,
-            cache: ComponentId,
-            traffic: ComponentId,
-            first_access: Option<SimTime>,
-        }
-        let mut cell_ids: Vec<CellIds> = Vec::with_capacity(cells as usize);
-        for c in 0..cells {
-            let p = home[c as usize];
-            let off = c * n;
-            let seed = spec.seed.wrapping_add(u64::from(c));
-            let scoped = probe.scoped(&format!("cell{c}."));
-            let worker_nodes: Vec<u32> = (off..off + k).collect();
-            let pager_node = off + k;
-            let host_nodes: Vec<u32> = (off + k + 1..=off + k + h).collect();
-            let server_node = off + n - 1;
-
-            let mut job = BspJobComponent::new(
-                worker_nodes.clone(),
-                spec.job_rounds,
-                spec.job_compute,
-                spec.job_message_bytes,
-            );
-            job.set_probe(&scoped);
-            let job_id = engine.register(p, job);
-
-            let memory = MemoryConfig::LocalWithNetRam {
-                mb: spec.paging_local_mb,
-                hosts: h,
-                mb_per_host: spec.netram_mb_per_host,
-                cost: RemoteAccessCost::table2_atm(),
-            };
-            let app = MultigridConfig {
-                sweeps: spec.paging_sweeps,
-                ..MultigridConfig::paper_defaults()
-            };
-            let pages = spec.paging_problem_mb * 1024 * 1024 / PAGE_BYTES;
-            let mut built_pager = memory.build_pager();
-            built_pager.set_probe(scoped.clone());
-            if spec.netram_mirrored {
-                built_pager.set_netram_mirrored(true);
-            }
-            let mut solver = MultigridComponent::new(
-                built_pager,
-                app.compute_per_page(),
-                pages,
-                u64::from(app.sweeps) * pages,
-            )
-            .with_placement(pager_node, host_nodes.clone());
-            solver.set_probe(&scoped);
-            let solver_id = engine.register(p, solver);
-
-            let mut trace_config = FsTraceConfig::small();
-            trace_config.clients = k;
-            trace_config.duration = spec.horizon;
-            trace_config.accesses_per_sec = spec.cache_accesses_per_sec;
-            let trace = FsTrace::generate(&trace_config, seed);
-            let mut config = CacheConfig::small(Policy::NChance { n: 2 });
-            config.seed = seed;
-            let mut cache = CacheComponent::new(trace, config)
-                .with_placement(worker_nodes.clone(), server_node);
-            cache.set_probe(&scoped);
-            let first_access = cache.first_access_time();
-            let cache_id = engine.register(p, cache);
-
-            let flows: Vec<(u32, u32)> = (0..spec.background_flows)
-                .map(|i| (host_nodes[(i % h) as usize], worker_nodes[(i % k) as usize]))
-                .collect();
-            let mut traffic = TrafficComponent::new(
-                flows,
-                spec.background_bytes,
-                spec.background_interval,
-                SimTime::ZERO + spec.horizon,
-            );
-            traffic.set_probe(&scoped);
-            let traffic_id = engine.register(p, traffic);
-
-            // Control and injector register for id-table parity with the
-            // serial path; the fault plan is empty, so they receive no
-            // events and the history is identical to a build without them.
-            let idle: Vec<u32> = (off + k + h + 1..off + n - 1).collect();
-            let spare_count = SPARE_NODES.min(idle.len());
-            let spares: Vec<u32> = idle[..spare_count].iter().rev().copied().collect();
-            let mut storage: Vec<u32> = idle[spare_count..].to_vec();
-            if storage.is_empty() {
-                storage.push(server_node);
-            }
-            let membership = MembershipConfig {
-                heartbeat: spec.fault_heartbeat,
-                ..MembershipConfig::default()
-            };
-            let detection_window = spec.fault_heartbeat * u64::from(membership.miss_limit + 1);
-            let tick_until = SimTime::ZERO
-                + detection_window
-                + spec.fault_restart_delay
-                + spec.fault_heartbeat * 2;
-            let mut control = ClusterControl::new(
-                cells * n,
-                membership,
-                spec.fault_restart_delay,
-                spec.raid_rebuild_mb * 1024 * 1024,
-                ControlWiring {
-                    job_id,
-                    solver_id,
-                    cache_id,
-                    workers: worker_nodes.clone(),
-                    host_base: off + k + 1,
-                    hosts: h,
-                    spares,
-                    storage,
+            let home = self.plan_partitions(spec.cells, spec.partitions);
+            harness::run(
+                &Cells {
+                    cluster: self,
+                    spec,
+                    home,
                 },
-                tick_until,
-            );
-            control.set_probe(scoped.clone());
-            let control_id = engine.register(p, control);
-            let mut injector = FaultInjectorComponent::new(spec.faults.clone(), vec![control_id]);
-            injector.set_probe(scoped.clone());
-            engine.register(p, injector);
-
-            cell_ids.push(CellIds {
-                job: job_id,
-                solver: solver_id,
-                cache: cache_id,
-                traffic: traffic_id,
-                first_access,
-            });
-        }
-
-        // The flight recorder registers last, homed in partition 0 with
-        // cell 0, whose gauges it samples: recorder and cell 0 share an
-        // event queue, so their relative order — and the recorded series —
-        // is the same at every partition count.
-        let recorder_id = observer.sample_every.map(|every| {
-            engine.register(
-                0,
-                RecorderComponent::with_gauges(
-                    &probe.scoped("cell0."),
-                    &gauges_with_batch(&RECORDED_GAUGES, spec.am_batch),
-                    every,
-                    SimTime::ZERO + spec.horizon,
-                    observer.window_budget,
-                ),
+                observer,
             )
-        });
-
-        // Seed cell-major in the serial path's order: job, solver, cache,
-        // traffic.
-        for ids in &cell_ids {
-            engine.schedule_at(ids.job, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
-            engine.schedule_at(
-                ids.solver,
-                SimTime::ZERO,
-                ScenarioEvent::Page(PageEvent::Step),
-            );
-            if let Some(t) = ids.first_access {
-                engine.schedule_at(ids.cache, t, ScenarioEvent::Cache(CacheEvent::Access(0)));
-            }
-            if spec.background_flows > 0 {
-                engine.schedule_at(
-                    ids.traffic,
-                    SimTime::ZERO,
-                    ScenarioEvent::Traffic(TrafficEvent::Tick),
-                );
-            }
+        } else {
+            harness::run(
+                &Coupled {
+                    cluster: self,
+                    spec,
+                },
+                observer,
+            )
         }
-        if let Some(id) = recorder_id {
-            engine.schedule_at(
-                id,
-                SimTime::ZERO,
-                ScenarioEvent::Record(RecorderEvent::Sample),
-            );
-        }
-
-        engine.run();
-
-        let (timeseries, windowed) = match recorder_id {
-            Some(id) => {
-                let recorder = engine.component::<RecorderComponent>(id);
-                (recorder.timeseries(), recorder.windowed())
-            }
-            None => (TimeSeries::new(Vec::new()), WindowedSeries::default()),
-        };
-        let blame = match &observer.causal {
-            Some(log) => {
-                let mut names: Vec<&str> = Vec::with_capacity(cells as usize * 6 + 1);
-                for _ in 0..cells {
-                    names.extend_from_slice(&SCENARIO_COMPONENT_NAMES[..6]);
-                }
-                names.push("recorder");
-                SCENARIO_MARKS
-                    .iter()
-                    .filter_map(|&(tag, label)| {
-                        critical_path(log, label, &names).map(|table| (tag, table))
-                    })
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-
-        let per_cell: Vec<ScenarioOutcome> = cell_ids
-            .iter()
-            .map(|ids| {
-                let job = engine.component::<BspJobComponent>(ids.job);
-                let solver = engine.component::<MultigridComponent>(ids.solver);
-                let traffic = engine.component::<TrafficComponent>(ids.traffic);
-                ScenarioOutcome {
-                    job_makespan: job.makespan().expect(
-                        "the BSP job runs to completion (no faults can stall \
-                         a multi-cell run)",
-                    ),
-                    mean_netram_fetch_us: solver.mean_netram_fetch_us(),
-                    paging: solver.result(),
-                    cache: engine.component::<CacheComponent>(ids.cache).result(),
-                    background_frames: traffic.frames(),
-                    mean_background_latency_us: traffic.mean_latency_us(),
-                    faults: FaultOutcome::default(),
-                }
-            })
-            .collect();
-        (
-            aggregate_cells(&per_cell),
-            ScenarioObservations {
-                blame,
-                timeseries,
-                windowed,
-                profile: None,
-            },
-        )
-    }
-
-    /// Runs each spec as an independent scenario, fanned out over up to
-    /// `jobs` worker threads, returning outcomes in spec order.
-    ///
-    /// Every run builds its own engine, fabric, and traces from its spec,
-    /// so runs share nothing mutable and the outcome list is identical to
-    /// `specs.iter().map(|s| self.run_scenario(s))` for any `jobs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_scenario`](Self::run_scenario).
-    pub fn run_scenarios(&self, specs: &[ScenarioSpec], jobs: usize) -> Vec<ScenarioOutcome> {
-        run_indexed(jobs, specs, |_, spec| self.run_scenario(spec))
-    }
-
-    /// Runs each `(spec, observer)` pair as an independent observed
-    /// scenario over up to `jobs` worker threads, in input order.
-    ///
-    /// Give each run its *own* observer (its own causal log, its own
-    /// registry): a shared enabled probe sees runs interleave gauge writes
-    /// in wall-clock order, which is exactly the nondeterminism serial
-    /// execution avoids — callers that share one enabled probe across runs
-    /// should keep `jobs = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_scenario`](Self::run_scenario).
-    pub fn run_scenarios_observed(
-        &self,
-        runs: &[(ScenarioSpec, ScenarioObserver)],
-        jobs: usize,
-    ) -> Vec<(ScenarioOutcome, ScenarioObservations)> {
-        run_indexed(jobs, runs, |_, (spec, observer)| {
-            self.run_scenario_observed(spec, observer)
-        })
     }
 }
 
@@ -1508,18 +1054,22 @@ fn aggregate_cells(cells: &[ScenarioOutcome]) -> ScenarioOutcome {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::sync::Arc;
+
+    use now_probe::causal::CausalLog;
+
     use super::*;
     use crate::cluster::Interconnect;
 
-    fn cluster() -> NowCluster {
+    pub(crate) fn cluster() -> NowCluster {
         NowCluster::builder()
             .nodes(32)
             .interconnect(Interconnect::AtmActiveMessages)
             .build()
     }
 
-    fn small_spec() -> ScenarioSpec {
+    pub(crate) fn small_spec() -> ScenarioSpec {
         ScenarioSpec {
             job_rounds: 50,
             paging_problem_mb: 16,

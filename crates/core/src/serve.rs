@@ -15,20 +15,15 @@
 //! own observation footprint (`probe.observation_bytes`), so the bound is
 //! measured, not asserted.
 
-use std::sync::Arc;
-
 use now_am::BatchConfig;
 use now_cache::{ServeComponent, ServeConfig, ServeEvent};
-use now_probe::causal::critical_path;
-use now_probe::recorder::{TimeSeries, WindowedSeries};
-use now_probe::QuantileSketch;
-use now_sim::parallel::run_indexed;
-use now_sim::{Engine, EventCast, SimTime};
+use now_probe::{Probe, QuantileSketch};
+use now_sim::{ComponentId, Engine, SimTime};
 
 use crate::cluster::NowCluster;
-use crate::scenario::{
-    batched_fabric, gauges_with_batch, RecorderComponent, RecorderEvent, ScenarioObservations,
-    ScenarioObserver,
+use crate::harness::{
+    self, fabric_engine, Accounting, RecorderEvent, Recording, ScenarioObservations,
+    ScenarioObserver, Workload,
 };
 
 /// Events of the serving engine: the workload plus the flight recorder.
@@ -40,29 +35,10 @@ pub enum ServeScenarioEvent {
     Record(RecorderEvent),
 }
 
-impl EventCast<ServeEvent> for ServeScenarioEvent {
-    fn upcast(ev: ServeEvent) -> Self {
-        ServeScenarioEvent::Serve(ev)
-    }
-    fn downcast(self) -> ServeEvent {
-        match self {
-            ServeScenarioEvent::Serve(ev) => ev,
-            other => panic!("expected a Serve event, got {other:?}"),
-        }
-    }
-}
-
-impl EventCast<RecorderEvent> for ServeScenarioEvent {
-    fn upcast(ev: RecorderEvent) -> Self {
-        ServeScenarioEvent::Record(ev)
-    }
-    fn downcast(self) -> RecorderEvent {
-        match self {
-            ServeScenarioEvent::Record(ev) => ev,
-            other => panic!("expected a Record event, got {other:?}"),
-        }
-    }
-}
+now_sim::event_cast!(ServeScenarioEvent {
+    Serve(ServeEvent),
+    Record(RecorderEvent),
+});
 
 /// Parameters of one serving run (see [`NowCluster::run_serve`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -93,9 +69,6 @@ const SERVE_RECORDED_GAUGES: [&str; 6] = [
     "serve.disk_reads",
     "net.queue_wait_us",
 ];
-
-/// Component names by registration order, for blame-table rendering.
-const SERVE_COMPONENT_NAMES: [&str; 2] = ["serve", "recorder"];
 
 /// Outcome of one serving run: counts, streaming tail latency, and the
 /// memory self-accounting that backs the "observation stays bounded"
@@ -141,6 +114,77 @@ impl ServeOutcome {
     }
 }
 
+/// One serving run as the harness sees it: the whole population in one
+/// [`ServeComponent`], front-ends on the first nodes, the server last.
+struct Serve<'a> {
+    cluster: &'a NowCluster,
+    spec: &'a ServeSpec,
+}
+
+impl Workload for Serve<'_> {
+    type Event = ServeScenarioEvent;
+    type Engine = Engine<ServeScenarioEvent>;
+    type Ids = ComponentId;
+    type Outcome = ServeOutcome;
+
+    fn engine(&self, probe: &Probe) -> Self::Engine {
+        fabric_engine(self.cluster, self.spec.am_batch, probe)
+    }
+
+    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> ComponentId {
+        let front_ends = self.spec.front_ends;
+        let mut serve = ServeComponent::new(self.spec.config.clone(), front_ends)
+            .with_placement((0..front_ends as u32).collect(), self.cluster.nodes() - 1);
+        serve.set_probe(probe);
+        let id = engine.register(serve);
+        engine.schedule_at(
+            id,
+            SimTime::ZERO,
+            ServeScenarioEvent::Serve(ServeEvent::Arrival),
+        );
+        id
+    }
+
+    fn component_names(&self) -> Vec<&'static str> {
+        vec!["serve"]
+    }
+
+    fn marks(&self) -> &'static [(&'static str, &'static str)] {
+        &[("serve", "serve.done")]
+    }
+
+    fn recorder(&self, probe: &Probe) -> Recording {
+        Recording {
+            probe: probe.clone(),
+            gauges: &SERVE_RECORDED_GAUGES,
+            batch: self.spec.am_batch,
+            horizon: self.spec.config.horizon,
+        }
+    }
+
+    fn outcome(
+        &self,
+        engine: &Self::Engine,
+        id: ComponentId,
+        acct: &Accounting<'_>,
+    ) -> ServeOutcome {
+        let serve = engine.component::<ServeComponent>(id);
+        ServeOutcome {
+            requests: serve.requests(),
+            completed: serve.completed(),
+            local_hits: serve.local_hits(),
+            server_hits: serve.server_hits(),
+            disk_reads: serve.disk_reads(),
+            sketch: serve.sketch().clone(),
+            exact_latencies: serve.exact_latencies().to_vec(),
+            workload_bytes: serve.workload_bytes(),
+            observation_bytes: acct.publish_observation_bytes(serve.observation_bytes()),
+            causal_records: acct.causal_records,
+            causal_dropped: acct.causal_dropped,
+        }
+    }
+}
+
 impl NowCluster {
     /// Runs the open-loop population serving workload on this cluster's
     /// fabric, unobserved (sketch only, no causal log, no recorder).
@@ -167,143 +211,31 @@ impl NowCluster {
         spec: &ServeSpec,
         observer: &ScenarioObserver,
     ) -> (ServeOutcome, ScenarioObservations) {
-        // A new run is a new utilization epoch (see the coupled scenario).
-        observer.probe.util_epoch();
-        let probe = &observer.probe;
         let n = self.nodes();
         let front_ends = spec.front_ends;
         assert!(
             (front_ends as u32) < n,
             "serving needs {front_ends} front-ends + server; only {n} nodes"
         );
-        let client_nodes: Vec<u32> = (0..front_ends as u32).collect();
-        let server_node = n - 1;
-
-        let mut network = self.interconnect().network(n);
-        network.set_probe(probe.clone());
-        let mut engine: Engine<ServeScenarioEvent> =
-            Engine::with_transport(batched_fabric(network, spec.am_batch, probe));
-        if let Some(log) = &observer.causal {
-            engine.set_causal_sink_sampled(
-                Arc::clone(log) as Arc<dyn now_sim::CausalSink>,
-                observer.trace_sample_every.max(1),
-            );
-        }
-
-        let mut serve = ServeComponent::new(spec.config.clone(), front_ends)
-            .with_placement(client_nodes, server_node);
-        serve.set_probe(probe);
-        let serve_id = engine.register(serve);
-
-        let recorder_id = observer.sample_every.map(|every| {
-            engine.register(RecorderComponent::with_gauges(
-                probe,
-                &gauges_with_batch(&SERVE_RECORDED_GAUGES, spec.am_batch),
-                every,
-                spec.config.horizon,
-                observer.window_budget,
-            ))
-        });
-
-        engine.schedule_at(
-            serve_id,
-            SimTime::ZERO,
-            ServeScenarioEvent::Serve(ServeEvent::Arrival),
-        );
-        if let Some(id) = recorder_id {
-            engine.schedule_at(
-                id,
-                SimTime::ZERO,
-                ServeScenarioEvent::Record(RecorderEvent::Sample),
-            );
-        }
-
-        if observer.profile {
-            engine.enable_profiler(&SERVE_COMPONENT_NAMES);
-        }
-        engine.run();
-        let profile = engine.take_profile();
-
-        let (timeseries, windowed, recorder_bytes) = match recorder_id {
-            Some(id) => {
-                let recorder = engine.component::<RecorderComponent>(id);
-                (
-                    recorder.timeseries(),
-                    recorder.windowed(),
-                    recorder.approx_bytes(),
-                )
-            }
-            None => (TimeSeries::new(Vec::new()), WindowedSeries::default(), 0),
-        };
-        let blame = match &observer.causal {
-            Some(log) => critical_path(log, "serve.done", &SERVE_COMPONENT_NAMES)
-                .map(|table| ("serve", table))
-                .into_iter()
-                .collect(),
-            None => Vec::new(),
-        };
-        let (causal_records, causal_dropped, causal_bytes) = match &observer.causal {
-            Some(log) => (log.len(), log.dropped(), log.approx_bytes()),
-            None => (0, 0, 0),
-        };
-
-        let serve = engine.component::<ServeComponent>(serve_id);
-        let observation_bytes = serve.observation_bytes() + causal_bytes + recorder_bytes;
-        probe
-            .gauge("probe.observation_bytes")
-            .set(observation_bytes as f64);
-        let outcome = ServeOutcome {
-            requests: serve.requests(),
-            completed: serve.completed(),
-            local_hits: serve.local_hits(),
-            server_hits: serve.server_hits(),
-            disk_reads: serve.disk_reads(),
-            sketch: serve.sketch().clone(),
-            exact_latencies: serve.exact_latencies().to_vec(),
-            workload_bytes: serve.workload_bytes(),
-            observation_bytes,
-            causal_records,
-            causal_dropped,
-        };
-        (
-            outcome,
-            ScenarioObservations {
-                blame,
-                timeseries,
-                windowed,
-                profile,
+        harness::run(
+            &Serve {
+                cluster: self,
+                spec,
             },
+            observer,
         )
-    }
-
-    /// Runs each `(spec, observer)` pair as an independent observed
-    /// serving run over up to `jobs` worker threads, in input order.
-    ///
-    /// As with [`NowCluster::run_scenarios_observed`], give each run its
-    /// own observer; callers sharing one enabled probe should keep
-    /// `jobs = 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`run_serve`](Self::run_serve).
-    pub fn run_serves_observed(
-        &self,
-        runs: &[(ServeSpec, ScenarioObserver)],
-        jobs: usize,
-    ) -> Vec<(ServeOutcome, ScenarioObservations)> {
-        run_indexed(jobs, runs, |_, (spec, observer)| {
-            self.run_serve_observed(spec, observer)
-        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cluster::Interconnect;
+    use std::sync::Arc;
+
     use now_cache::ThinkTime;
     use now_probe::causal::CausalLog;
-    use now_probe::{Probe, Registry};
+    use now_probe::Registry;
     use now_sim::SimDuration;
 
     fn cluster() -> NowCluster {
@@ -313,7 +245,7 @@ mod tests {
             .build()
     }
 
-    fn spec(population: u64) -> ServeSpec {
+    pub(crate) fn spec(population: u64) -> ServeSpec {
         ServeSpec {
             config: ServeConfig {
                 population,
@@ -425,19 +357,6 @@ mod tests {
             sparse_len * 16 < dense_len,
             "1-in-64 sampling must shrink the log: {sparse_len} vs {dense_len}"
         );
-    }
-
-    #[test]
-    fn parallel_fanout_matches_serial() {
-        let runs: Vec<(ServeSpec, ScenarioObserver)> = [20_000u64, 40_000, 80_000]
-            .iter()
-            .map(|&p| (spec(p), ScenarioObserver::disabled()))
-            .collect();
-        let serial = cluster().run_serves_observed(&runs, 1);
-        let fanned = cluster().run_serves_observed(&runs, 4);
-        for ((a, _), (b, _)) in serial.iter().zip(&fanned) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -112,29 +112,10 @@ mod tests {
         Fault(Fault),
     }
 
-    impl EventCast<InjectorEvent> for Ev {
-        fn upcast(e: InjectorEvent) -> Self {
-            Ev::Inject(e)
-        }
-        fn downcast(self) -> InjectorEvent {
-            match self {
-                Ev::Inject(e) => e,
-                other => panic!("expected an injector event, got {other:?}"),
-            }
-        }
-    }
-
-    impl EventCast<Fault> for Ev {
-        fn upcast(e: Fault) -> Self {
-            Ev::Fault(e)
-        }
-        fn downcast(self) -> Fault {
-            match self {
-                Ev::Fault(e) => e,
-                other => panic!("expected a fault, got {other:?}"),
-            }
-        }
-    }
+    now_sim::event_cast!(Ev {
+        Inject(InjectorEvent),
+        Fault(Fault),
+    });
 
     #[derive(Debug, Default)]
     struct Sink {

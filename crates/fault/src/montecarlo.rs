@@ -11,7 +11,7 @@
 //! Every estimator derives one child seed per trial from the root seed
 //! (`SimRng::fork_seed`, drawn serially up front), so trial *i* consumes
 //! its own private random stream. That makes each trial an independent
-//! pure function of its seed, which lets the `*_jobs` variants fan the
+//! pure function of its seed, which lets every estimator fan the
 //! trials out over [`now_sim::parallel::run_indexed`] worker threads
 //! while returning per-trial samples in input order. The mean is then a
 //! sequential sum over that ordered list, so the result is bit-identical
@@ -49,27 +49,13 @@ fn mean(samples: &[f64]) -> f64 {
 /// wins. Exponentials are memoryless, so surviving disks need no age
 /// bookkeeping.
 ///
-/// # Panics
-///
-/// Panics if `n < 2` or `trials == 0`.
-pub fn raid5_mttdl_hours(model: &FailureModel, n: u32, trials: u64, seed: u64) -> f64 {
-    raid5_mttdl_hours_jobs(model, n, trials, seed, 1)
-}
-
-/// [`raid5_mttdl_hours`] with the trials fanned out over `jobs` workers.
-///
-/// Bit-identical to the serial estimate for any `jobs`.
+/// The trials fan out over `jobs` workers; the estimate is
+/// bit-identical for any `jobs`.
 ///
 /// # Panics
 ///
 /// Panics if `n < 2` or `trials == 0`.
-pub fn raid5_mttdl_hours_jobs(
-    model: &FailureModel,
-    n: u32,
-    trials: u64,
-    seed: u64,
-    jobs: usize,
-) -> f64 {
+pub fn raid5_mttdl_hours(model: &FailureModel, n: u32, trials: u64, seed: u64, jobs: usize) -> f64 {
     assert!(n >= 2, "a parity group needs at least two disks");
     assert!(trials > 0, "need at least one trial");
     let seeds = trial_seeds(seed, trials);
@@ -99,22 +85,13 @@ fn raid5_trial(model: &FailureModel, n: f64, rng: &mut SimRng) -> f64 {
 /// cycle) or a host crash (outage lasts a reboot); service is lost when a
 /// second node goes out while the first is still down.
 ///
-/// # Panics
-///
-/// Panics if `n < 2` or `trials == 0`.
-pub fn software_service_mttf_hours(model: &FailureModel, n: u32, trials: u64, seed: u64) -> f64 {
-    software_service_mttf_hours_jobs(model, n, trials, seed, 1)
-}
-
-/// [`software_service_mttf_hours`] with the trials fanned out over
-/// `jobs` workers.
-///
-/// Bit-identical to the serial estimate for any `jobs`.
+/// The trials fan out over `jobs` workers; the estimate is
+/// bit-identical for any `jobs`.
 ///
 /// # Panics
 ///
 /// Panics if `n < 2` or `trials == 0`.
-pub fn software_service_mttf_hours_jobs(
+pub fn software_service_mttf_hours(
     model: &FailureModel,
     n: u32,
     trials: u64,
@@ -153,22 +130,13 @@ fn software_trial(model: &FailureModel, nf: f64, rng: &mut SimRng) -> f64 {
 /// behind a single host: whichever comes first, the double disk failure
 /// or the host crash.
 ///
-/// # Panics
-///
-/// Panics if `n < 2` or `trials == 0`.
-pub fn hardware_service_mttf_hours(model: &FailureModel, n: u32, trials: u64, seed: u64) -> f64 {
-    hardware_service_mttf_hours_jobs(model, n, trials, seed, 1)
-}
-
-/// [`hardware_service_mttf_hours`] with the trials fanned out over
-/// `jobs` workers.
-///
-/// Bit-identical to the serial estimate for any `jobs`.
+/// The trials fan out over `jobs` workers; the estimate is
+/// bit-identical for any `jobs`.
 ///
 /// # Panics
 ///
 /// Panics if `n < 2` or `trials == 0`.
-pub fn hardware_service_mttf_hours_jobs(
+pub fn hardware_service_mttf_hours(
     model: &FailureModel,
     n: u32,
     trials: u64,
@@ -200,7 +168,7 @@ mod tests {
     fn raid5_mttdl_matches_closed_form() {
         let m = FailureModel::paper_defaults();
         for n in [8, 16] {
-            let mc = raid5_mttdl_hours(&m, n, 2_000, 42);
+            let mc = raid5_mttdl_hours(&m, n, 2_000, 42, 1);
             let closed = m.raid5_mttdl_hours(n);
             assert!(
                 rel_err(mc, closed) < 0.15,
@@ -213,7 +181,7 @@ mod tests {
     fn software_service_matches_closed_form() {
         let m = FailureModel::paper_defaults();
         for n in [8, 16] {
-            let mc = software_service_mttf_hours(&m, n, 2_000, 42);
+            let mc = software_service_mttf_hours(&m, n, 2_000, 42, 1);
             let closed = m.software_raid_service_mttf_hours(n);
             assert!(
                 rel_err(mc, closed) < 0.15,
@@ -226,7 +194,7 @@ mod tests {
     fn hardware_service_matches_closed_form() {
         let m = FailureModel::paper_defaults();
         for n in [8, 16] {
-            let mc = hardware_service_mttf_hours(&m, n, 2_000, 42);
+            let mc = hardware_service_mttf_hours(&m, n, 2_000, 42, 1);
             let closed = m.hardware_raid_service_mttf_hours(n);
             assert!(
                 rel_err(mc, closed) < 0.15,
@@ -239,12 +207,12 @@ mod tests {
     fn estimates_are_deterministic_per_seed() {
         let m = FailureModel::paper_defaults();
         assert_eq!(
-            raid5_mttdl_hours(&m, 8, 500, 7),
-            raid5_mttdl_hours(&m, 8, 500, 7)
+            raid5_mttdl_hours(&m, 8, 500, 7, 1),
+            raid5_mttdl_hours(&m, 8, 500, 7, 1)
         );
         assert_ne!(
-            raid5_mttdl_hours(&m, 8, 500, 7),
-            raid5_mttdl_hours(&m, 8, 500, 8)
+            raid5_mttdl_hours(&m, 8, 500, 7, 1),
+            raid5_mttdl_hours(&m, 8, 500, 8, 1)
         );
     }
 
@@ -256,13 +224,16 @@ mod tests {
     fn n2000_estimates_are_pinned() {
         let m = FailureModel::paper_defaults();
         let pinned = [
-            (raid5_mttdl_hours(&m, 8, 2_000, 42), 0x417c20fe0b39d3e7u64),
             (
-                software_service_mttf_hours(&m, 8, 2_000, 42),
+                raid5_mttdl_hours(&m, 8, 2_000, 42, 1),
+                0x417c20fe0b39d3e7u64,
+            ),
+            (
+                software_service_mttf_hours(&m, 8, 2_000, 42, 1),
                 0x40ec7b9ce759a362u64,
             ),
             (
-                hardware_service_mttf_hours(&m, 8, 2_000, 42),
+                hardware_service_mttf_hours(&m, 8, 2_000, 42, 1),
                 0x408e0568a217ff55u64,
             ),
         ];
@@ -283,24 +254,24 @@ mod tests {
     fn parallel_estimates_are_bit_identical_to_serial() {
         let m = FailureModel::paper_defaults();
         let serial = (
-            raid5_mttdl_hours_jobs(&m, 8, 2_000, 42, 1),
-            software_service_mttf_hours_jobs(&m, 8, 2_000, 42, 1),
-            hardware_service_mttf_hours_jobs(&m, 8, 2_000, 42, 1),
+            raid5_mttdl_hours(&m, 8, 2_000, 42, 1),
+            software_service_mttf_hours(&m, 8, 2_000, 42, 1),
+            hardware_service_mttf_hours(&m, 8, 2_000, 42, 1),
         );
         for jobs in [2, 8] {
             assert_eq!(
                 serial.0.to_bits(),
-                raid5_mttdl_hours_jobs(&m, 8, 2_000, 42, jobs).to_bits(),
+                raid5_mttdl_hours(&m, 8, 2_000, 42, jobs).to_bits(),
                 "raid5 jobs={jobs}"
             );
             assert_eq!(
                 serial.1.to_bits(),
-                software_service_mttf_hours_jobs(&m, 8, 2_000, 42, jobs).to_bits(),
+                software_service_mttf_hours(&m, 8, 2_000, 42, jobs).to_bits(),
                 "software jobs={jobs}"
             );
             assert_eq!(
                 serial.2.to_bits(),
-                hardware_service_mttf_hours_jobs(&m, 8, 2_000, 42, jobs).to_bits(),
+                hardware_service_mttf_hours(&m, 8, 2_000, 42, jobs).to_bits(),
                 "hardware jobs={jobs}"
             );
         }

@@ -70,7 +70,7 @@ proptest! {
     ) {
         let n: u32 = if wide { 16 } else { 8 };
         let m = FailureModel::paper_defaults();
-        let mc = montecarlo::raid5_mttdl_hours(&m, n, 1_500, seed);
+        let mc = montecarlo::raid5_mttdl_hours(&m, n, 1_500, seed, 1);
         let closed = m.raid5_mttdl_hours(n);
         let err = (mc - closed).abs() / closed;
         prop_assert!(err < 0.15, "n={}, seed={}: MC {:.0} vs closed {:.0} ({:.1}%)", n, seed, mc, closed, err * 100.0);
@@ -83,8 +83,8 @@ proptest! {
 fn monte_carlo_reproduces_the_availability_ordering() {
     let m = FailureModel::paper_defaults();
     for n in [8u32, 16] {
-        let sw = montecarlo::software_service_mttf_hours(&m, n, 2_000, 42);
-        let hw = montecarlo::hardware_service_mttf_hours(&m, n, 2_000, 42);
+        let sw = montecarlo::software_service_mttf_hours(&m, n, 2_000, 42, 1);
+        let hw = montecarlo::hardware_service_mttf_hours(&m, n, 2_000, 42, 1);
         assert!(
             sw > hw,
             "n={n}: software {sw:.0} h must beat hardware {hw:.0} h"
@@ -112,29 +112,10 @@ mod partitioned {
         Fault(Fault),
     }
 
-    impl EventCast<InjectorEvent> for Ev {
-        fn upcast(e: InjectorEvent) -> Self {
-            Ev::Inject(e)
-        }
-        fn downcast(self) -> InjectorEvent {
-            match self {
-                Ev::Inject(e) => e,
-                other => panic!("expected an injector event, got {other:?}"),
-            }
-        }
-    }
-
-    impl EventCast<Fault> for Ev {
-        fn upcast(e: Fault) -> Self {
-            Ev::Fault(e)
-        }
-        fn downcast(self) -> Fault {
-            match self {
-                Ev::Fault(e) => e,
-                other => panic!("expected a fault, got {other:?}"),
-            }
-        }
-    }
+    now_sim::event_cast!(Ev {
+        Inject(InjectorEvent),
+        Fault(Fault),
+    });
 
     #[derive(Debug, Default)]
     struct Sink {

@@ -161,16 +161,8 @@ struct Proc {
     sent_step: i64,
 }
 
-/// Runs `app` under `scheduling` and returns its completion time.
-///
-/// # Panics
-///
-/// Panics on degenerate configurations (fewer than 2 nodes, zero steps).
-pub fn run(app: &AppSpec, scheduling: Scheduling, config: &CoschedConfig) -> SimDuration {
-    run_probed(app, scheduling, config, &Probe::disabled())
-}
-
-/// [`run`] with telemetry:
+/// Runs `app` under `scheduling` and returns its completion time,
+/// publishing telemetry on `probe`:
 ///
 /// * `cosched.quanta` — quanta elapsed until completion;
 /// * `cosched.slot_moves` — nodes whose app slot migrated between
@@ -186,7 +178,7 @@ pub fn run(app: &AppSpec, scheduling: Scheduling, config: &CoschedConfig) -> Sim
 /// # Panics
 ///
 /// Panics on degenerate configurations (fewer than 2 nodes, zero steps).
-pub fn run_probed(
+pub fn run(
     app: &AppSpec,
     scheduling: Scheduling,
     config: &CoschedConfig,
@@ -463,34 +455,24 @@ fn pick_other(rng: &mut SimRng, n: usize, me: usize) -> usize {
 }
 
 /// The slowdown of local scheduling relative to gang scheduling for the
-/// same application and competing load.
-pub fn slowdown(app: &AppSpec, config: &CoschedConfig) -> f64 {
-    slowdown_probed(app, config, &Probe::disabled())
-}
-
-/// [`slowdown`] with telemetry (both the gang and local runs fire the
-/// `cosched.*` probes described on [`run_probed`]).
-pub fn slowdown_probed(app: &AppSpec, config: &CoschedConfig, probe: &Probe) -> f64 {
-    let gang = run_probed(app, Scheduling::Gang, config, probe);
-    let local = run_probed(app, Scheduling::Local, config, probe);
+/// same application and competing load (both the gang and local runs
+/// fire the `cosched.*` probes described on [`run`]).
+pub fn slowdown(app: &AppSpec, config: &CoschedConfig, probe: &Probe) -> f64 {
+    let gang = run(app, Scheduling::Gang, config, probe);
+    let local = run(app, Scheduling::Local, config, probe);
     local.ratio(gang)
 }
 
 /// Generates the Figure 4 series: for each application, slowdown at 0..=3
-/// competing jobs.
-pub fn figure4_series() -> Vec<(String, Vec<(f64, f64)>)> {
-    figure4_series_probed(&Probe::disabled())
-}
-
-/// [`figure4_series`] with telemetry aggregated across every run.
-pub fn figure4_series_probed(probe: &Probe) -> Vec<(String, Vec<(f64, f64)>)> {
+/// competing jobs, with telemetry aggregated across every run.
+pub fn figure4_series(probe: &Probe) -> Vec<(String, Vec<(f64, f64)>)> {
     AppSpec::figure4_apps()
         .iter()
         .map(|app| {
             let points = (0..=3)
                 .map(|j| {
                     let config = CoschedConfig::paper_defaults(j);
-                    (f64::from(j), slowdown_probed(app, &config, probe))
+                    (f64::from(j), slowdown(app, &config, probe))
                 })
                 .collect();
             (app.name.to_string(), points)
@@ -507,7 +489,7 @@ mod tests {
     }
 
     fn slow(app: &AppSpec, j: u32) -> f64 {
-        slowdown(app, &CoschedConfig::paper_defaults(j))
+        slowdown(app, &CoschedConfig::paper_defaults(j), &Probe::disabled())
     }
 
     #[test]
@@ -586,8 +568,18 @@ mod tests {
         // Gang-scheduled completion time grows with the number of
         // competing jobs (the app gets 1/(1+j) of the machine).
         let app = &apps()[0];
-        let t1 = run(app, Scheduling::Gang, &CoschedConfig::paper_defaults(0));
-        let t3 = run(app, Scheduling::Gang, &CoschedConfig::paper_defaults(2));
+        let t1 = run(
+            app,
+            Scheduling::Gang,
+            &CoschedConfig::paper_defaults(0),
+            &Probe::disabled(),
+        );
+        let t3 = run(
+            app,
+            Scheduling::Gang,
+            &CoschedConfig::paper_defaults(2),
+            &Probe::disabled(),
+        );
         let ratio = t3.ratio(t1);
         assert!((2.0..4.5).contains(&ratio), "gang scaling {ratio}");
     }
@@ -597,14 +589,14 @@ mod tests {
         let app = &apps()[3];
         let config = CoschedConfig::paper_defaults(2);
         assert_eq!(
-            run(app, Scheduling::Local, &config),
-            run(app, Scheduling::Local, &config)
+            run(app, Scheduling::Local, &config, &Probe::disabled()),
+            run(app, Scheduling::Local, &config, &Probe::disabled())
         );
     }
 
     #[test]
     fn figure4_series_shape() {
-        let series = figure4_series();
+        let series = figure4_series(&Probe::disabled());
         assert_eq!(series.len(), 4);
         for (name, points) in &series {
             assert_eq!(points.len(), 4, "{name}");

@@ -207,6 +207,7 @@ mod tests {
         let quantum_model = slowdown(
             &AppSpec::figure4_apps()[3],
             &CoschedConfig::paper_defaults(2),
+            &now_probe::Probe::disabled(),
         );
         let protocol_model = am_slowdown(2);
         assert!(quantum_model > 10.0 && protocol_model > 10.0);
@@ -214,6 +215,7 @@ mod tests {
         let quantum_1 = slowdown(
             &AppSpec::figure4_apps()[3],
             &CoschedConfig::paper_defaults(1),
+            &now_probe::Probe::disabled(),
         );
         let protocol_1 = am_slowdown(1);
         assert!(quantum_model > quantum_1);

@@ -34,8 +34,8 @@ proptest! {
             pattern,
         };
         let config = CoschedConfig::paper_defaults(competing);
-        let gang = run(&app, Scheduling::Gang, &config);
-        let local = run(&app, Scheduling::Local, &config);
+        let gang = run(&app, Scheduling::Gang, &config, &now_probe::Probe::disabled());
+        let local = run(&app, Scheduling::Local, &config, &now_probe::Probe::disabled());
         prop_assert!(local >= gang, "local {local} beat gang {gang} for {pattern:?}");
     }
 

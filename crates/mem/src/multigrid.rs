@@ -393,38 +393,24 @@ impl RunResult {
 
 /// Runs a `problem_mb`-MB multigrid problem under `memory` with the paper's
 /// application parameters.
+///
+/// # Panics
+///
+/// Panics if the problem is empty.
 pub fn run(problem_mb: u64, memory: MemoryConfig) -> RunResult {
-    run_with(problem_mb, memory, MultigridConfig::paper_defaults())
+    run_probed(problem_mb, memory, &Probe::disabled())
 }
 
 /// [`run`] with telemetry: the pager's `pager.*` / `netram.*` probes fire,
 /// and the whole run is recorded as a `mem/multigrid` span of simulated
 /// time (with the problem size as an argument).
+///
+/// # Panics
+///
+/// Panics if the problem is empty.
 pub fn run_probed(problem_mb: u64, memory: MemoryConfig, probe: &Probe) -> RunResult {
-    run_with_probed(problem_mb, memory, MultigridConfig::paper_defaults(), probe)
-}
-
-/// Runs with explicit application parameters.
-///
-/// # Panics
-///
-/// Panics if the problem is empty.
-pub fn run_with(problem_mb: u64, memory: MemoryConfig, app: MultigridConfig) -> RunResult {
-    run_with_probed(problem_mb, memory, app, &Probe::disabled())
-}
-
-/// [`run_with`] with telemetry (see [`run_probed`]).
-///
-/// # Panics
-///
-/// Panics if the problem is empty.
-pub fn run_with_probed(
-    problem_mb: u64,
-    memory: MemoryConfig,
-    app: MultigridConfig,
-    probe: &Probe,
-) -> RunResult {
     assert!(problem_mb > 0, "problem must have pages");
+    let app = MultigridConfig::paper_defaults();
     let pages = problem_mb * 1024 * 1024 / PAGE_BYTES;
     let mut pager = memory.build_pager();
     pager.set_probe(probe.clone());

@@ -154,11 +154,6 @@ impl NetworkRam {
         self.mirrored = on;
     }
 
-    /// Whether the pool mirrors every page on a second host.
-    pub fn is_mirrored(&self) -> bool {
-        self.mirrored
-    }
-
     /// Total free frames across the pool (departed hosts contribute none).
     pub fn free_pages(&self) -> u64 {
         self.used.iter().map(|&u| self.per_host_pages - u).sum()

@@ -71,6 +71,45 @@ impl<E> EventCast<E> for E {
     }
 }
 
+/// Implements [`EventCast`] for each `Variant(Payload)` of an engine's
+/// event enum: `upcast` wraps the payload in its variant, and `downcast`
+/// unwraps it, panicking on any other variant (a routing bug).
+///
+/// ```
+/// use now_sim::EventCast;
+///
+/// #[derive(Debug)]
+/// enum Ev {
+///     Tick(u32),
+///     Stop(bool),
+/// }
+/// now_sim::event_cast!(Ev { Tick(u32), Stop(bool) });
+///
+/// assert!(matches!(Ev::upcast(7u32), Ev::Tick(7)));
+/// assert!(<Ev as EventCast<bool>>::downcast(Ev::Stop(true)));
+/// ```
+#[macro_export]
+macro_rules! event_cast {
+    ($event:ident { $($variant:ident($payload:ty)),+ $(,)? }) => {
+        $(
+            impl $crate::EventCast<$payload> for $event {
+                fn upcast(ev: $payload) -> Self {
+                    $event::$variant(ev)
+                }
+                fn downcast(self) -> $payload {
+                    match self {
+                        $event::$variant(ev) => ev,
+                        other => panic!(
+                            concat!("expected a ", stringify!($variant), " event, got {:?}"),
+                            other
+                        ),
+                    }
+                }
+            }
+        )+
+    };
+}
+
 /// A shared communication fabric the engine charges remote traffic
 /// against.
 ///
@@ -1155,11 +1194,6 @@ impl<M: 'static> Engine<M> {
         let any: &mut dyn Any = component;
         any.downcast_mut::<C>()
             .expect("component type mismatch: wrong ComponentId for this type")
-    }
-
-    /// The cost model, e.g. to inspect a fabric's state after a run.
-    pub fn cost_model_mut(&mut self) -> &mut CostModel {
-        &mut self.cost
     }
 }
 

@@ -143,11 +143,6 @@ impl<M: Send + 'static> PartitionedEngine<M> {
         id
     }
 
-    /// The partition a component is homed in.
-    pub fn home_of(&self, id: ComponentId) -> u32 {
-        self.home[id.0]
-    }
-
     /// Seeds an event for `dst` at absolute time `time` into `dst`'s home
     /// partition, rooting a fresh trace exactly like
     /// [`Engine::schedule_at`].

@@ -303,23 +303,6 @@ impl<E> EventQueue<E> {
             .map(|(time, _)| time)
     }
 
-    /// [`EventQueue::peek_time`] that also discards any tombstones sitting
-    /// at the top of the heap, reclaiming their storage immediately. The
-    /// live-top invariant makes this equivalent to `peek_time` in normal
-    /// operation; it exists for callers that want compaction on a borrow
-    /// they already hold mutably.
-    ///
-    /// Like every `&mut` method here, this assumes a single consumer; the
-    /// partitioned engine only calls it between windows, when the owning
-    /// worker thread has been joined (see [`PendingSet`]'s invariant
-    /// notes). Compaction never reorders live events — it only drops
-    /// tombstones — so peeking the window edge through this method and
-    /// then injecting envelopes at or past that edge is safe.
-    pub fn peek_time_compacting(&mut self) -> Option<SimTime> {
-        self.drain_dead_top();
-        self.peek_time()
-    }
-
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -540,20 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_compacting_agrees_with_peek_time() {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..10)
-            .map(|i| q.schedule_at(SimTime::from_micros(i), i))
-            .collect();
-        for id in &ids[..5] {
-            q.cancel(*id);
-        }
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
-        assert_eq!(q.peek_time_compacting(), Some(SimTime::from_micros(5)));
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
     fn cancelled_top_never_surfaces_through_peek() {
         let mut q = EventQueue::new();
         // Cancel the earliest events in a different order than scheduled,
@@ -608,7 +577,7 @@ mod tests {
         q.schedule_at(SimTime::from_micros(98), 1_000);
         q.schedule_at(SimTime::from_micros(99), 1_001);
         // Drain the window: everything strictly before `edge`.
-        while q.peek_time_compacting().is_some_and(|t| t < edge) {
+        while q.peek_time().is_some_and(|t| t < edge) {
             q.pop();
         }
         assert_eq!(q.now(), SimTime::from_micros(99));

@@ -10,7 +10,7 @@
 //! * [`TimeWeighted`] — integrates a step function over simulated time, for
 //!   utilization and occupancy ("more than 60% of workstations available").
 
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
 ///
@@ -56,11 +56,6 @@ impl Accumulator {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Adds a duration observation in microseconds (common unit here).
-    pub fn add_duration_micros(&mut self, d: SimDuration) {
-        self.add(d.as_micros_f64());
     }
 
     /// Number of observations.

@@ -121,7 +121,10 @@ fn figure4_shape_app_sensitivity_ordering() {
     use now_glunix::cosched::{slowdown, AppSpec, CoschedConfig};
     let apps = AppSpec::figure4_apps();
     let config = CoschedConfig::paper_defaults(2);
-    let s: Vec<f64> = apps.iter().map(|a| slowdown(a, &config)).collect();
+    let s: Vec<f64> = apps
+        .iter()
+        .map(|a| slowdown(a, &config, &now_probe::Probe::disabled()))
+        .collect();
     // random small msgs ≈ 1; Column and Em3d clearly slowed; Connect worst.
     assert!(s[0] < 1.6, "random {s:?}");
     assert!(s[1] > 2.0 && s[2] > 2.0, "column/em3d {s:?}");
