@@ -292,11 +292,12 @@ impl NowCluster {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use std::sync::Arc;
 
     use crate::cluster::Interconnect;
+    use crate::harness::tests::assert_fanout_matches_serial;
     use now_probe::causal::CausalLog;
     use now_probe::Registry;
     use now_sim::SimDuration;
@@ -308,7 +309,7 @@ pub(crate) mod tests {
             .build()
     }
 
-    pub(crate) fn spec(strategy: FetchStrategy, fetchers: u32) -> DistributeSpec {
+    fn spec(strategy: FetchStrategy, fetchers: u32) -> DistributeSpec {
         DistributeSpec {
             catalog: ImageCatalogSpec::smoke(11),
             fetchers,
@@ -367,6 +368,12 @@ pub(crate) mod tests {
         assert!(observed.causal_records > 0);
         let (_, blame) = &obs.blame[0];
         assert!(blame.total > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn parallel_fanout_matches_serial() {
+        let fetchers = [2u32, 4, 8].map(|f| spec(FetchStrategy::Cooperative, f));
+        assert_fanout_matches_serial(fetchers.to_vec(), NowCluster::run_distribute_observed);
     }
 
     #[test]

@@ -450,16 +450,16 @@ impl<M: EventCast<RecorderEvent> + 'static> Component<M> for RecorderComponent {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::fmt::Debug;
 
     use super::*;
     use crate::scenario::tests::{cluster, small_spec};
-    use crate::{distribute, serve, FetchStrategy, ScenarioSpec};
+    use crate::ScenarioSpec;
 
     /// `run_many` over unobserved runs of `specs` returns the serial
     /// outcomes, in input order, at 4 workers as at 1.
-    fn assert_fanout_matches_serial<S: Sync, O: Send + PartialEq + Debug>(
+    pub(crate) fn assert_fanout_matches_serial<S: Sync, O: Send + PartialEq + Debug>(
         specs: Vec<S>,
         run: fn(&NowCluster, &S, &ScenarioObserver) -> (O, ScenarioObservations),
     ) {
@@ -474,8 +474,9 @@ mod tests {
         assert_eq!(outcomes(1), outcomes(4));
     }
 
-    /// Fanning independent runs over worker threads returns exactly the
-    /// serial results, in input order, for every kind of spec.
+    /// Fanning independent scenario runs over worker threads returns
+    /// exactly the serial results, in input order. The serve and distribute
+    /// modules check their own spec kinds through the same helper.
     #[test]
     fn run_many_matches_serial() {
         let flows = [0u32, 2, 4].map(|background_flows| ScenarioSpec {
@@ -483,9 +484,5 @@ mod tests {
             ..small_spec()
         });
         assert_fanout_matches_serial(flows.to_vec(), NowCluster::run_scenario_observed);
-        let populations = [20_000u64, 40_000, 80_000].map(serve::tests::spec);
-        assert_fanout_matches_serial(populations.to_vec(), NowCluster::run_serve_observed);
-        let fetchers = [2u32, 4, 8].map(|f| distribute::tests::spec(FetchStrategy::Cooperative, f));
-        assert_fanout_matches_serial(fetchers.to_vec(), NowCluster::run_distribute_observed);
     }
 }

@@ -228,9 +228,10 @@ impl NowCluster {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::cluster::Interconnect;
+    use crate::harness::tests::assert_fanout_matches_serial;
     use std::sync::Arc;
 
     use now_cache::ThinkTime;
@@ -245,7 +246,7 @@ pub(crate) mod tests {
             .build()
     }
 
-    pub(crate) fn spec(population: u64) -> ServeSpec {
+    fn spec(population: u64) -> ServeSpec {
         ServeSpec {
             config: ServeConfig {
                 population,
@@ -357,6 +358,12 @@ pub(crate) mod tests {
             sparse_len * 16 < dense_len,
             "1-in-64 sampling must shrink the log: {sparse_len} vs {dense_len}"
         );
+    }
+
+    #[test]
+    fn parallel_fanout_matches_serial() {
+        let populations = [20_000u64, 40_000, 80_000].map(spec);
+        assert_fanout_matches_serial(populations.to_vec(), NowCluster::run_serve_observed);
     }
 
     #[test]
