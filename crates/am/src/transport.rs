@@ -8,7 +8,6 @@
 //! other exactly as the paper argues NOW subsystems must.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use now_net::{CsmaBus, Fabric, Network, NicAttachment, NodeId, SoftwareCosts};
 use now_probe::Probe;
@@ -20,12 +19,9 @@ use crate::layer::BatchConfig;
 /// [`Network`] — fabric occupancy, software stack, and NIC overhead
 /// included.
 ///
-/// The network lives behind an `Arc<Mutex<_>>` so several observers (for
-/// example a benchmark harness sampling probe counters) can hold the same
-/// occupancy state the engine is charging against. Each engine drives its
-/// transport from one thread at a time — partitioned runs move whole
-/// engines between threads rather than sharing one — so the lock is
-/// uncontended; it exists to satisfy the `Transport: Send` bound.
+/// The transport owns its network: every component of the engine that
+/// holds it contends for the same occupancy state, and nothing outside
+/// the engine touches it. Observe the fabric through the network's probe.
 ///
 /// # Example
 ///
@@ -42,26 +38,13 @@ use crate::layer::BatchConfig;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FabricTransport {
-    net: Arc<Mutex<Network>>,
+    net: Network,
 }
 
 impl FabricTransport {
-    /// Wraps a network in a transport, taking sole ownership.
+    /// Wraps a network in a transport, taking ownership.
     pub fn new(net: Network) -> Self {
-        FabricTransport {
-            net: Arc::new(Mutex::new(net)),
-        }
-    }
-
-    /// Wraps an already-shared network handle, so the caller can keep
-    /// observing (or probing) the same occupancy state the engine charges.
-    pub fn shared(net: Arc<Mutex<Network>>) -> Self {
         FabricTransport { net }
-    }
-
-    /// The shared network handle.
-    pub fn handle(&self) -> Arc<Mutex<Network>> {
-        self.net.clone()
     }
 }
 
@@ -74,11 +57,7 @@ impl Transport for FabricTransport {
         if src == dst {
             return TransferCost::free(now); // local copy: the fabric is not involved
         }
-        let out = self
-            .net
-            .lock()
-            .unwrap()
-            .transfer(NodeId(src), NodeId(dst), bytes, now);
+        let out = self.net.transfer(NodeId(src), NodeId(dst), bytes, now);
         TransferCost {
             delivered: out.delivered_at,
             overhead: out.send_cpu + out.recv_cpu,
@@ -273,26 +252,6 @@ mod tests {
             .delivered_at;
         let mut t = FabricTransport::new(presets::am_atm(8));
         assert_eq!(t.transfer(1, 2, 4_096, SimTime::ZERO), expect);
-    }
-
-    #[test]
-    fn shared_handle_sees_the_engine_occupancy() {
-        let net = Arc::new(Mutex::new(presets::am_atm(8)));
-        let mut t = FabricTransport::shared(net.clone());
-        // Drive traffic through the transport, then observe contention
-        // through the retained handle: a later transfer queues behind it.
-        let first = t.transfer(0, 1, 1 << 20, SimTime::ZERO);
-        // Same destination link: the switched fabric must queue it.
-        let second = net
-            .lock()
-            .unwrap()
-            .transfer(NodeId(2), NodeId(1), 64, SimTime::ZERO)
-            .delivered_at;
-        assert!(first > SimTime::ZERO);
-        assert!(
-            second.saturating_since(SimTime::ZERO) > SimDuration::from_micros(100),
-            "the small message should queue behind the megabyte transfer"
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! repro contention --timeseries-out ts.csv   # flight-recorder samples (.json for JSON)
 //! repro contention --jobs 4        # fan independent runs over 4 threads
 //! repro contention --nodes 256     # 8 cells of 32 nodes per sweep point
-//! repro contention --nodes 256 --partitions 4  # shard each run over 4 cores
+//! repro contention --nodes 256 --partitions 4  # run each point's cells on 4 threads
 //! repro contention --util          # append the resource-utilization observatory
 //! repro contention --profile       # append host-time profile (where the wall went)
 //! repro serve --profile-out out.collapsed  # flamegraph-ready collapsed stacks
@@ -29,15 +29,14 @@
 //! machine's available parallelism and `--jobs 1` forces the legacy
 //! serial path. Output is byte-identical whatever the worker count.
 //!
-//! `--partitions N` (or `NOW_PARTITIONS`) shards each *single* run over N
-//! engine partitions — parallelism inside one simulation, orthogonal to
-//! `--jobs`' fan-out across runs. `--nodes N` (a multiple of 32) scales
-//! the contention scenario to N/32 independent 32-node cells, which is
-//! what gives a run enough width to shard. `--partitions 0` asks for one
-//! partition per core; requests clamp to the cell count, so the
-//! availability and serve reports (single-cell runs) stay serial. Output
-//! is byte-identical whatever the partition count — only wall-clock time
-//! moves.
+//! `--partitions N` (or `NOW_PARTITIONS`) runs the cells of each
+//! *multi-cell* run over N threads — parallelism inside one run,
+//! orthogonal to `--jobs`' fan-out across runs. `--nodes N` (a multiple of
+//! 32) scales the contention scenario to N/32 independent 32-node cells,
+//! each its own serial engine. `--partitions 0` asks for one thread per
+//! core; requests clamp to the cell count, so single-cell runs (the
+//! availability, serve, and distribute reports) stay serial. Output is
+//! byte-identical whatever the value — only wall-clock time moves.
 
 use std::env;
 use std::process::exit;
@@ -89,7 +88,7 @@ const SCENARIO_ALIASES: &[&str] = &["figure1", "figure2", "figure3", "figure4"];
 /// The report flags that take a value, with what the value must be.
 const VALUE_FLAGS: &[(&str, &str)] = &[
     ("--jobs", "a positive worker count"),
-    ("--partitions", "a partition count (0 = one per core)"),
+    ("--partitions", "a thread count (0 = one per core)"),
     ("--nodes", "a positive multiple of 32"),
     ("--am-batch", "a flush quantum in microseconds (0 = off)"),
     ("--metrics-out", "a file path"),
@@ -120,7 +119,7 @@ fn usage() -> String {
          \x20 --smoke                smaller sweeps and fewer Monte-Carlo trials\n\
          \x20 --blame                append critical-path blame tables\n\
          \x20 --jobs N               fan independent runs over N worker threads\n\
-         \x20 --partitions N         shard each run over N engine partitions (0 = per core)\n\
+         \x20 --partitions N         run a multi-cell run's cells over N threads (0 = per core)\n\
          \x20 --nodes N              scale scaled scenarios to N nodes (multiple of 32)\n\
          \x20 --am-batch N           active-message flush quantum in us (0 = batching off)\n\
          \x20 --metrics[=FMT]        append the probe snapshot (text|csv|json)\n\

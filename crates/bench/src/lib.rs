@@ -376,9 +376,9 @@ pub struct ReportOptions {
     /// runs `nodes / 32` independent 32-node cells per point, and the
     /// distribution sweep extends to `nodes` fetchers.
     pub nodes: u32,
-    /// Engine partitions each single run is sharded over (0 = one per
-    /// core). Requests clamp to the run's cell count, so only multi-cell
-    /// contention runs actually shard.
+    /// Worker threads a multi-cell run spreads its cells over (0 = one
+    /// per core). Requests clamp to the run's cell count, so only
+    /// multi-cell contention runs use more than one.
     pub partitions: u32,
     /// Active-message flush quantum in microseconds (0 = batching off,
     /// byte-identical to the classic transport).
@@ -514,9 +514,9 @@ fn sweep<S: Sync, O: Send>(
 /// `blame` appends a blame table per background-load point (where the
 /// BSP job's makespan went) and `record` returns the flight recorder's
 /// series per point. At `nodes = 32` this is the classic single-cell
-/// report; beyond that every point runs a population of cells, sharded
-/// over `partitions`, and the title says so. The table is byte-identical
-/// at every `jobs` and `partitions` value.
+/// report; beyond that every point runs a population of cells, spread
+/// over `partitions` threads, and the title says so. The table is
+/// byte-identical at every `jobs` and `partitions` value.
 ///
 /// # Panics
 ///
@@ -660,9 +660,9 @@ pub fn am_batching_table() -> String {
 /// `blame` appends, per fault scenario, a blame table for the BSP job's
 /// makespan (where the stall went) and — when a disk rebuild ran — for
 /// the rebuild chain; `record` returns the flight recorder's series per
-/// scenario. `partitions` is threaded onto every spec, but injected
-/// faults cannot shard, so every run is a single serial cell; `nodes`
-/// and `am_batch_us` do not apply.
+/// scenario. `partitions` is threaded onto every spec, but faulted runs
+/// stay at one cell, so every run is serial; `nodes` and `am_batch_us`
+/// do not apply.
 pub fn availability(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
     use now_fault::montecarlo;
     use now_raid::availability::FailureModel;

@@ -282,34 +282,6 @@ impl NowCluster {
         mixed::now_cluster(jobs, usage, &config)
     }
 
-    /// Maps `cells` replicated scenario cells onto engine partitions:
-    /// `result[c]` is the partition cell `c` is homed in.
-    ///
-    /// The planner is topology-aware in the sense that matters for this
-    /// cluster: every cell owns a *disjoint* copy of the interconnect
-    /// (its fabric occupancy is shared with nobody), so any cell map is
-    /// event-closed and the only resource partitions contend for is the
-    /// host machine's cores. The best cut is therefore balanced,
-    /// contiguous blocks — partition sizes differ by at most one cell,
-    /// and neighbouring cells (which the building-scale interconnect
-    /// would place on the same floor switch) stay together.
-    ///
-    /// `requested = 0` asks for auto: one partition per available core,
-    /// never more than one per cell. Any request is clamped to
-    /// `[1, cells]`; a single cell always yields the serial plan `[0]`.
-    pub fn plan_partitions(&self, cells: u32, requested: u32) -> Vec<u32> {
-        let cells = cells.max(1);
-        let want = if requested == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get() as u32)
-        } else {
-            requested
-        };
-        let p = want.clamp(1, cells);
-        (0..cells)
-            .map(|c| (u64::from(c) * u64::from(p) / u64::from(cells)) as u32)
-            .collect()
-    }
-
     /// Predicts the Gator atmospheric-model run time on this cluster using
     /// the Demmel–Smith model with this cluster's parameters.
     pub fn predict_gator(&self) -> GatorPrediction {

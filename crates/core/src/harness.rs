@@ -55,8 +55,8 @@ pub struct ScenarioObserver {
     pub window_budget: Option<usize>,
     /// When set, the engine attributes host (wall-clock) time to each
     /// component and [`ScenarioObservations::profile`] carries the
-    /// [`HostProfile`]. Serial runs only: multi-cell runs interleave
-    /// partitions on threads, where per-component wall time has no single
+    /// [`HostProfile`]. Serial runs only: multi-cell runs spread their
+    /// cells over threads, where per-component wall time has no single
     /// meaning, so they skip profiling. The simulated history is
     /// byte-identical either way.
     pub profile: bool,
@@ -168,7 +168,7 @@ impl<M: Send + 'static> Host<M> for PartitionedEngine<M> {
         PartitionedEngine::set_causal_sink_sampled(self, sink, every);
     }
     fn run_profiled(&mut self, _labels: Option<&[&str]>) -> Option<HostProfile> {
-        // Partitions interleave on threads: per-component wall time has
+        // Cells run concurrently on threads: per-component wall time has
         // no single meaning, so multi-cell runs are never profiled.
         self.run();
         None
@@ -238,27 +238,26 @@ pub(crate) trait Workload {
     fn outcome(&self, engine: &Self::Engine, ids: Self::Ids, acct: &Accounting) -> Self::Outcome;
 }
 
-/// A serial engine over `cluster`'s live fabric, probed through `probe`:
+/// A private copy of `cluster`'s live fabric, probed through `probe`:
 /// the priced network, wrapped in the batching aggregator only when a
 /// nonzero flush quantum asks for it. With batching off the fabric is
 /// boxed bare, so disabled runs carry zero extra state and stay
 /// byte-identical to the pre-batching transport.
-pub(crate) fn fabric_engine<M: 'static>(
+pub(crate) fn fabric_transport(
     cluster: &NowCluster,
     batch: BatchConfig,
     probe: &Probe,
-) -> Engine<M> {
+) -> Box<dyn Transport> {
     let mut network = cluster.interconnect().network(cluster.nodes());
     network.set_probe(probe.clone());
     let fabric = FabricTransport::new(network);
-    let transport: Box<dyn Transport> = if batch.enabled() {
+    if batch.enabled() {
         let mut wrapped = BatchingTransport::new(fabric, batch);
         wrapped.set_probe(probe.clone());
         Box::new(wrapped)
     } else {
         Box::new(fabric)
-    };
-    Engine::with_transport(transport)
+    }
 }
 
 /// Runs `workload` once under `observer` (see the module docs for what

@@ -17,9 +17,9 @@
 //! process on node `k`, the netram hosts on `k+1..=k+h`, and the file
 //! server on node `n-1`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use now_am::{BatchConfig, BatchingTransport, FabricTransport};
+use now_am::BatchConfig;
 use now_cache::{CacheComponent, CacheConfig, CacheEvent, Policy, SimResult};
 use now_fault::{Fault, FaultInjectorComponent, FaultPlan, InjectorEvent};
 use now_glunix::membership::MembershipConfig;
@@ -27,9 +27,10 @@ use now_mem::multigrid::{MemoryConfig, MultigridConfig, RunResult, PAGE_BYTES};
 use now_mem::{MultigridComponent, PageEvent, RemoteAccessCost};
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
+use now_sim::parallel::default_jobs;
 use now_sim::{
-    Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast, Lookahead,
-    PartitionedEngine, SimDuration, SimTime, TransferCost, Transport,
+    Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast, PartitionedEngine,
+    SimDuration, SimTime, TransferCost,
 };
 use now_trace::fs::{FsTrace, FsTraceConfig};
 use serde::{Deserialize, Serialize};
@@ -37,7 +38,7 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::NowCluster;
 use crate::control::{ClusterControl, ControlEvent, ControlWiring, FaultOutcome};
 use crate::harness::{
-    self, fabric_engine, Accounting, Host, RecorderEvent, Recording, ScenarioObservations,
+    self, fabric_transport, Accounting, Host, RecorderEvent, Recording, ScenarioObservations,
     ScenarioObserver, Workload,
 };
 
@@ -408,17 +409,16 @@ pub struct ScenarioSpec {
     pub fault_restart_delay: SimDuration,
     /// Reconstruction data streamed per replaced disk, MB.
     pub raid_rebuild_mb: u64,
-    /// Independent copies of the scenario run side by side, each on its
-    /// own replica of the cluster's fabric (cell `c` uses nodes
-    /// `c*nodes..(c+1)*nodes` and seed `seed + c`). `1` is the classic
-    /// single-cell run; larger values model a building-scale NOW as a
-    /// population of 32-node cells and are what `--nodes 256` expands to.
+    /// Independent copies of the scenario run side by side: cell `c` is
+    /// the single-cell run at seed `seed + c`, on its own engine and its
+    /// own replica of the cluster's fabric. `1` is the classic single-cell
+    /// run; larger values model a building-scale NOW as a population of
+    /// 32-node cells and are what `--nodes 256` expands to.
     pub cells: u32,
-    /// Engine partitions the cells are sharded over (conservative
-    /// parallel execution). Clamped to `[1, cells]`; `0` asks for one
-    /// partition per available core. The simulated history, outcome, and
-    /// every observation are byte-identical at any value — partitioning
-    /// only changes wall-clock time.
+    /// Worker threads a multi-cell run spreads its cells over. Clamped to
+    /// `[1, cells]`; `0` asks for one per available core. The simulated
+    /// history, outcome, and every observation are byte-identical at any
+    /// value — only wall-clock time changes.
     pub partitions: u32,
     /// Active-message batching knobs for the scenario fabric. The
     /// default (zero flush quantum) is batching off, which reproduces
@@ -489,41 +489,6 @@ pub struct ScenarioOutcome {
 const CELL_COMPONENT_NAMES: [&str; 6] =
     ["job", "paging", "cache", "traffic", "control", "injector"];
 
-/// One partition's view of a multi-cell run: cell `c` owns global nodes
-/// `c*nodes_per_cell..(c+1)*nodes_per_cell` and a private fabric, and this
-/// transport routes each transfer to the owning cell's [`FabricTransport`]
-/// with node ids translated back to the cell's local numbering.
-///
-/// Cells never exchange traffic — that closure is exactly what lets
-/// [`PartitionedEngine`] run them under [`Lookahead::Closed`] with no
-/// synchronization windows at all — so a cross-cell transfer is a bug and
-/// panics.
-struct CellTransport {
-    nodes_per_cell: u32,
-    cells: BTreeMap<u32, BatchingTransport<FabricTransport>>,
-}
-
-impl Transport for CellTransport {
-    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime {
-        self.transfer_detailed(src, dst, bytes, now).delivered
-    }
-
-    fn transfer_detailed(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
-        let npc = self.nodes_per_cell;
-        let cell = src / npc;
-        assert_eq!(
-            dst / npc,
-            cell,
-            "cells never exchange traffic: the partitioned scenario is event-closed"
-        );
-        self.cells
-            .get_mut(&cell)
-            .expect("transfer from a cell homed in another partition")
-            .transfer_detailed(src % npc, dst % npc, bytes, now)
-    }
-}
-
-/// Boxes a run's cost-model transport: the priced fabric, wrapped in the
 /// The completion marks the blame extractor walks back from, with the
 /// short tag each table is reported under.
 const SCENARIO_MARKS: [(&str, &str); 4] = [
@@ -532,18 +497,6 @@ const SCENARIO_MARKS: [(&str, &str); 4] = [
     ("cache", "cache.complete"),
     ("rebuild", "rebuild.complete"),
 ];
-
-/// Where one cell of the coupled scenario sits.
-struct Cell {
-    /// Engine partition the cell's components are homed in.
-    partition: u32,
-    /// The cell's first global node (`c * nodes` for cell `c`).
-    offset: u32,
-    /// Seed of the cell's generated traces.
-    seed: u64,
-    /// Nodes the fault control's membership spans: the whole cluster.
-    cluster_nodes: u32,
-}
 
 /// One cell's component ids, for outcome extraction.
 struct CellIds {
@@ -555,9 +508,9 @@ struct CellIds {
     injector: ComponentId,
 }
 
-/// Registers one cell of the coupled scenario on the `n` nodes starting
-/// at `cell.offset` and seeds its events, every component publishing to
-/// `probe`.
+/// Registers cell `c` of the coupled scenario on nodes `0..n`, homed in
+/// partition `c`, and seeds its events from seed `spec.seed + c`, every
+/// component publishing to `probe`. The single-cell run is cell 0.
 ///
 /// Registration (job, solver, cache, traffic, control, injector) and
 /// seeding (job, solver, cache, traffic, injector, control) follow a
@@ -566,19 +519,15 @@ fn build_cell(
     host: &mut impl Host<ScenarioEvent>,
     spec: &ScenarioSpec,
     n: u32,
-    cell: &Cell,
+    c: u32,
     probe: &Probe,
 ) -> CellIds {
-    let (p, off, k, h) = (
-        cell.partition,
-        cell.offset,
-        spec.job_workers,
-        spec.netram_hosts,
-    );
-    let worker_nodes: Vec<u32> = (off..off + k).collect();
-    let pager_node = off + k;
-    let host_nodes: Vec<u32> = (off + k + 1..=off + k + h).collect();
-    let server_node = off + n - 1;
+    let (k, h) = (spec.job_workers, spec.netram_hosts);
+    let seed = spec.seed.wrapping_add(u64::from(c));
+    let worker_nodes: Vec<u32> = (0..k).collect();
+    let pager_node = k;
+    let host_nodes: Vec<u32> = (k + 1..=k + h).collect();
+    let server_node = n - 1;
 
     // The BSP job.
     let mut job = BspJobComponent::new(
@@ -588,7 +537,7 @@ fn build_cell(
         spec.job_message_bytes,
     );
     job.set_probe(probe);
-    let job_id = host.register_in(p, job);
+    let job_id = host.register_in(c, job);
 
     // The out-of-core paging process. The fixed-cost constants in the
     // memory config are placeholders: under the fabric cost model every
@@ -617,7 +566,7 @@ fn build_cell(
     )
     .with_placement(pager_node, host_nodes.clone());
     solver.set_probe(probe);
-    let solver_id = host.register_in(p, solver);
+    let solver_id = host.register_in(c, solver);
 
     // The cooperative file cache, its clients sharing the workers'
     // nodes and its server on the cell's last node.
@@ -625,14 +574,14 @@ fn build_cell(
     trace_config.clients = k;
     trace_config.duration = spec.horizon;
     trace_config.accesses_per_sec = spec.cache_accesses_per_sec;
-    let trace = FsTrace::generate(&trace_config, cell.seed);
+    let trace = FsTrace::generate(&trace_config, seed);
     let mut config = CacheConfig::small(Policy::NChance { n: 2 });
-    config.seed = cell.seed;
+    config.seed = seed;
     let mut cache =
         CacheComponent::new(trace, config).with_placement(worker_nodes.clone(), server_node);
     cache.set_probe(probe);
     let first_access = cache.first_access_time();
-    let cache_id = host.register_in(p, cache);
+    let cache_id = host.register_in(c, cache);
 
     // Background traffic: flow `i` rides from netram host `i % h` into
     // worker `i % k` — the same links paging and the job depend on.
@@ -646,12 +595,12 @@ fn build_cell(
         SimTime::ZERO + spec.horizon,
     );
     traffic.set_probe(probe);
-    let traffic_id = host.register_in(p, traffic);
+    let traffic_id = host.register_in(c, traffic);
 
     // Fault machinery. Nodes past the netram hosts (and before the
     // server) are idle: the first few are held as spares for dead
     // workers, the rest carry the storage array's disks.
-    let idle: Vec<u32> = (off + k + h + 1..server_node).collect();
+    let idle: Vec<u32> = (k + h + 1..server_node).collect();
     let spare_count = SPARE_NODES.min(idle.len());
     // Reverse so `pop` dispatches the lowest-numbered spare first.
     let spares: Vec<u32> = idle[..spare_count].iter().rev().copied().collect();
@@ -669,7 +618,7 @@ fn build_cell(
         + spec.fault_restart_delay
         + spec.fault_heartbeat * 2;
     let mut control = ClusterControl::new(
-        cell.cluster_nodes,
+        n,
         membership,
         spec.fault_restart_delay,
         spec.raid_rebuild_mb * 1024 * 1024,
@@ -678,7 +627,7 @@ fn build_cell(
             solver_id,
             cache_id,
             workers: worker_nodes,
-            host_base: off + k + 1,
+            host_base: k + 1,
             hosts: h,
             spares,
             storage,
@@ -686,10 +635,10 @@ fn build_cell(
         tick_until,
     );
     control.set_probe(probe.clone());
-    let control_id = host.register_in(p, control);
+    let control_id = host.register_in(c, control);
     let mut injector = FaultInjectorComponent::new(spec.faults.clone(), vec![control_id]);
     injector.set_probe(probe.clone());
-    let injector_id = host.register_in(p, injector);
+    let injector_id = host.register_in(c, injector);
 
     // Seed in fixed order: job, solver, cache, traffic.
     host.seed(job_id, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
@@ -785,18 +734,11 @@ impl Workload for Coupled<'_> {
     type Outcome = ScenarioOutcome;
 
     fn engine(&self, probe: &Probe) -> Self::Engine {
-        fabric_engine(self.cluster, self.spec.am_batch, probe)
+        Engine::with_transport(fabric_transport(self.cluster, self.spec.am_batch, probe))
     }
 
     fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> CellIds {
-        let n = self.cluster.nodes();
-        let cell = Cell {
-            partition: 0,
-            offset: 0,
-            seed: self.spec.seed,
-            cluster_nodes: n,
-        };
-        build_cell(engine, self.spec, n, &cell, probe)
+        build_cell(engine, self.spec, self.cluster.nodes(), 0, probe)
     }
 
     fn component_names(&self) -> Vec<&'static str> {
@@ -816,23 +758,24 @@ impl Workload for Coupled<'_> {
     }
 }
 
-/// The multi-cell coupled run: `cells` replicas of the scenario, each on
-/// its own copy of the fabric (global nodes `c*n..(c+1)*n`, seed
-/// `seed + c`, telemetry under a `cell{c}.` prefix), sharded over engine
-/// partitions on scoped threads (`home[c]` is cell `c`'s partition).
+/// Cell `c`'s telemetry scope: its gauges and counters under `cell{c}.`.
+fn cell_probe(probe: &Probe, c: u32) -> Probe {
+    probe.scoped(&format!("cell{c}."))
+}
+
+/// The multi-cell coupled run: `cells` replicas of the scenario. Cell `c`
+/// is homed in partition `c` of a [`PartitionedEngine`] and built exactly
+/// like the single-cell run — local nodes `0..n`, seed `seed + c`, its own
+/// fabric — with its telemetry under a `cell{c}.` prefix.
 ///
-/// Cells share nothing — no wires, no caches, no pages — so the
-/// component map is event-closed and [`PartitionedEngine`] runs it under
-/// [`Lookahead::Closed`]: every partition drains to completion in a
-/// single unbounded window, with zero barrier crossings. The history,
-/// outcome, and observations are byte-identical at every partition
-/// count; only wall-clock time changes. Each cell is built exactly like
-/// the single-cell run, cell-major, so a one-cell spec run through
-/// either path produces the same per-cell history.
+/// Cells share nothing — no wires, no caches, no pages — so each one is
+/// an independent serial run, and the engine drains them to completion
+/// over `spec.partitions` worker threads. The history, outcome, and
+/// observations are byte-identical at every worker count; only
+/// wall-clock time changes.
 struct Cells<'a> {
     cluster: &'a NowCluster,
     spec: &'a ScenarioSpec,
-    home: Vec<u32>,
 }
 
 impl Workload for Cells<'_> {
@@ -842,54 +785,24 @@ impl Workload for Cells<'_> {
     type Outcome = ScenarioOutcome;
 
     fn engine(&self, probe: &Probe) -> Self::Engine {
-        let n = self.cluster.nodes();
-        let partitions = self.home.iter().copied().max().unwrap_or(0) as usize + 1;
-        // One private fabric per cell; each partition's cost model
-        // multiplexes the fabrics of the cells homed there.
-        let mut fabrics: Vec<BTreeMap<u32, BatchingTransport<FabricTransport>>> =
-            (0..partitions).map(|_| BTreeMap::new()).collect();
-        for (c, &p) in (0..self.spec.cells).zip(&self.home) {
-            let mut network = self.cluster.interconnect().network(n);
-            let scoped = probe.scoped(&format!("cell{c}."));
-            network.set_probe(scoped.clone());
-            // The wrapper with a zero quantum is a pure pass-through, so
-            // unbatched multi-cell runs stay byte-identical.
-            let mut fabric =
-                BatchingTransport::new(FabricTransport::new(network), self.spec.am_batch);
-            fabric.set_probe(scoped);
-            fabrics[p as usize].insert(c, fabric);
-        }
-        let cost_models: Vec<CostModel> = fabrics
-            .into_iter()
-            .map(|cells| {
-                CostModel::Fabric(Box::new(CellTransport {
-                    nodes_per_cell: n,
-                    cells,
-                }))
+        let cost_models = (0..self.spec.cells)
+            .map(|c| {
+                let fabric =
+                    fabric_transport(self.cluster, self.spec.am_batch, &cell_probe(probe, c));
+                CostModel::Fabric(fabric)
             })
             .collect();
-        PartitionedEngine::new(cost_models, Lookahead::Closed)
+        let workers = match self.spec.partitions {
+            0 => default_jobs(),
+            p => p as usize,
+        };
+        PartitionedEngine::new(cost_models, workers)
     }
 
     fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> Vec<CellIds> {
         let n = self.cluster.nodes();
         (0..self.spec.cells)
-            .zip(&self.home)
-            .map(|(c, &partition)| {
-                let cell = Cell {
-                    partition,
-                    offset: c * n,
-                    seed: self.spec.seed.wrapping_add(u64::from(c)),
-                    cluster_nodes: self.spec.cells * n,
-                };
-                build_cell(
-                    engine,
-                    self.spec,
-                    n,
-                    &cell,
-                    &probe.scoped(&format!("cell{c}.")),
-                )
-            })
+            .map(|c| build_cell(engine, self.spec, n, c, &cell_probe(probe, c)))
             .collect()
     }
 
@@ -905,8 +818,8 @@ impl Workload for Cells<'_> {
         // The recorder is homed in partition 0 with cell 0, whose gauges
         // it samples: recorder and cell 0 share an event queue, so their
         // relative order — and the recorded series — is the same at
-        // every partition count.
-        coupled_recording(self.spec, probe.scoped("cell0."))
+        // every worker count.
+        coupled_recording(self.spec, cell_probe(probe, 0))
     }
 
     fn outcome(
@@ -949,15 +862,14 @@ impl NowCluster {
     /// touches no shared state).
     ///
     /// A spec with `cells > 1` runs that many independent 32-node cells,
-    /// sharded over `partitions` engine partitions; the result is
-    /// byte-identical at every partition count.
+    /// each on its own engine, spread over `partitions` worker threads;
+    /// the result is byte-identical at every worker count.
     ///
     /// # Panics
     ///
     /// Panics like [`run_scenario`](Self::run_scenario), and on a
-    /// multi-cell spec with a non-empty fault plan: control-plane
-    /// messages are delivered with zero latency, which no conservative
-    /// lookahead covers, so faulted runs must stay at `cells = 1`.
+    /// multi-cell spec with a non-empty fault plan: a fault plan names the
+    /// nodes of one cell, so faulted runs must stay at `cells = 1`.
     pub fn run_scenario_observed(
         &self,
         spec: &ScenarioSpec,
@@ -972,16 +884,13 @@ impl NowCluster {
         if spec.cells > 1 {
             assert!(
                 spec.faults.is_empty(),
-                "faulted runs cannot shard across cells: fault control messages \
-                 have zero latency, which no conservative lookahead covers (run \
-                 with cells = 1)"
+                "faulted runs cannot shard across cells: a fault plan names the \
+                 nodes of one cell (run with cells = 1)"
             );
-            let home = self.plan_partitions(spec.cells, spec.partitions);
             harness::run(
                 &Cells {
                     cluster: self,
                     spec,
-                    home,
                 },
                 observer,
             )
@@ -1240,10 +1149,10 @@ pub(crate) mod tests {
         );
     }
 
-    /// The multi-cell run is the same simulation at every partition
-    /// count: outcome, probe snapshot, flight-recorder series, and blame
-    /// tables are byte-identical whether the cells share one thread or
-    /// run sharded over scoped threads.
+    /// The multi-cell run is the same simulation at every worker count:
+    /// outcome, probe snapshot, flight-recorder series, and blame tables
+    /// are byte-identical whether the cells share one thread or spread
+    /// over several.
     #[test]
     fn replicated_cells_are_identical_at_any_partition_count() {
         use now_probe::Registry;
@@ -1278,15 +1187,40 @@ pub(crate) mod tests {
             (out, blame, obs.timeseries.to_csv(), registry.render_text())
         };
         let serial = observed(1);
-        for partitions in [2, 4] {
+        // 3 workers over 4 cells is an uneven split: one worker runs two.
+        for partitions in [2, 3, 4] {
             assert_eq!(serial, observed(partitions), "partitions = {partitions}");
         }
     }
 
-    /// Batching preserves the partition-count invariance: a multi-cell
-    /// run with a nonzero flush quantum plays out the same simulation —
+    /// A cell is the single-cell run: a three-cell outcome is exactly the
+    /// aggregate of three separate single-cell runs at seeds `seed + c`.
+    #[test]
+    fn cells_are_independent_single_cell_runs() {
+        let spec = ScenarioSpec {
+            background_flows: 2,
+            ..small_spec()
+        };
+        let singles: Vec<ScenarioOutcome> = (0..3)
+            .map(|c| {
+                cluster().run_scenario(&ScenarioSpec {
+                    seed: spec.seed + c,
+                    ..spec.clone()
+                })
+            })
+            .collect();
+        let cells = cluster().run_scenario(&ScenarioSpec {
+            cells: 3,
+            partitions: 2,
+            ..spec
+        });
+        assert_eq!(cells, aggregate_cells(&singles));
+    }
+
+    /// Batching preserves the worker-count invariance: a multi-cell run
+    /// with a nonzero flush quantum plays out the same simulation —
     /// outcome and probe snapshot, batch counters included — whether the
-    /// cells share one thread or shard across scoped threads.
+    /// cells share one thread or spread over several.
     #[test]
     fn batched_cells_are_identical_at_any_partition_count() {
         use now_probe::Registry;
@@ -1314,8 +1248,8 @@ pub(crate) mod tests {
         assert_eq!(observed(1), observed(2));
     }
 
-    /// A zero flush quantum leaves the multi-cell transport a pure
-    /// pass-through: the wrapped fabric reproduces the unbatched run.
+    /// A zero flush quantum leaves each cell on the bare fabric: the
+    /// explicit disabled config reproduces the default run.
     #[test]
     fn disabled_batching_leaves_cells_byte_identical() {
         let plain = cluster().run_scenario(&ScenarioSpec {

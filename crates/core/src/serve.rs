@@ -22,7 +22,7 @@ use now_sim::{ComponentId, Engine, SimTime};
 
 use crate::cluster::NowCluster;
 use crate::harness::{
-    self, fabric_engine, Accounting, RecorderEvent, Recording, ScenarioObservations,
+    self, fabric_transport, Accounting, RecorderEvent, Recording, ScenarioObservations,
     ScenarioObserver, Workload,
 };
 
@@ -128,7 +128,7 @@ impl Workload for Serve<'_> {
     type Outcome = ServeOutcome;
 
     fn engine(&self, probe: &Probe) -> Self::Engine {
-        fabric_engine(self.cluster, self.spec.am_batch, probe)
+        Engine::with_transport(fabric_transport(self.cluster, self.spec.am_batch, probe))
     }
 
     fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> ComponentId {

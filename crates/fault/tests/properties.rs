@@ -100,10 +100,11 @@ fn monte_carlo_reproduces_the_availability_ordering() {
 /// Scripted fault plans under the partitioned engine: injector/sink pairs
 /// colocated in a partition form an event-closed map (the injector's
 /// zero-latency broadcasts never cross partitions), so the partitioned
-/// run must replay the serial delivery history bit-for-bit.
+/// run must replay the serial delivery history bit-for-bit at every
+/// worker count.
 mod partitioned {
     use now_fault::{Fault, FaultInjectorComponent, FaultPlan, InjectorEvent};
-    use now_sim::{Component, Ctx, Engine, EventCast, Lookahead, PartitionedEngine, SimTime};
+    use now_sim::{Component, CostModel, Ctx, Engine, EventCast, PartitionedEngine, SimTime};
     use proptest::prelude::*;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,12 +160,16 @@ mod partitioned {
             .collect()
     }
 
-    /// The same pairs homed round-robin across partitions under an
-    /// event-closed map: each pair stays whole, so `Lookahead::Closed`
-    /// is legal and no windows are needed.
-    fn partitioned_logs(plans: &[FaultPlan], partitions: usize) -> Vec<Vec<(SimTime, Fault)>> {
-        let mut engine: PartitionedEngine<Ev> =
-            PartitionedEngine::with_fixed(partitions, Lookahead::Closed);
+    /// The same pairs homed round-robin across partitions, run over
+    /// `workers` threads: each pair stays whole, so the map is
+    /// event-closed.
+    fn partitioned_logs(
+        plans: &[FaultPlan],
+        partitions: usize,
+        workers: usize,
+    ) -> Vec<Vec<(SimTime, Fault)>> {
+        let cost_models = (0..partitions).map(|_| CostModel::Fixed).collect();
+        let mut engine: PartitionedEngine<Ev> = PartitionedEngine::new(cost_models, workers);
         let mut registered = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
             let home = (i % partitions) as u32;
@@ -203,11 +208,13 @@ mod partitioned {
                 "every scripted fault must be delivered"
             );
             for partitions in 2..=3usize {
-                prop_assert_eq!(
-                    &serial,
-                    &partitioned_logs(&plans, partitions),
-                    "delivery diverged at {} partitions", partitions
-                );
+                for workers in [1, 2, partitions] {
+                    prop_assert_eq!(
+                        &serial,
+                        &partitioned_logs(&plans, partitions, workers),
+                        "delivery diverged at {} partitions over {} workers", partitions, workers
+                    );
+                }
             }
         }
     }

@@ -252,22 +252,6 @@ impl Network {
         out.one_way(far).as_micros_f64()
     }
 
-    /// A hard lower bound on the one-way delivery time of *any* message
-    /// through this network: a minimal 1-byte transfer on an idle fabric.
-    ///
-    /// Contention, larger payloads, and NIC queueing only ever add to this,
-    /// so a partitioned simulation may use it as conservative lookahead —
-    /// no event sent "now" over this network can be delivered earlier than
-    /// `now + min_remote_latency()`. Leaves occupancy state untouched.
-    pub fn min_remote_latency(&mut self) -> SimDuration {
-        let saved = self.clone();
-        self.probe = Probe::disabled(); // measurement traffic is not telemetry
-        let far = SimTime::from_secs(1_000_000); // idle by then
-        let out = self.transfer(NodeId(0), NodeId(1), 1, far);
-        *self = saved;
-        out.one_way(far)
-    }
-
     /// Achieved bandwidth for back-to-back transfers of `bytes`-byte
     /// messages, in megabits per second. Leaves occupancy state untouched.
     pub fn bandwidth_at_mbps(&mut self, bytes: u64, messages: u32) -> f64 {
@@ -409,25 +393,6 @@ mod tests {
             "standard TCP {tcp_fddi_hp} vs single-copy {sc_hp}"
         );
         let _ = tcp_hp;
-    }
-
-    #[test]
-    fn min_remote_latency_lower_bounds_real_transfers() {
-        for mut net in [
-            presets::am_atm(8),
-            presets::tcp_ethernet(8),
-            presets::cm5(8),
-        ] {
-            let floor = net.min_remote_latency();
-            assert!(floor > SimDuration::ZERO);
-            // Busy fabric, bigger payloads: never faster than the floor.
-            let mut t = SimTime::ZERO;
-            for i in 0..16u64 {
-                let out = net.transfer(NodeId(0), NodeId(1), 1 + i * 4_096, t);
-                assert!(out.one_way(t) >= floor, "transfer undercut the floor");
-                t = out.sender_free_at;
-            }
-        }
     }
 
     #[test]

@@ -235,7 +235,7 @@ impl Probe {
     /// resolves (counters, gauges, histograms, and span latency
     /// histograms; trace-ring events keep their static names). Scopes
     /// compose: `p.scoped("cell0.").scoped("net.")` resolves under
-    /// `"cell0.net."`. The partitioned scenario layer uses one scope per
+    /// `"cell0.net."`. The multi-cell scenario layer uses one scope per
     /// replicated cell so identical subsystems write disjoint instruments
     /// instead of racing on shared ones.
     pub fn scoped(&self, prefix: &str) -> Probe {

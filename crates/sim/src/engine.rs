@@ -15,13 +15,13 @@
 //!   and schedule follow-ups or message other components through [`Ctx`].
 //!   Delivery order among equal timestamps is the order the events were
 //!   scheduled, regardless of component registration order.
-//! * **A cost model** — components ask [`Ctx::transfer`] / [`Ctx::rpc`]
-//!   what remote traffic costs. Under [`CostModel::Fixed`] there is no
-//!   shared fabric and components charge their own constants (the legacy
-//!   behaviour, bit-for-bit). Under [`CostModel::Fabric`] every transfer
-//!   reserves real occupancy on one shared [`Transport`], so independent
-//!   workloads slow each other down — the composition the paper argues
-//!   for.
+//! * **A cost model** — components ask [`Ctx::transfer`] /
+//!   [`Ctx::rpc_detailed`] what remote traffic costs. Under
+//!   [`CostModel::Fixed`] there is no shared fabric and components charge
+//!   their own constants (the legacy behaviour, bit-for-bit). Under
+//!   [`CostModel::Fabric`] every transfer reserves real occupancy on one
+//!   shared [`Transport`], so independent workloads slow each other down
+//!   — the composition the paper argues for.
 //!
 //! Heterogeneous engines (several subsystems on one fabric) wrap each
 //! subsystem's event enum in one routed enum via [`EventCast`]; a
@@ -117,28 +117,14 @@ macro_rules! event_cast {
 /// software time and returns when the payload is *delivered*, so back-to-
 /// back calls from competing components queue behind each other.
 ///
-/// `Send` because a partitioned run moves each partition's engine (cost
-/// model included) onto a worker thread for the duration of a window; the
-/// transport is still only ever called from one thread at a time.
+/// `Send` because a multi-cell run moves each cell's engine (cost model
+/// included) onto a worker thread; the transport is still only ever
+/// called from one thread at a time.
 pub trait Transport: Send {
     /// Moves `bytes` from node `src` to node `dst`, requested at `now`,
     /// and returns the delivery time. `src == dst` is a local copy and
     /// must cost nothing (return `now`).
     fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime;
-
-    /// A request/response pair: `request_bytes` to `dst`, then
-    /// `response_bytes` back. Returns when the response is delivered.
-    fn rpc(
-        &mut self,
-        src: u32,
-        dst: u32,
-        request_bytes: u64,
-        response_bytes: u64,
-        now: SimTime,
-    ) -> SimTime {
-        let there = self.transfer(src, dst, request_bytes, now);
-        self.transfer(dst, src, response_bytes, there)
-    }
 
     /// [`Transport::transfer`] with a cost breakdown: where the time
     /// between request and delivery went. The default treats the whole
@@ -149,7 +135,9 @@ pub trait Transport: Send {
         TransferCost::opaque(now, delivered)
     }
 
-    /// [`Transport::rpc`] with a cost breakdown (sums of both legs).
+    /// A request/response pair: `request_bytes` to `dst`, then
+    /// `response_bytes` back, with the cost breakdown summed over both
+    /// legs. `delivered` is when the response lands.
     fn rpc_detailed(
         &mut self,
         src: u32,
@@ -252,8 +240,8 @@ pub struct CausalRecord {
 /// Consumer of [`CausalRecord`]s produced by an [`Engine`] with causal
 /// tracing enabled (see [`Engine::set_causal_sink`]).
 ///
-/// `Send + Sync` because a partitioned run shares one sink across all
-/// partition engines, which record from their worker threads concurrently.
+/// `Send + Sync` because a multi-cell run shares one sink across its cell
+/// engines, which record from their worker threads concurrently.
 pub trait CausalSink: Send + Sync {
     /// Accepts one record. Called during event dispatch; implementations
     /// should be cheap and must not re-enter the engine.
@@ -337,8 +325,8 @@ pub enum CostMode {
 /// The `Any` supertrait lets callers recover the concrete component (and
 /// its accumulated results) after a run via [`Engine::component`]. The
 /// `Send` supertrait lets a partitioned run move the component (inside its
-/// partition's engine) onto a worker thread for the duration of a window;
-/// components are still only ever driven from one thread at a time.
+/// partition's engine) onto a worker thread; components are still only
+/// ever driven from one thread at a time.
 pub trait Component<M>: Any + Send {
     /// Handles one event addressed to this component.
     fn on_event(&mut self, ctx: &mut Ctx<'_, M>, event: M);
@@ -349,50 +337,6 @@ struct Envelope<M> {
     /// Trace id the event belongs to (0 when causal tracing is off).
     trace: u64,
     event: M,
-}
-
-/// A cross-partition event captured at the sender, carried to the window
-/// barrier, and injected into the destination partition's queue by the
-/// coordinator (see `partition.rs`). Provenance travels with it: the
-/// parent seq is already lifted into the shared (offset) id space, so the
-/// receiver can link its delivery record straight back to the sender's.
-pub(crate) struct RemoteEnvelope<M> {
-    pub(crate) dst: ComponentId,
-    pub(crate) fires_at: SimTime,
-    /// When (and by whom) the event was scheduled, for the delivery
-    /// record's `scheduled_at`/`src`.
-    pub(crate) sent_at: SimTime,
-    pub(crate) src: ComponentId,
-    /// Globally-offset seq of the event being handled when this one was
-    /// scheduled (`None` never occurs: only components send remotely).
-    pub(crate) parent_seq: u64,
-    pub(crate) trace: u64,
-    pub(crate) blame: Vec<(&'static str, SimDuration)>,
-    pub(crate) event: M,
-}
-
-/// Per-window routing state a partitioned run threads through [`Ctx`]:
-/// who owns which component, which partition this engine is, the
-/// lookahead contract remote sends must honour, and the outbox collecting
-/// them until the barrier.
-pub(crate) struct WindowRouting<M> {
-    /// `home[c]` = partition owning component `c`.
-    pub(crate) home: Arc<[u32]>,
-    pub(crate) my_partition: u32,
-    /// Minimum delay any cross-partition event must have. `None` means
-    /// the partitioning is *closed* — components were grouped so that no
-    /// cross-partition traffic exists — and any remote send panics.
-    pub(crate) lookahead: Option<SimDuration>,
-    pub(crate) outbox: Vec<RemoteEnvelope<M>>,
-}
-
-impl<M> WindowRouting<M> {
-    fn owns(&self, dst: ComponentId) -> bool {
-        // Components beyond the map (registered after the run started —
-        // impossible today) default to local, which fails loudly at
-        // dispatch rather than silently misrouting.
-        self.home.get(dst.0).copied().unwrap_or(self.my_partition) == self.my_partition
-    }
 }
 
 /// The view a component gets of the engine while handling an event:
@@ -412,9 +356,6 @@ pub struct Ctx<'a, M> {
     /// capacity survives across events, and the disabled path never
     /// pushes into it at all.
     pending_blame: &'a mut Vec<(&'static str, SimDuration)>,
-    /// Cross-partition routing, present only inside a partitioned window.
-    /// Serial runs pay a single `is_some` branch per schedule.
-    remote: Option<&'a mut WindowRouting<M>>,
     /// Host-time accumulator for cost-model calls, present only with the
     /// profiler enabled (see [`Engine::enable_profiler`]). Dispatch
     /// subtracts what lands here from the component's own time, so
@@ -441,56 +382,8 @@ fn fabric_timed<R>(cell: Option<&Cell<u64>>, f: impl FnOnce() -> R) -> R {
 impl<M> Ctx<'_, M> {
     /// Schedules an envelope and, when causal tracing is on, records its
     /// provenance (parent = current event) with any pending blame.
-    ///
-    /// Inside a partitioned window, an envelope addressed to a component
-    /// homed in another partition is diverted to the window outbox
-    /// instead of the local queue; the conservative lookahead makes that
-    /// safe (see the panic conditions below).
-    ///
-    /// # Panics
-    ///
-    /// In a partitioned run, panics if a remote send violates the
-    /// lookahead contract: under a closed partitioning any remote send is
-    /// a partitioning bug, and under a window of `L` a remote event must
-    /// fire at least `L` after now (otherwise the destination partition
-    /// may already have advanced past `time`, and delivering would
-    /// rewrite history).
     fn schedule_envelope(&mut self, dst: ComponentId, time: SimTime, event: M) -> EventId {
         let trace = self.current_trace;
-        if let Some(routing) = self.remote.as_deref_mut() {
-            if !routing.owns(dst) {
-                let now = self.queue.now();
-                match routing.lookahead {
-                    None => panic!(
-                        "cross-partition event to {dst:?} under a closed partitioning; \
-                         the partition map promised no remote traffic"
-                    ),
-                    Some(lookahead) => {
-                        let horizon = now.checked_add(lookahead);
-                        assert!(
-                            horizon.is_some_and(|h| time >= h),
-                            "cross-partition event at {time} violates the lookahead \
-                             window: must fire at least {lookahead} after now ({now})"
-                        );
-                    }
-                }
-                let parent_seq = self
-                    .causal
-                    .as_ref()
-                    .map_or(self.current_seq, |c| c.global_seq(self.current_seq));
-                routing.outbox.push(RemoteEnvelope {
-                    dst,
-                    fires_at: time,
-                    sent_at: now,
-                    src: self.self_id,
-                    parent_seq,
-                    trace,
-                    blame: drain_blame(self.pending_blame),
-                    event,
-                });
-                return EventId::CROSS_PARTITION;
-            }
-        }
         let id = self.queue.schedule_at(time, Envelope { dst, trace, event });
         if let Some(causal) = self.causal.as_ref().filter(|c| c.sampled(trace)) {
             causal.sink.record(CausalRecord {
@@ -684,25 +577,6 @@ impl<M> Ctx<'_, M> {
         }
     }
 
-    /// Charges a request/response exchange against the shared fabric,
-    /// returning when the response is delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`CostModel::Fixed`] (see [`Ctx::transfer`]).
-    pub fn rpc(&mut self, src: u32, dst: u32, request_bytes: u64, response_bytes: u64) -> SimTime {
-        let now = self.queue.now();
-        match self.cost {
-            CostModel::Fixed => panic!(
-                "fabric rpc requested under CostModel::Fixed; \
-                 fixed-mode components charge their own constants"
-            ),
-            CostModel::Fabric(t) => fabric_timed(self.fabric_ns, || {
-                t.rpc(src, dst, request_bytes, response_bytes, now)
-            }),
-        }
-    }
-
     /// [`Ctx::transfer`] with a cost breakdown ([`TransferCost`]), for
     /// components attributing their service time via [`Ctx::blame`].
     ///
@@ -737,11 +611,13 @@ impl<M> Ctx<'_, M> {
         }
     }
 
-    /// [`Ctx::rpc`] with a cost breakdown (both legs summed).
+    /// Charges a request/response exchange against the shared fabric
+    /// (see [`Transport::rpc_detailed`]), returning the breakdown summed
+    /// over both legs.
     ///
     /// # Panics
     ///
-    /// Panics under [`CostModel::Fixed`] (see [`Ctx::rpc`]).
+    /// Panics under [`CostModel::Fixed`] (see [`Ctx::transfer`]).
     pub fn rpc_detailed(
         &mut self,
         src: u32,
@@ -1041,21 +917,20 @@ impl<M: 'static> Engine<M> {
     pub fn run(&mut self) {
         let run_start = self.profiler.as_ref().map(|_| Instant::now());
         while let Some((_, id, envelope)) = self.queue.pop_with_id() {
-            self.dispatch(id, envelope, None);
+            self.dispatch(id, envelope);
         }
         if let (Some(start), Some(profiler)) = (run_start, self.profiler.as_mut()) {
             profiler.wall_ns += start.elapsed().as_nanos() as u64;
         }
     }
 
-    /// Delivers one event to its component. `remote` is the window
-    /// routing of a partitioned run (`None` for serial runs).
-    fn dispatch(
-        &mut self,
-        id: EventId,
-        envelope: Envelope<M>,
-        remote: Option<&mut WindowRouting<M>>,
-    ) {
+    /// Delivers one event to its component.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the destination is unregistered or is homed in another
+    /// partition's engine (a send across a partition boundary).
+    fn dispatch(&mut self, id: EventId, envelope: Envelope<M>) {
         let component = match self.components.get_mut(envelope.dst.0) {
             Some(Some(c)) => c,
             Some(None) => panic!(
@@ -1080,7 +955,6 @@ impl<M: 'static> Engine<M> {
             current_seq: id.seq(),
             current_trace: envelope.trace,
             pending_blame: &mut self.blame_buf,
-            remote,
             fabric_ns: self.profiler.as_ref().map(|p| &p.fabric_cell),
         };
         component.on_event(&mut ctx, envelope.event);
@@ -1096,72 +970,6 @@ impl<M: 'static> Engine<M> {
                 .expect("profiler vanished mid-dispatch");
             let fabric = profiler.fabric_cell.get();
             profiler.charge(envelope.dst.0, total, fabric);
-        }
-    }
-
-    /// The timestamp of the next pending event, if any — the input to
-    /// window negotiation in a partitioned run.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Runs one conservative window: dispatches events strictly before
-    /// `edge` (all events when `edge` is `None`), diverting cross-
-    /// partition sends into `routing`'s outbox. Events processed here can
-    /// only schedule remote events at or past the edge (the lookahead
-    /// contract enforced in [`Ctx`]), so every partition draining to the
-    /// same edge in parallel observes exactly the history a serial run
-    /// would produce.
-    pub(crate) fn run_window(&mut self, edge: Option<SimTime>, routing: &mut WindowRouting<M>) {
-        loop {
-            match (self.queue.peek_time(), edge) {
-                (None, _) => break,
-                (Some(t), Some(edge)) if t >= edge => break,
-                _ => {}
-            }
-            let (_, id, envelope) = self
-                .queue
-                .pop_with_id()
-                .expect("peeked event vanished before pop");
-            self.dispatch(id, envelope, Some(routing));
-        }
-    }
-
-    /// Injects a cross-partition envelope at a window barrier. The
-    /// envelope draws a fresh seq from *this* queue (see the single-
-    /// consumer notes on the queue's pending set); its provenance record
-    /// links back to the sender via the already-globalized parent seq.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the envelope fires before this partition's clock — that
-    /// means a window drained past the lookahead edge, a protocol bug.
-    pub(crate) fn inject_remote(&mut self, env: RemoteEnvelope<M>) {
-        let RemoteEnvelope {
-            dst,
-            fires_at,
-            sent_at,
-            src,
-            parent_seq,
-            trace,
-            blame,
-            event,
-        } = env;
-        let id = self
-            .queue
-            .schedule_at(fires_at, Envelope { dst, trace, event });
-        if let Some(causal) = self.causal.as_ref().filter(|c| c.sampled(trace)) {
-            causal.sink.record(CausalRecord {
-                seq: causal.global_seq(id.seq()),
-                parent: Some(parent_seq),
-                trace,
-                src: Some(src),
-                dst,
-                scheduled_at: sent_at,
-                fires_at,
-                label: "",
-                blame,
-            });
         }
     }
 
@@ -1647,7 +1455,10 @@ mod tests {
             }
         }
         let mut t = WireDelay;
-        let done = t.rpc(0, 1, 100, 900, SimTime::ZERO);
-        assert_eq!(done, SimTime::from_micros(1));
+        let cost = t.rpc_detailed(0, 1, 100, 900, SimTime::ZERO);
+        assert_eq!(cost.delivered, SimTime::from_micros(1));
+        // The default breakdown is opaque: both legs count as wire time.
+        assert_eq!(cost.wire, SimDuration::from_micros(1));
+        assert_eq!(cost.total(), SimDuration::from_micros(1));
     }
 }

@@ -16,10 +16,10 @@
 //!   constant cost ([`CostModel::Fixed`]) or against one shared
 //!   [`Transport`] fabric ([`CostModel::Fabric`]), so coupled simulations
 //!   model cross-subsystem contention.
-//! * [`PartitionedEngine`] — conservative parallel execution: one run
-//!   sharded into N partitions on scoped threads, synchronized by
-//!   fabric-latency lookahead windows with a deterministic barrier merge,
-//!   so the partitioned run reproduces the serial history exactly.
+//! * [`PartitionedEngine`] — independent engines under one component id
+//!   space, one per event-closed partition (a multi-cell run's cells),
+//!   each drained to completion over a pool of worker threads with no
+//!   synchronization, so the history is the same at any worker count.
 //! * [`SimRng`] — a seeded random source with the distributions the workload
 //!   generators need (uniform, exponential, Zipf, Pareto, normal) implemented
 //!   locally so results do not drift with external crate versions.
@@ -69,7 +69,7 @@ pub use engine::{
     CausalRecord, CausalSink, Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast,
     TransferCost, Transport,
 };
-pub use partition::{Lookahead, PartitionedEngine};
+pub use partition::PartitionedEngine;
 pub use profile::{ComponentProfile, HostProfile};
 pub use queue::{EventId, EventQueue};
 pub use rng::{SimRng, ZipfSampler};

@@ -20,13 +20,6 @@ impl EventId {
     pub const fn seq(self) -> u64 {
         self.0
     }
-
-    /// Sentinel id returned for events handed across a partition boundary:
-    /// the event lives in *another* partition's queue, so there is no local
-    /// seq to name. `u64::MAX` can never be a live local seq (the pending
-    /// window would need 2^64 events), so cancelling this id is a
-    /// deterministic no-op — exactly the semantics a stale id has.
-    pub(crate) const CROSS_PARTITION: EventId = EventId(u64::MAX);
 }
 
 struct Scheduled<E> {
@@ -71,21 +64,10 @@ impl<E> Eq for Scheduled<E> {}
 /// appear, so memory tracks the span between the oldest live event and
 /// the newest, not the queue's lifetime event count.
 ///
-/// # Single-consumer invariants (partitioned execution)
-///
 /// The monotone-insert assumption and the front-trim both presume exactly
-/// one consumer driving this queue. Partitioned runs preserve that: each
-/// partition's queue is owned by one worker thread inside a window, and
-/// cross-partition envelopes are injected *between* windows, on the
-/// coordinating thread, through the same `&mut` the worker just released.
-/// Injection goes through [`EventQueue::schedule_at`], so an injected
-/// envelope draws a fresh seq from *this* queue's counter — the sender's
-/// seq never enters this window, `base` never has to move backwards, and
-/// the "seqs are allocated monotonically" debug assertion holds at window
-/// boundaries exactly as it does mid-window. The only cross-partition
-/// requirement is temporal: an injected envelope must fire at or after
-/// this queue's `now`, which the conservative lookahead window guarantees
-/// (see `partition.rs`).
+/// one consumer driving this queue, which `&mut` access guarantees: every
+/// seq comes off this queue's own counter, so `base` never has to move
+/// backwards.
 #[derive(Default)]
 struct PendingSet {
     /// Seq mapped to bit 0 of `words[0]`; always a multiple of 64.
@@ -560,12 +542,11 @@ mod tests {
 
     #[test]
     fn window_edge_injection_is_never_in_the_past() {
-        // Regression for partitioned execution: a partition drains events
-        // *strictly* before the window edge, so its clock ends at most one
-        // event short of the edge; envelopes injected at the barrier fire
-        // at or after the edge and must schedule cleanly (no
-        // schedule-into-past panic), keep FIFO order, and survive the
-        // bitset's front-trim kicking in mid-run.
+        // Draining events *strictly* before an edge leaves the clock at
+        // most one event short of it; events scheduled afterwards at or
+        // past the edge must schedule cleanly (no schedule-into-past
+        // panic), keep FIFO order, and survive the bitset's front-trim
+        // kicking in mid-run.
         let mut q = EventQueue::new();
         let edge = SimTime::from_micros(100);
         // A churny first window so the pending window front-trims: many
@@ -581,8 +562,7 @@ mod tests {
             q.pop();
         }
         assert_eq!(q.now(), SimTime::from_micros(99));
-        // Barrier: inject cross-partition envelopes at exactly the edge
-        // and just past it. Both are >= now by the lookahead argument.
+        // Schedule at exactly the edge and just past it: both are >= now.
         q.schedule_at(edge, 2_000);
         q.schedule_at(edge, 2_001);
         q.schedule_at(edge + SimDuration::from_micros(3), 2_002);
@@ -594,9 +574,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "in the past")]
     fn injection_before_the_drained_edge_still_panics() {
-        // The guard satellite-audited here must keep firing: if a window
-        // ever drained *through* the edge (a lookahead bug), injecting at
-        // the edge would rewrite history and must panic loudly.
+        // Once an event at the edge has fired, scheduling before it would
+        // rewrite history and must panic loudly.
         let mut q = EventQueue::new();
         let edge = SimTime::from_micros(100);
         q.schedule_at(edge, 1); // wrongly processed at the edge itself

@@ -1,15 +1,11 @@
 //! Property tests for the partitioned engine's core contract: for *any*
-//! component-to-partition map and *any* event stream the conservative
-//! protocol can legally run, the partitioned execution replays the serial
-//! engine's history bit-for-bit.
-//!
-//! Two regimes are exercised: finite fabric-latency lookahead windows
-//! (components send anywhere, but never sooner than the lookahead) and
-//! event-closed maps (components send only within their own group, at any
-//! delay, and the whole run drains in one unbounded window).
+//! event-closed component-to-partition map (components send only within
+//! their own group, at any delay) and *any* event stream, the partitioned
+//! execution replays the serial engine's history bit-for-bit at every
+//! worker count.
 
 use now_sim::{
-    Component, ComponentId, Ctx, Engine, Lookahead, PartitionedEngine, SimDuration, SimRng, SimTime,
+    Component, ComponentId, CostModel, Ctx, Engine, PartitionedEngine, SimDuration, SimRng, SimTime,
 };
 use proptest::prelude::*;
 
@@ -21,9 +17,6 @@ use proptest::prelude::*;
 struct Hopper {
     rng: SimRng,
     targets: Vec<ComponentId>,
-    /// Every send is delayed at least this much — the remote-safety floor
-    /// under a lookahead window (and simply a floor under a closed map).
-    min_delay: SimDuration,
     /// Sends remaining to this component, so every cascade terminates.
     budget: u32,
     seen: Vec<(u64, u64)>,
@@ -40,7 +33,7 @@ impl Component<u64> for Hopper {
             self.budget -= 1;
             let dst = *self.rng.pick(&self.targets);
             let extra = self.rng.gen_range(0..100);
-            let at = ctx.now() + self.min_delay + SimDuration::from_micros(extra);
+            let at = ctx.now() + SimDuration::from_micros(extra);
             ctx.send_to_at(dst, at, v.wrapping_mul(31).wrapping_add(extra));
         }
     }
@@ -51,7 +44,6 @@ impl Component<u64> for Hopper {
 struct Workload {
     seeds: Vec<u64>,
     budget: u32,
-    min_delay: SimDuration,
     /// `(component, time µs, payload)` seed events.
     initial: Vec<(usize, u64, u64)>,
     /// Target pool of component `i` (indices; identical across engines).
@@ -63,7 +55,6 @@ impl Workload {
         Hopper {
             rng: SimRng::new(self.seeds[i]),
             targets: self.targets[i].iter().map(|&t| ComponentId(t)).collect(),
-            min_delay: self.min_delay,
             budget: self.budget,
             seen: Vec::new(),
         }
@@ -85,14 +76,16 @@ fn serial_histories(w: &Workload) -> Vec<Vec<(u64, u64)>> {
         .collect()
 }
 
-/// Runs the workload partitioned under `map` (component -> partition).
+/// Runs the workload partitioned under `map` (component -> partition)
+/// over `workers` threads.
 fn partitioned_histories(
     w: &Workload,
     partitions: usize,
     map: &[u32],
-    lookahead: Lookahead,
+    workers: usize,
 ) -> Vec<Vec<(u64, u64)>> {
-    let mut engine: PartitionedEngine<u64> = PartitionedEngine::with_fixed(partitions, lookahead);
+    let cost_models = (0..partitions).map(|_| CostModel::Fixed).collect();
+    let mut engine: PartitionedEngine<u64> = PartitionedEngine::new(cost_models, workers);
     let ids: Vec<ComponentId> = (0..w.seeds.len())
         .map(|i| engine.register(map[i], w.hopper(i)))
         .collect();
@@ -108,48 +101,10 @@ fn partitioned_histories(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Window regime: any component may send to any other, delayed at
-    /// least the lookahead. Whatever the partition map, every partition
-    /// count replays the serial history exactly.
-    #[test]
-    fn random_maps_and_streams_replay_the_serial_history(
-        seeds in prop::collection::vec(any::<u64>(), 2..10),
-        raw_map in prop::collection::vec(0u32..4, 10),
-        raw_initial in prop::collection::vec((0usize..10, 0u64..500, any::<u64>()), 1..8),
-        budget in 1u32..32,
-    ) {
-        let n = seeds.len();
-        let w = Workload {
-            seeds,
-            budget,
-            min_delay: SimDuration::from_micros(50),
-            initial: raw_initial.iter().map(|&(c, t, v)| (c % n, t, v)).collect(),
-            targets: (0..n).map(|_| (0..n).collect()).collect(),
-        };
-        let serial = serial_histories(&w);
-        prop_assert!(
-            serial.iter().any(|h| !h.is_empty()),
-            "the workload must deliver something"
-        );
-        for partitions in 2..=4usize {
-            let map: Vec<u32> = raw_map[..n].iter().map(|&p| p % partitions as u32).collect();
-            let sharded = partitioned_histories(
-                &w,
-                partitions,
-                &map,
-                Lookahead::Window(w.min_delay),
-            );
-            prop_assert_eq!(
-                &serial, &sharded,
-                "history diverged at {} partitions under map {:?}", partitions, map
-            );
-        }
-    }
-
-    /// Closed regime: components are clustered into groups that never
-    /// exchange events, so any delay is legal — including zero — and the
-    /// engine runs with no synchronization windows at all. Any map that
-    /// keeps groups whole replays the serial history exactly.
+    /// Components are clustered into groups that never exchange events,
+    /// so any delay is legal — including zero. Any map that keeps groups
+    /// whole replays the serial history exactly, whether the partitions
+    /// run on one thread, two, or one each.
     #[test]
     fn random_closed_groups_replay_the_serial_history(
         group_sizes in prop::collection::vec(1usize..4, 2..5),
@@ -170,8 +125,6 @@ proptest! {
         let w = Workload {
             seeds: seeds[..n].to_vec(),
             budget,
-            // Zero floor: closed maps need no lookahead at all.
-            min_delay: SimDuration::ZERO,
             initial: raw_initial.iter().map(|&(c, t, v)| (c % n, t, v)).collect(),
             targets: (0..n).map(|i| members[group_of[i]].clone()).collect(),
         };
@@ -181,11 +134,14 @@ proptest! {
             let map: Vec<u32> = (0..n)
                 .map(|i| (group_of[i] as u32 + rotation) % partitions as u32)
                 .collect();
-            let sharded = partitioned_histories(&w, partitions, &map, Lookahead::Closed);
-            prop_assert_eq!(
-                &serial, &sharded,
-                "closed history diverged at {} partitions under map {:?}", partitions, map
-            );
+            for workers in [1, 2, partitions] {
+                let sharded = partitioned_histories(&w, partitions, &map, workers);
+                prop_assert_eq!(
+                    &serial, &sharded,
+                    "closed history diverged at {} partitions over {} workers under map {:?}",
+                    partitions, workers, map
+                );
+            }
         }
     }
 }
