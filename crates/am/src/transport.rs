@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use now_net::{CsmaBus, Fabric, Network, NicAttachment, NodeId, SoftwareCosts};
 use now_probe::Probe;
-use now_sim::{SimDuration, SimTime, TransferCost, Transport};
+use now_sim::{IdBuildHasher, SimDuration, SimTime, TransferCost, Transport};
 
 use crate::layer::BatchConfig;
 
@@ -154,7 +154,7 @@ pub struct BatchingTransport<T> {
     inner: T,
     config: BatchConfig,
     probe: Probe,
-    windows: HashMap<(u32, u32), Window>,
+    windows: HashMap<(u32, u32), Window, IdBuildHasher>,
 }
 
 impl<T> BatchingTransport<T> {
@@ -164,7 +164,7 @@ impl<T> BatchingTransport<T> {
             inner,
             config,
             probe: Probe::disabled(),
-            windows: HashMap::new(),
+            windows: HashMap::default(),
         }
     }
 

@@ -5,7 +5,9 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use now_mem::{LruCache, Touch};
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
-use now_sim::{Component, CostMode, Ctx, Engine, EventCast, SimDuration, SimRng, SimTime};
+use now_sim::{
+    Component, CostMode, Ctx, Engine, EventCast, IdBuildHasher, SimDuration, SimRng, SimTime,
+};
 use now_trace::fs::{AccessKind, BlockId, FsTrace};
 use serde::{Deserialize, Serialize};
 
@@ -156,9 +158,9 @@ struct Cluster {
     global: Option<LruCache<BlockId>>,
     /// Which clients cache each block (maintained for all policies; only
     /// consulted by the forwarding ones).
-    directory: HashMap<BlockId, HashSet<u32>>,
+    directory: HashMap<BlockId, HashSet<u32, IdBuildHasher>, IdBuildHasher>,
     /// Recirculation counts for blocks currently recirculating (N-Chance).
-    recirc: HashMap<BlockId, u32>,
+    recirc: HashMap<BlockId, u32, IdBuildHasher>,
     rng: SimRng,
 }
 
@@ -322,8 +324,8 @@ impl CacheComponent {
                 .collect(),
             server: LruCache::new(config.server_blocks),
             global,
-            directory: HashMap::new(),
-            recirc: HashMap::new(),
+            directory: HashMap::default(),
+            recirc: HashMap::default(),
             rng: SimRng::new(config.seed),
         };
         let forwarding = matches!(
@@ -554,8 +556,9 @@ impl CacheComponent {
                 .map(|s| s.iter().copied().filter(|&c| c != client).collect())
                 .unwrap_or_default();
             // Invalidate in client order, not the HashSet's hash order:
-            // the final state is order-independent, but a deterministic
-            // walk keeps replays identical across processes.
+            // the final state is order-independent, but hash order is
+            // arbitrary, and a walk in client order keeps replays
+            // independent of it.
             holders.sort_unstable();
             for holder in holders {
                 self.cluster.clients[holder as usize].remove(&block);
@@ -608,10 +611,10 @@ impl CacheComponent {
         // 3. Another client's memory (forwarding policies only; the
         // baseline server has no directory).
         if self.forwarding {
-            // Lowest-numbered holder, not `find`: the directory set hashes
-            // by a per-process seed, and the chosen holder decides which
-            // fabric links the forward crosses, so an arbitrary pick makes
-            // coupled runs differ between processes.
+            // Lowest-numbered holder, not `find`: the directory set's hash
+            // order is arbitrary, and the chosen holder decides which
+            // fabric links the forward crosses, so the pick must not
+            // depend on it.
             let other = self
                 .cluster
                 .directory

@@ -1,13 +1,17 @@
 //! An exact least-recently-used cache over copyable keys.
 //!
 //! Used for page frames here and for file-block caches in `now-cache`.
-//! Recency is tracked with a monotone counter and an ordered index, giving
-//! `O(log n)` operations and exact (not approximate) LRU order — important
-//! because cache-policy experiments compare algorithms whose differences
-//! can be subtle.
+//! Recency is an intrusive doubly-linked list threaded through a slab of
+//! nodes, with a hash index from key to slot, so every operation is
+//! `O(1)` and LRU order is exact (not approximate) — important because
+//! cache-policy experiments compare algorithms whose differences can be
+//! subtle. Slots freed by [`LruCache::remove`] are threaded onto a free
+//! list through the same slab, so a miss that reuses one grows nothing.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
+
+use now_sim::IdBuildHasher;
 
 /// The result of touching a key in the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,6 +27,19 @@ pub enum Touch<K> {
         /// Whether the victim had been marked dirty.
         dirty: bool,
     },
+}
+
+/// The end of a list: no slot.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resident entry linked into the recency list, or a
+/// free slot linked into the free list through `next`.
+#[derive(Debug, Clone)]
+struct Node<K> {
+    key: K,
+    dirty: bool,
+    prev: u32,
+    next: u32,
 }
 
 /// An exact-LRU cache mapping keys to a dirty bit.
@@ -42,11 +59,16 @@ pub enum Touch<K> {
 #[derive(Debug, Clone)]
 pub struct LruCache<K> {
     capacity: usize,
-    /// key -> (recency stamp, dirty)
-    entries: HashMap<K, (u64, bool)>,
-    /// recency stamp -> key (unique stamps)
-    order: BTreeMap<u64, K>,
-    clock: u64,
+    /// Resident entries and free slots; grows to at most `capacity`.
+    nodes: Vec<Node<K>>,
+    /// key -> slot of its resident node.
+    index: HashMap<K, u32, IdBuildHasher>,
+    /// Least-recently-used resident slot.
+    head: u32,
+    /// Most-recently-used resident slot.
+    tail: u32,
+    /// First free slot.
+    free: u32,
 }
 
 impl<K: Eq + Hash + Copy> LruCache<K> {
@@ -59,9 +81,11 @@ impl<K: Eq + Hash + Copy> LruCache<K> {
         assert!(capacity > 0, "cache capacity must be positive");
         LruCache {
             capacity,
-            entries: HashMap::with_capacity(capacity),
-            order: BTreeMap::new(),
-            clock: 0,
+            nodes: Vec::new(),
+            index: HashMap::with_capacity_and_hasher(capacity, IdBuildHasher::default()),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
         }
     }
 
@@ -72,73 +96,126 @@ impl<K: Eq + Hash + Copy> LruCache<K> {
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True if the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// True if `key` is resident (does not affect recency).
     pub fn contains(&self, key: &K) -> bool {
-        self.entries.contains_key(key)
+        self.index.contains_key(key)
     }
 
     /// Accesses `key`, making it most-recently-used; inserts on miss,
     /// evicting the LRU entry if full. `write` marks the entry dirty
     /// (sticky until eviction or removal).
     pub fn touch(&mut self, key: K, write: bool) -> Touch<K> {
-        self.clock += 1;
-        if let Some((stamp, dirty)) = self.entries.get_mut(&key) {
-            self.order.remove(&*stamp);
-            *stamp = self.clock;
-            *dirty |= write;
-            self.order.insert(self.clock, key);
+        if let Some(&slot) = self.index.get(&key) {
+            self.nodes[slot as usize].dirty |= write;
+            if slot != self.tail {
+                self.unlink(slot);
+                self.push_back(slot);
+            }
             return Touch::Hit;
         }
-        let evicted = if self.entries.len() >= self.capacity {
-            let (&oldest, &victim) = self.order.iter().next().expect("full cache has entries");
-            self.order.remove(&oldest);
-            let (_, dirty) = self.entries.remove(&victim).expect("indexed entry exists");
-            Some((victim, dirty))
-        } else {
-            None
-        };
-        self.entries.insert(key, (self.clock, write));
-        self.order.insert(self.clock, key);
-        match evicted {
-            Some((victim, dirty)) => Touch::MissEvicted { victim, dirty },
-            None => Touch::MissInserted,
+        if self.index.len() >= self.capacity {
+            // Full: the LRU node's slot takes the new key.
+            let slot = self.head;
+            self.unlink(slot);
+            let node = &mut self.nodes[slot as usize];
+            let (victim, dirty) = (node.key, node.dirty);
+            node.key = key;
+            node.dirty = write;
+            self.index.remove(&victim);
+            self.index.insert(key, slot);
+            self.push_back(slot);
+            return Touch::MissEvicted { victim, dirty };
         }
+        let node = Node {
+            key,
+            dirty: write,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("slot index fits in u32")
+        } else {
+            let slot = self.free;
+            self.free = self.nodes[slot as usize].next;
+            self.nodes[slot as usize] = node;
+            slot
+        };
+        self.index.insert(key, slot);
+        self.push_back(slot);
+        Touch::MissInserted
     }
 
     /// Removes `key` if present, returning its dirty bit.
     pub fn remove(&mut self, key: &K) -> Option<bool> {
-        let (stamp, dirty) = self.entries.remove(key)?;
-        self.order.remove(&stamp);
-        Some(dirty)
+        let slot = self.index.remove(key)?;
+        self.unlink(slot);
+        let node = &mut self.nodes[slot as usize];
+        node.next = self.free;
+        self.free = slot;
+        Some(node.dirty)
     }
 
     /// The least-recently-used key, if any (does not affect recency).
     pub fn lru(&self) -> Option<&K> {
-        self.order.values().next()
+        (self.head != NIL).then(|| &self.nodes[self.head as usize].key)
     }
 
     /// Iterates over resident keys in LRU-to-MRU order.
     pub fn iter(&self) -> impl Iterator<Item = &K> {
-        self.order.values()
+        let mut slot = self.head;
+        std::iter::from_fn(move || {
+            if slot == NIL {
+                return None;
+            }
+            let node = &self.nodes[slot as usize];
+            slot = node.next;
+            Some(&node.key)
+        })
     }
 
     /// Approximate heap + inline footprint in bytes. Bounded by the
     /// cache's capacity, so serving reports can contrast (fixed) workload
     /// memory with (fixed) observation memory.
     pub fn approx_bytes(&self) -> usize {
-        // HashMap entry: key + (stamp, dirty) + bucket overhead; BTreeMap
-        // entry: stamp + key + node overhead. A coarse per-entry estimate
-        // is enough for self-accounting.
-        let per_entry = std::mem::size_of::<K>() * 2 + std::mem::size_of::<(u64, bool)>() + 48;
-        std::mem::size_of::<Self>() + self.capacity.max(self.entries.len()) * per_entry
+        // A slab node, plus up to two index buckets (key, slot) with
+        // their control bytes: the table keeps spare buckets. A coarse
+        // per-entry estimate is enough for self-accounting.
+        let per_entry = std::mem::size_of::<Node<K>>() + std::mem::size_of::<(K, u32)>() * 2 + 2;
+        std::mem::size_of::<Self>() + self.capacity.max(self.index.len()) * per_entry
+    }
+
+    /// Detaches resident `slot` from the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Appends `slot` at the most-recently-used end.
+    fn push_back(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.nodes[t as usize].next = slot,
+        }
+        self.tail = slot;
     }
 }
 

@@ -8,11 +8,11 @@
 //! memory somewhere, and spills to disk when the building is out of free
 //! DRAM.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use now_net::Network;
 use now_probe::Probe;
-use now_sim::SimDuration;
+use now_sim::{IdBuildHasher, SimDuration};
 use serde::{Deserialize, Serialize};
 
 use crate::PageId;
@@ -94,10 +94,10 @@ pub struct NetworkRam {
     per_host_pages: u64,
     cost: RemoteAccessCost,
     page_bytes: u64,
-    /// Which host(s) hold each page. Ordered so iteration (host eviction,
-    /// debugging dumps) is identical across processes — a `HashMap` here
-    /// made fault replays differ run to run.
-    locations: BTreeMap<PageId, Placement>,
+    /// Which host(s) hold each page. Its iteration order is arbitrary:
+    /// [`evict_host`](Self::evict_host) sorts what it returns, and nothing
+    /// else iterates it in an order that matters.
+    locations: HashMap<PageId, Placement, IdBuildHasher>,
     /// Used pages per host.
     used: Vec<u64>,
     next_host: u32,
@@ -120,7 +120,7 @@ impl NetworkRam {
             per_host_pages,
             cost,
             page_bytes,
-            locations: BTreeMap::new(),
+            locations: HashMap::default(),
             used: vec![0; hosts as usize],
             next_host: 0,
             mirrored: false,
@@ -243,9 +243,9 @@ impl NetworkRam {
     /// only copy lived there are dropped and returned so the caller can
     /// recover them; in mirrored mode the surviving copy is promoted and
     /// the page stays resident. Capacity shrinks until
-    /// [`rejoin_host`](Self::rejoin_host). The returned ids are in page
-    /// order — `locations` iterates sorted, so the recovery order (and
-    /// anything downstream of it) is identical across processes.
+    /// [`rejoin_host`](Self::rejoin_host). The returned ids are sorted
+    /// into page order, so the recovery order (and anything downstream of
+    /// it) does not depend on hash order.
     pub fn evict_host(&mut self, host: u32) -> Vec<PageId> {
         assert!(host < self.hosts, "host out of range");
         let mut lost = Vec::new();
@@ -270,6 +270,7 @@ impl NetworkRam {
                 true
             }
         });
+        lost.sort_unstable();
         self.used[host as usize] = self.per_host_pages; // mark unusable
         self.probe.count("netram.pages_lost", lost.len() as u64);
         self.probe.count("netram.pages_mirror_saved", saved);
@@ -382,6 +383,26 @@ mod tests {
         // Host 1's 4 frames are unusable; hosts 0 and 2 still hold 2 pages
         // each, leaving 2 free frames apiece.
         assert_eq!(p.free_pages(), 4);
+    }
+
+    #[test]
+    fn evicted_pages_come_back_in_page_order() {
+        let mut p = NetworkRam::new(3, 64, RemoteAccessCost::table2_atm(), 8_192);
+        // Scrambled ids, some differing only in high bits; round-robin
+        // placement sends every third store to host 1.
+        let ids: Vec<PageId> = (0..60u64)
+            .map(|i| PageId(((i * 7_919) % 1_009) | ((i % 5) << 36)))
+            .collect();
+        for &page in &ids {
+            assert!(p.store(page));
+        }
+        let mut on_host1: Vec<PageId> = ids.iter().copied().skip(1).step_by(3).collect();
+        assert!(
+            !on_host1.is_sorted(),
+            "stores must reach host 1 out of order"
+        );
+        on_host1.sort_unstable();
+        assert_eq!(p.evict_host(1), on_host1);
     }
 
     #[test]

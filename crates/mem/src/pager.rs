@@ -15,8 +15,10 @@
 //! * **Write-back** of dirty victims is asynchronous (it is counted, not
 //!   charged), as in real pagers with free-frame reserves.
 
+use std::collections::HashSet;
+
 use now_probe::Probe;
-use now_sim::{SimDuration, SimTime};
+use now_sim::{IdBuildHasher, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::lru::Touch;
@@ -128,9 +130,9 @@ pub struct Pager {
     backing: Backing,
     page_bytes: u64,
     /// Pages that have been touched at least once (exist somewhere).
-    materialised: std::collections::HashSet<PageId>,
+    materialised: HashSet<PageId, IdBuildHasher>,
     /// Pages currently out on the swap disk.
-    on_disk: std::collections::HashSet<PageId>,
+    on_disk: HashSet<PageId, IdBuildHasher>,
     last_access: Option<PageId>,
     stats: PagerStats,
     probe: Probe,

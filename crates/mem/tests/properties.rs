@@ -23,35 +23,50 @@ proptest! {
     }
 
     /// The LRU cache behaves identically to a naive reference
-    /// implementation (vector ordered by recency).
+    /// implementation (a vector of `(key, dirty)` ordered by recency)
+    /// under interleaved touches and removals, which also exercises the
+    /// reuse of removed slots.
     #[test]
     fn lru_matches_reference_model(
         cap in 1usize..16,
-        ops in prop::collection::vec((0u64..32, any::<bool>()), 1..200),
+        ops in prop::collection::vec((0u64..32, 0u8..4), 1..300),
     ) {
         let mut c = LruCache::new(cap);
-        let mut reference: Vec<u64> = Vec::new(); // LRU at front, MRU at back
-        for &(k, w) in &ops {
-            let t = c.touch(k, w);
-            if let Some(pos) = reference.iter().position(|&x| x == k) {
-                prop_assert!(matches!(t, Touch::Hit));
-                reference.remove(pos);
-                reference.push(k);
+        let mut reference: Vec<(u64, bool)> = Vec::new(); // LRU at front, MRU at back
+        for &(k, op) in &ops {
+            let pos = reference.iter().position(|&(x, _)| x == k);
+            if op == 0 {
+                let dirty = pos.map(|p| reference.remove(p).1);
+                prop_assert_eq!(c.remove(&k), dirty);
             } else {
-                reference.push(k);
-                if reference.len() > cap {
-                    let victim = reference.remove(0);
-                    match t {
-                        Touch::MissEvicted { victim: v, .. } => prop_assert_eq!(v, victim),
-                        other => prop_assert!(false, "expected eviction, got {other:?}"),
+                let write = op == 1;
+                let t = c.touch(k, write);
+                match pos {
+                    Some(p) => {
+                        prop_assert_eq!(t, Touch::Hit);
+                        let (_, dirty) = reference.remove(p);
+                        reference.push((k, dirty || write));
                     }
-                } else {
-                    prop_assert!(matches!(t, Touch::MissInserted));
+                    None => {
+                        reference.push((k, write));
+                        if reference.len() > cap {
+                            let (victim, dirty) = reference.remove(0);
+                            prop_assert_eq!(t, Touch::MissEvicted { victim, dirty });
+                        } else {
+                            prop_assert_eq!(t, Touch::MissInserted);
+                        }
+                    }
                 }
             }
+            prop_assert_eq!(c.len(), reference.len());
+            prop_assert_eq!(c.lru(), reference.first().map(|(x, _)| x));
+            for key in 0..32 {
+                prop_assert_eq!(c.contains(&key), reference.iter().any(|&(x, _)| x == key));
+            }
+            let got: Vec<u64> = c.iter().copied().collect();
+            let want: Vec<u64> = reference.iter().map(|&(x, _)| x).collect();
+            prop_assert_eq!(got, want);
         }
-        let got: Vec<u64> = c.iter().copied().collect();
-        prop_assert_eq!(got, reference);
     }
 
     /// Pager conservation: hits + faults == accesses, and every page ever

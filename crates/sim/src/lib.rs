@@ -20,6 +20,8 @@
 //!   space, one per event-closed partition (a multi-cell run's cells),
 //!   each drained to completion over a pool of worker threads with no
 //!   synchronization, so the history is the same at any worker count.
+//! * [`IdHasher`] — a fixed multiply-mix hasher for the integer-id maps on
+//!   the paging, cache and batching hot paths.
 //! * [`SimRng`] — a seeded random source with the distributions the workload
 //!   generators need (uniform, exponential, Zipf, Pareto, normal) implemented
 //!   locally so results do not drift with external crate versions.
@@ -55,6 +57,7 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod hash;
 mod partition;
 mod profile;
 mod queue;
@@ -69,6 +72,7 @@ pub use engine::{
     CausalRecord, CausalSink, Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast,
     TransferCost, Transport,
 };
+pub use hash::{IdBuildHasher, IdHasher};
 pub use partition::PartitionedEngine;
 pub use profile::{ComponentProfile, HostProfile};
 pub use queue::{EventId, EventQueue};

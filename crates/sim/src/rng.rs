@@ -221,9 +221,10 @@ impl ZipfSampler {
         self.cdf.len()
     }
 
-    /// True if the sampler has exactly one rank (always sampled).
+    /// Always false: [`ZipfSampler::new`] rejects zero ranks. Provided
+    /// for symmetry with [`len`](Self::len).
     pub fn is_empty(&self) -> bool {
-        false // constructor guarantees n > 0; method provided for symmetry
+        false
     }
 
     /// Approximate heap + inline footprint in bytes (the CDF table).
