@@ -1,6 +1,6 @@
 //! Criterion benches for the substrate subsystems themselves: event
 //! queue throughput, Active Messages protocol, software RAID data path,
-//! and xFS operations.
+//! xFS operations, the LRU, and content hashing.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -136,6 +136,45 @@ fn bench_lru(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_cas(c: &mut Criterion) {
+    use now_cas::{BlockHash, ImageCatalog, ImageCatalogSpec, DEFAULT_CHUNK_BYTES};
+    let chunks: Vec<Vec<u8>> = (0..64u64)
+        .map(|i| {
+            (0..DEFAULT_CHUNK_BYTES as u64)
+                .map(|j| (i.wrapping_mul(0x9e37_79b9) ^ j.wrapping_mul(131)) as u8)
+                .collect()
+        })
+        .collect();
+    let mut g = c.benchmark_group("cas");
+    g.throughput(Throughput::Bytes((64 * DEFAULT_CHUNK_BYTES) as u64));
+    g.bench_function("block_hash/serial_64x16k", |b| {
+        b.iter(|| {
+            chunks
+                .iter()
+                .fold(0u64, |acc, c| acc ^ BlockHash::of(7, black_box(c)).0)
+        })
+    });
+    g.bench_function("block_hash/lanes_64x16k", |b| {
+        b.iter(|| BlockHash::of_chunks(7, chunks.iter().map(|c| black_box(&c[..]))))
+    });
+    // The catalog `repro distribute` and the benchmark publish: 8 images
+    // on a 24-file base layer, 8 app files each, 64 KiB mean file size.
+    let spec = ImageCatalogSpec {
+        images: 8,
+        base_files: 24,
+        app_files: 8,
+        file_bytes: 64 * 1024,
+        chunk_bytes: DEFAULT_CHUNK_BYTES,
+        seed: 42,
+    };
+    g.throughput(Throughput::Elements(u64::from(spec.images)));
+    g.sample_size(20);
+    g.bench_function("catalog/generate_bench_shape", |b| {
+        b.iter(|| ImageCatalog::generate(black_box(&spec)).store.len())
+    });
+    g.finish();
+}
+
 criterion_group!(
     subsystems,
     bench_event_queue,
@@ -143,5 +182,6 @@ criterion_group!(
     bench_raid,
     bench_xfs,
     bench_lru,
+    bench_cas,
 );
 criterion_main!(subsystems);

@@ -31,7 +31,7 @@ use now_sim::{Component, CostMode, Ctx, EventCast, SimDuration, SimRng, SimTime}
 use crate::cache::PartialCache;
 use crate::image::ImageCatalog;
 use crate::manifest::ImageManifest;
-use crate::store::{BlockHash, BlockStore};
+use crate::store::{BlockHash, BlockStore, LANES};
 
 /// Events of the distribution scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,8 +139,16 @@ pub struct FetchStats {
     /// Blocks evicted from partial caches under the byte budget.
     pub evictions: u64,
     /// Delivered blocks whose bytes did not re-hash to the manifest's
-    /// hash — always zero unless the simulation corrupts data.
+    /// hash — always zero unless the simulation corrupts data. Final once
+    /// [`FetchCore::complete`] is true.
     pub verify_failures: u64,
+}
+
+/// A delivered block waiting to be re-hashed.
+struct Delivery {
+    node: u32,
+    hash: BlockHash,
+    bytes: bytes::Bytes,
 }
 
 /// Shared mechanics of both strategies: per-node plans, the partial
@@ -166,6 +174,8 @@ pub struct FetchCore {
     warmed: BTreeSet<BlockHash>,
     /// Per node: manifest hash → recomputed hash of the bytes received.
     delivered: Vec<BTreeMap<BlockHash, BlockHash>>,
+    /// Deliveries not yet re-hashed, verified [`LANES`] at a time.
+    pending: Vec<Delivery>,
     /// Round-robin cursors: registry NIC per request, peer per hit.
     rr_nic: u64,
     rr_peer: u64,
@@ -217,6 +227,7 @@ impl FetchCore {
             holders: BTreeMap::new(),
             warmed: BTreeSet::new(),
             delivered: vec![BTreeMap::new(); n],
+            pending: Vec::with_capacity(LANES),
             rr_nic: 0,
             rr_peer: 0,
             remaining: config.fetchers,
@@ -284,7 +295,9 @@ impl FetchCore {
         self.makespan
     }
 
-    /// Whether every fetcher has finished its plan.
+    /// Whether every fetcher has finished its plan. Every delivery is
+    /// verified by then, so the stats and [`FetchCore::content_digest`]
+    /// are final.
     pub fn complete(&self) -> bool {
         self.remaining == 0
     }
@@ -311,11 +324,22 @@ impl FetchCore {
         h
     }
 
-    /// Approximate resident footprint: store, caches, plans, tracker.
+    /// Approximate resident footprint: store, caches, plans, tracker,
+    /// the registry's warmed set, the per-node delivery records, and the
+    /// verification queue (whose block data the caches already count).
     pub fn approx_bytes(&self) -> usize {
         let caches: usize = self.caches.iter().map(PartialCache::approx_bytes).sum();
         let plans: usize = self.plans.iter().map(|p| p.len() * 8).sum();
-        self.store.approx_bytes() + caches + plans + self.holders.len() * 64
+        // B-tree entries cost about twice their key and value bytes.
+        let delivered: usize = self.delivered.iter().map(|d| d.len() * 32).sum();
+        let pending = self.pending.capacity() * std::mem::size_of::<Delivery>();
+        self.store.approx_bytes()
+            + caches
+            + plans
+            + self.holders.len() * 64
+            + self.warmed.len() * 16
+            + delivered
+            + pending
     }
 
     /// Fabric node of fetcher `node` (identity placement).
@@ -334,19 +358,15 @@ impl FetchCore {
     /// A peer (not `node`) holding `hash`, round-robin over the holder
     /// set so serving load spreads; `None` if nobody else has it.
     fn pick_peer(&mut self, node: u32, hash: BlockHash) -> Option<u32> {
-        let holders: Vec<u32> = self
-            .holders
-            .get(&hash)?
-            .iter()
-            .copied()
-            .filter(|&h| h != node)
-            .collect();
-        if holders.is_empty() {
+        let holders = self.holders.get(&hash)?;
+        let others = holders.len() - usize::from(holders.contains(&node));
+        if others == 0 {
             return None;
         }
-        let peer = holders[(self.rr_peer % holders.len() as u64) as usize];
+        let nth = (self.rr_peer % others as u64) as usize;
+        let peer = holders.iter().copied().filter(|&h| h != node).nth(nth);
         self.rr_peer += 1;
-        Some(peer)
+        peer
     }
 
     /// Fixed-mode cost of one network leg carrying `bytes` of payload.
@@ -354,15 +374,18 @@ impl FetchCore {
         self.config.fixed_hop + SimDuration::from_nanos(bytes * self.config.fixed_ns_per_byte)
     }
 
-    /// Accepts a delivered block at `node`: verify the bytes against the
-    /// manifest hash, cache them, and update the tracker through any
-    /// evictions the insert forced.
+    /// Accepts a delivered block at `node`: queue the bytes for
+    /// verification against the manifest hash, cache them, and update the
+    /// tracker through any evictions the insert forced.
     fn accept(&mut self, node: u32, hash: BlockHash, bytes: bytes::Bytes) {
-        let recomputed = self.store.hash_of(&bytes);
-        if recomputed != hash {
-            self.stats.verify_failures += 1;
+        self.pending.push(Delivery {
+            node,
+            hash,
+            bytes: bytes.clone(),
+        });
+        if self.pending.len() == LANES {
+            self.verify_pending();
         }
-        self.delivered[node as usize].insert(hash, recomputed);
         self.stats.delivered_blocks += 1;
         for victim in self.caches[node as usize].insert(hash, bytes) {
             self.stats.evictions += 1;
@@ -376,6 +399,31 @@ impl FetchCore {
         if self.caches[node as usize].contains(hash) {
             self.holders.entry(hash).or_default().insert(node);
         }
+    }
+
+    /// Re-hashes every queued delivery from the bytes it received, side by
+    /// side ([`BlockHash::of_chunks`]), and records what it found.
+    fn verify_pending(&mut self) {
+        let seed = self.store.seed();
+        let hashes = BlockHash::of_chunks(seed, self.pending.iter().map(|d| &d.bytes[..]));
+        for (delivery, recomputed) in self.pending.drain(..).zip(hashes) {
+            if recomputed != delivery.hash {
+                self.stats.verify_failures += 1;
+            }
+            self.delivered[delivery.node as usize].insert(delivery.hash, recomputed);
+        }
+    }
+
+    /// Records fetcher `idx` finishing its plan at `now`. The last one
+    /// first verifies the deliveries still queued, so results are final
+    /// by the time [`FetchCore::complete`] is true.
+    fn finish_node(&mut self, idx: usize, now: SimTime) {
+        self.completions[idx] = now;
+        if self.remaining == 1 {
+            self.verify_pending();
+            self.makespan = now;
+        }
+        self.remaining -= 1;
     }
 
     fn publish_gauges(&self) {
@@ -404,10 +452,8 @@ impl FetchCore {
         if self.pos[idx] >= self.plans[idx].len() {
             // Plan exhausted: the edge into this event was the last
             // block's delivery, so `now` is this node's completion.
-            self.completions[idx] = ctx.now();
-            self.remaining -= 1;
-            if self.remaining == 0 {
-                self.makespan = ctx.now();
+            self.finish_node(idx, ctx.now());
+            if self.complete() {
                 ctx.mark("distribute.complete", ctx.now());
             }
             self.publish_gauges();
@@ -700,6 +746,52 @@ mod tests {
         let a = run(FetchStrategy::Cooperative, 8, 64 * 1024);
         let b = run(FetchStrategy::Cooperative, 8, 64 * 1024);
         assert_eq!(a, b);
+    }
+
+    /// Delivers every node's plan straight through `accept`, node after
+    /// node, finishing each after its last block. The deliveries numbered
+    /// in `corrupt` (in arrival order) get one bit flipped. Returns the
+    /// stats, the content digest and the number of deliveries.
+    fn deliver_in_order(corrupt: &[usize]) -> (FetchStats, u64, usize) {
+        let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(42));
+        let config = FetchConfig::new(3, 1, u64::MAX, 7);
+        let mut core = FetchCore::new(catalog, FetchStrategy::Registry, config);
+        let mut arrivals = 0;
+        for node in 0..3 {
+            for hash in core.plans[node].clone() {
+                let mut bytes = core.store.get(hash).expect("registry holds the catalog");
+                if corrupt.contains(&arrivals) {
+                    let mut flipped = bytes.to_vec();
+                    flipped[0] ^= 1;
+                    bytes = bytes::Bytes::from(flipped);
+                }
+                core.accept(node as u32, hash, bytes);
+                arrivals += 1;
+            }
+            core.finish_node(node, SimTime::from_micros(arrivals as u64));
+        }
+        assert!(core.complete());
+        (core.stats(), core.content_digest(), arrivals)
+    }
+
+    #[test]
+    fn corrupt_deliveries_fail_verification_in_every_batch_slot() {
+        let (clean, clean_digest, arrivals) = deliver_in_order(&[]);
+        assert_eq!(clean.verify_failures, 0);
+        assert_eq!(clean.delivered_blocks, arrivals as u64);
+        assert_ne!(arrivals % LANES, 0, "the last batch must be partial");
+        // The first slot of the second batch, and the last delivery,
+        // which only the completion flush verifies.
+        let (first_slot, last) = (LANES, arrivals - 1);
+        let (stats, digest, _) = deliver_in_order(&[first_slot, last]);
+        assert_eq!(stats.verify_failures, 2, "both corrupt blocks counted");
+        assert_ne!(digest, clean_digest);
+        let (stats, digest, _) = deliver_in_order(&[last]);
+        assert_eq!(
+            stats.verify_failures, 1,
+            "the final partial batch is verified"
+        );
+        assert_ne!(digest, clean_digest);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use now_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
-use crate::manifest::ImageManifest;
+use crate::manifest::{ImageManifest, ManifestEntry};
 use crate::store::{BlockStore, DEFAULT_CHUNK_BYTES};
 
 /// Shape of a synthetic image catalog.
@@ -55,10 +55,12 @@ pub struct ImageCatalog {
 impl ImageCatalog {
     /// Generates the catalog described by `spec`, deterministically.
     ///
-    /// The base layer is generated once and chunked into every image, so
-    /// base chunks carry one reference per image; app files are forked
-    /// per image and unique. Dedup factor follows directly from the
-    /// base/app byte ratio and the image count.
+    /// The base layer is generated, chunked and hashed once; every image
+    /// lists it, and each image after the first takes one more reference
+    /// per base chunk, counted exactly as re-inserting the identical
+    /// bytes would be. App files are forked per image and unique. Dedup
+    /// factor follows directly from the base/app byte ratio and the image
+    /// count.
     ///
     /// # Panics
     ///
@@ -72,28 +74,35 @@ impl ImageCatalog {
         let mut rng = SimRng::new(spec.seed);
         let mut store = BlockStore::new(rng.fork_seed(), spec.chunk_bytes);
         let size_range = (spec.file_bytes / 2).max(1)..(spec.file_bytes * 3 / 2).max(2);
+        let file = |path: String, rng: &mut SimRng, store: &mut BlockStore| {
+            let len = rng.gen_range(size_range.clone()) as usize;
+            ManifestEntry::build(path, &fill_bytes(rng.fork_seed(), len), store)
+        };
 
-        let base: Vec<(String, Vec<u8>)> = (0..spec.base_files)
-            .map(|i| {
-                let len = rng.gen_range(size_range.clone()) as usize;
-                (
-                    format!("/base/lib{i:03}.so"),
-                    fill_bytes(rng.fork_seed(), len),
-                )
-            })
+        let base: Vec<ManifestEntry> = (0..spec.base_files)
+            .map(|i| file(format!("/base/lib{i:03}.so"), &mut rng, &mut store))
             .collect();
 
         let manifests = (0..spec.images)
             .map(|img| {
-                let mut files = base.clone();
-                files.extend((0..spec.app_files).map(|i| {
-                    let len = rng.gen_range(size_range.clone()) as usize;
-                    (
+                if img > 0 {
+                    for &hash in base.iter().flat_map(|entry| &entry.blocks) {
+                        assert!(store.add_ref(hash), "the base layer is stored");
+                    }
+                }
+                let mut entries = base.clone();
+                entries.extend((0..spec.app_files).map(|i| {
+                    file(
                         format!("/app/img{img:03}/file{i:03}.bin"),
-                        fill_bytes(rng.fork_seed(), len),
+                        &mut rng,
+                        &mut store,
                     )
                 }));
-                ImageManifest::build(&format!("img-{img}"), &files, &mut store)
+                ImageManifest {
+                    name: format!("img-{img}"),
+                    chunk_bytes: spec.chunk_bytes,
+                    entries,
+                }
             })
             .collect();
 
@@ -164,6 +173,78 @@ mod tests {
             assert_eq!(files.len(), 18);
             let bytes: u64 = files.iter().map(|(_, d)| d.len() as u64).sum();
             assert_eq!(bytes, manifest.logical_bytes());
+        }
+    }
+
+    /// The reference catalog: the same content, with every image built
+    /// through `ImageManifest::build` on its own copy of the base layer.
+    fn per_image_reference(spec: &ImageCatalogSpec) -> ImageCatalog {
+        let mut rng = SimRng::new(spec.seed);
+        let mut store = BlockStore::new(rng.fork_seed(), spec.chunk_bytes);
+        let size_range = (spec.file_bytes / 2).max(1)..(spec.file_bytes * 3 / 2).max(2);
+        let base: Vec<(String, Vec<u8>)> = (0..spec.base_files)
+            .map(|i| {
+                let len = rng.gen_range(size_range.clone()) as usize;
+                (
+                    format!("/base/lib{i:03}.so"),
+                    fill_bytes(rng.fork_seed(), len),
+                )
+            })
+            .collect();
+        let manifests = (0..spec.images)
+            .map(|img| {
+                let mut files = base.clone();
+                files.extend((0..spec.app_files).map(|i| {
+                    let len = rng.gen_range(size_range.clone()) as usize;
+                    (
+                        format!("/app/img{img:03}/file{i:03}.bin"),
+                        fill_bytes(rng.fork_seed(), len),
+                    )
+                }));
+                ImageManifest::build(&format!("img-{img}"), &files, &mut store)
+            })
+            .collect();
+        ImageCatalog { store, manifests }
+    }
+
+    #[test]
+    fn hashing_the_base_once_matches_the_per_image_build() {
+        let specs = [
+            ImageCatalogSpec::smoke(42),
+            // The benchmark's and `repro distribute`'s catalog.
+            ImageCatalogSpec {
+                images: 8,
+                base_files: 24,
+                app_files: 8,
+                file_bytes: 64 * 1024,
+                chunk_bytes: DEFAULT_CHUNK_BYTES,
+                seed: 42,
+            },
+            // One-byte chunks of 1-2 byte files: base and app content
+            // collide all the time, so dedup hits cross the layers.
+            ImageCatalogSpec {
+                images: 3,
+                base_files: 5,
+                app_files: 4,
+                file_bytes: 2,
+                chunk_bytes: 1,
+                seed: 9,
+            },
+        ];
+        for spec in specs {
+            let got = ImageCatalog::generate(&spec);
+            let want = per_image_reference(&spec);
+            let digests = |c: &ImageCatalog| -> Vec<u64> {
+                c.manifests.iter().map(ImageManifest::digest).collect()
+            };
+            assert_eq!(digests(&got), digests(&want), "{spec:?}");
+            assert_eq!(got.manifests, want.manifests, "{spec:?}");
+            assert_eq!(got.store.stats(), want.store.stats(), "{spec:?}");
+            assert_eq!(got.store.len(), want.store.len(), "{spec:?}");
+            assert!(got.store.hashes().eq(want.store.hashes()), "{spec:?}");
+            for h in want.store.hashes() {
+                assert_eq!(got.store.refs(h), want.store.refs(h), "{spec:?} {h}");
+            }
         }
     }
 

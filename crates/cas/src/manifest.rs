@@ -19,6 +19,18 @@ pub struct ManifestEntry {
     pub blocks: Vec<BlockHash>,
 }
 
+impl ManifestEntry {
+    /// Chunks `data` through `store` as the file at `path`, taking one
+    /// reference per chunk occurrence.
+    pub(crate) fn build(path: String, data: &[u8], store: &mut BlockStore) -> Self {
+        ManifestEntry {
+            path,
+            size: data.len() as u64,
+            blocks: store.add_bytes(data),
+        }
+    }
+}
+
 /// An image as a manifest: the full file hierarchy, ordered, with every
 /// chunk named by content hash — the flist idea. The manifest itself is
 /// small (paths and hashes); the data stays in the store and is fetched
@@ -39,11 +51,7 @@ impl ImageManifest {
     pub fn build(name: &str, files: &[(String, Vec<u8>)], store: &mut BlockStore) -> Self {
         let entries = files
             .iter()
-            .map(|(path, data)| ManifestEntry {
-                path: path.clone(),
-                size: data.len() as u64,
-                blocks: store.add_bytes(data),
-            })
+            .map(|(path, data)| ManifestEntry::build(path.clone(), data, store))
             .collect();
         ImageManifest {
             name: name.to_string(),

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use now_cas::{
-    BlockStore, CasEvent, CooperativeFetch, FetchConfig, FetchStrategy, ImageCatalog,
+    BlockHash, BlockStore, CasEvent, CooperativeFetch, FetchConfig, FetchStrategy, ImageCatalog,
     ImageCatalogSpec, ImageManifest, PartialCache, RegistryFetch,
 };
 use now_sim::{Engine, SimTime};
@@ -44,6 +44,26 @@ fn manifest_for(blocks: &[Vec<u8>], store: &mut BlockStore) -> ImageManifest {
 }
 
 proptest! {
+    /// The side-by-side kernel gives every chunk exactly its one-lane
+    /// hash, whatever the seed and the mix of lengths, and so does the
+    /// multi-chunk helper when its lanes refill (six chunks on four lanes).
+    #[test]
+    fn lane_hashing_matches_one_lane(
+        seed in any::<u64>(),
+        a in prop::collection::vec(any::<u8>(), 0..4096),
+        b in prop::collection::vec(any::<u8>(), 0..4096),
+        c in prop::collection::vec(any::<u8>(), 0..4096),
+        d in prop::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        let chunks = [&a[..], &b[..], &c[..], &d[..]];
+        let one_lane: Vec<BlockHash> = chunks.iter().map(|c| BlockHash::of(seed, c)).collect();
+        prop_assert_eq!(&BlockHash::of_lanes(seed, chunks)[..], &one_lane[..]);
+        prop_assert_eq!(&BlockHash::of_chunks(seed, chunks)[..], &one_lane[..]);
+        let six = [&d[..], &a[..], &c[..], &b[..], &b[..], &a[..]];
+        let want: Vec<BlockHash> = six.iter().map(|c| BlockHash::of(seed, c)).collect();
+        prop_assert_eq!(BlockHash::of_chunks(seed, six), want);
+    }
+
     /// Chunking then reassembling through the store round-trips every
     /// byte, whatever the data and chunk size.
     #[test]

@@ -96,10 +96,7 @@ impl Xfs {
             if data.len() as u64 != entry.size {
                 return Err(corrupt);
             }
-            let hashes: Vec<BlockHash> = data
-                .chunks(manifest.chunk_bytes)
-                .map(|c| store.hash_of(c))
-                .collect();
+            let hashes = BlockHash::of_chunks(store.seed(), data.chunks(manifest.chunk_bytes));
             if hashes != entry.blocks {
                 return Err(corrupt);
             }
