@@ -748,16 +748,17 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Delivers every node's plan straight through `accept`, node after
-    /// node, finishing each after its last block. The deliveries numbered
-    /// in `corrupt` (in arrival order) get one bit flipped. Returns the
-    /// stats, the content digest and the number of deliveries.
-    fn deliver_in_order(corrupt: &[usize]) -> (FetchStats, u64, usize) {
+    /// Delivers every plan of `fetchers` nodes straight through `accept`,
+    /// node after node, finishing each after its last block. The
+    /// deliveries numbered in `corrupt` (in arrival order) get one bit
+    /// flipped. Returns the stats, the content digest and the number of
+    /// deliveries.
+    fn deliver_in_order(fetchers: u32, corrupt: &[usize]) -> (FetchStats, u64, usize) {
         let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(42));
-        let config = FetchConfig::new(3, 1, u64::MAX, 7);
+        let config = FetchConfig::new(fetchers, 1, u64::MAX, 7);
         let mut core = FetchCore::new(catalog, FetchStrategy::Registry, config);
         let mut arrivals = 0;
-        for node in 0..3 {
+        for node in 0..fetchers as usize {
             for hash in core.plans[node].clone() {
                 let mut bytes = core.store.get(hash).expect("registry holds the catalog");
                 if corrupt.contains(&arrivals) {
@@ -776,17 +777,20 @@ mod tests {
 
     #[test]
     fn corrupt_deliveries_fail_verification_in_every_batch_slot() {
-        let (clean, clean_digest, arrivals) = deliver_in_order(&[]);
+        // A fetcher count whose deliveries leave the last batch partial.
+        let fetchers = (2..8)
+            .find(|&n| !deliver_in_order(n, &[]).2.is_multiple_of(LANES))
+            .expect("some fetcher count leaves a partial last batch");
+        let (clean, clean_digest, arrivals) = deliver_in_order(fetchers, &[]);
         assert_eq!(clean.verify_failures, 0);
         assert_eq!(clean.delivered_blocks, arrivals as u64);
-        assert_ne!(arrivals % LANES, 0, "the last batch must be partial");
         // The first slot of the second batch, and the last delivery,
         // which only the completion flush verifies.
         let (first_slot, last) = (LANES, arrivals - 1);
-        let (stats, digest, _) = deliver_in_order(&[first_slot, last]);
+        let (stats, digest, _) = deliver_in_order(fetchers, &[first_slot, last]);
         assert_eq!(stats.verify_failures, 2, "both corrupt blocks counted");
         assert_ne!(digest, clean_digest);
-        let (stats, digest, _) = deliver_in_order(&[last]);
+        let (stats, digest, _) = deliver_in_order(fetchers, &[last]);
         assert_eq!(
             stats.verify_failures, 1,
             "the final partial batch is verified"

@@ -27,9 +27,15 @@ pub struct BlockHash(pub u64);
 const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Chains [`BlockHash::of_chunks`] runs side by side: enough to cover the
-/// multiply latency of one FNV-1a step with independent work.
-pub(crate) const LANES: usize = 4;
+/// Chains [`BlockHash::of_chunks`] runs side by side. One FNV-1a step is
+/// an xor and a multiply, about four cycles, and a core starts one
+/// multiply per cycle. Two chains use half of those multiply slots and
+/// hash twice as fast as one; like the one-lane loop, they slow only as
+/// much as the core does when other work shares it. Three or four chains
+/// hash up to 3.7 times as fast as one, but they crowd the multiplier,
+/// and a run's time then swings far more from one run to the next
+/// (EXPERIMENTS.md, "Lane count and run-to-run spread").
+pub(crate) const LANES: usize = 2;
 
 impl BlockHash {
     /// Hashes `bytes` under `seed`: the one-lane case of
@@ -43,10 +49,11 @@ impl BlockHash {
     /// [`BlockHash::of`] gives it.
     ///
     /// FNV-1a is one serial chain per chunk, each step waiting on the
-    /// previous multiply. Here the `N` chains advance side by side, one
-    /// 8-byte word per lane and then eight xor-multiply steps, so the
-    /// multiplies of different chunks overlap. Lengths may differ: a lane
-    /// whose chunk is done shadows a busy one until every chunk is.
+    /// previous multiply. Here the `N` chains advance side by side, eight
+    /// bytes per lane at a time, one xor-multiply step per byte and lane
+    /// in turn, so the multiplies of different chunks overlap. Lengths
+    /// may differ: a lane whose chunk is done shadows a busy one until
+    /// every chunk is.
     ///
     /// ```
     /// use now_cas::BlockHash;
@@ -61,7 +68,7 @@ impl BlockHash {
         out
     }
 
-    /// Hashes every chunk of `chunks`, in order, four lanes at a time
+    /// Hashes every chunk of `chunks`, in order, two lanes at a time
     /// (see [`BlockHash::of_lanes`]): a lane takes the next chunk as soon
     /// as its own is done, so short tails do not stall the others.
     pub fn of_chunks<'a>(seed: u64, chunks: impl IntoIterator<Item = &'a [u8]>) -> Vec<BlockHash> {
@@ -128,15 +135,20 @@ fn hash_lanes<'a, const N: usize>(
                 rest[lane] = rest[busy];
             }
         }
+        // Each byte is read straight from memory: a load, an xor and a
+        // multiply per byte and lane. Shifting bytes out of a loaded word
+        // costs two more instructions each, which makes the loop wait on
+        // instruction throughput rather than on the multiply chain, and
+        // its speed then swings with whatever shares the core.
         for w in 0..words {
-            let word: [u64; N] = std::array::from_fn(|lane| {
-                let bytes = &rest[lane][w * 8..w * 8 + 8];
-                u64::from_le_bytes(bytes.try_into().expect("an 8-byte word"))
+            let word: [&[u8; 8]; N] = std::array::from_fn(|lane| {
+                rest[lane][w * 8..w * 8 + 8]
+                    .try_into()
+                    .expect("an 8-byte word")
             });
-            for shift in (0..64).step_by(8) {
-                for lane in 0..N {
-                    state[lane] =
-                        (state[lane] ^ ((word[lane] >> shift) & 0xff)).wrapping_mul(PRIME);
+            for byte in 0..8 {
+                for (h, word) in state.iter_mut().zip(&word) {
+                    *h = (*h ^ u64::from(word[byte])).wrapping_mul(PRIME);
                 }
             }
         }
@@ -258,7 +270,7 @@ impl BlockStore {
 
     /// Chunks `data` at the store's chunk size and inserts every chunk
     /// (the last one may be short), returning the ordered hash list. The
-    /// chunks are hashed four at a time ([`BlockHash::of_chunks`]) and
+    /// chunks are hashed side by side ([`BlockHash::of_chunks`]) and
     /// only new ones are copied into the store.
     pub fn add_bytes(&mut self, data: &[u8]) -> Vec<BlockHash> {
         let hashes = BlockHash::of_chunks(self.seed, data.chunks(self.chunk_bytes));

@@ -46,7 +46,7 @@ fn manifest_for(blocks: &[Vec<u8>], store: &mut BlockStore) -> ImageManifest {
 proptest! {
     /// The side-by-side kernel gives every chunk exactly its one-lane
     /// hash, whatever the seed and the mix of lengths, and so does the
-    /// multi-chunk helper when its lanes refill (six chunks on four lanes).
+    /// multi-chunk helper when its lanes refill (six chunks on its two lanes).
     #[test]
     fn lane_hashing_matches_one_lane(
         seed in any::<u64>(),
