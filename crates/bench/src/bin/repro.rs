@@ -454,8 +454,7 @@ fn main() {
             }
             None => eprintln!(
                 "--profile collected nothing: only the contention, availability, \
-                 serve, and distribute reports run the host profiler, and \
-                 multi-cell runs skip it (threads share the wall clock)"
+                 serve, and distribute reports run the host profiler"
             ),
         }
     }

@@ -366,8 +366,8 @@ pub struct ReportOptions {
     pub blame: bool,
     /// Run the flight recorder and return its series.
     pub record: bool,
-    /// Attribute host time per component and return the merged profile
-    /// (serial runs only; multi-cell runs skip it).
+    /// Attribute host time per component and return the profile merged
+    /// over every run and cell.
     pub profile: bool,
     /// Worker threads the independent runs of a sweep fan out over
     /// (forced to 1 while a shared enabled probe watches).

@@ -155,15 +155,14 @@ struct Distribute<'a> {
 
 impl Workload for Distribute<'_> {
     type Event = DistributeScenarioEvent;
-    type Engine = Engine<DistributeScenarioEvent>;
     type Ids = ComponentId;
     type Outcome = DistributeOutcome;
 
-    fn engine(&self, probe: &Probe) -> Self::Engine {
+    fn engine(&self, probe: &Probe) -> Engine<DistributeScenarioEvent> {
         Engine::with_transport(fabric_transport(self.cluster, self.spec.am_batch, probe))
     }
 
-    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> ComponentId {
+    fn register(&self, engine: &mut Engine<DistributeScenarioEvent>, probe: &Probe) -> ComponentId {
         let spec = self.spec;
         let catalog = ImageCatalog::generate(&spec.catalog);
         let config = FetchConfig::new(
@@ -211,7 +210,7 @@ impl Workload for Distribute<'_> {
 
     fn outcome(
         &self,
-        engine: &Self::Engine,
+        engine: &Engine<DistributeScenarioEvent>,
         id: ComponentId,
         acct: &Accounting<'_>,
     ) -> DistributeOutcome {

@@ -1,14 +1,21 @@
 //! The run harness every scenario goes through.
 //!
-//! A scenario describes itself as a [`Workload`]: the engine it runs on,
+//! A scenario describes one cell of itself as a [`Workload`]: its engine,
 //! its components (registered and seeded in a fixed order), their labels,
 //! the completion marks its blame tables walk back from, the gauges its
 //! flight recorder samples, and how to read the outcome off the finished
-//! engine. [`run`] owns everything else, identically for every scenario:
-//! the utilization epoch, the sampled causal sink, the flight recorder
-//! (registered after every other component), the host profiler, the run
-//! itself, and the post-run extraction of the recorder series, the blame
-//! tables, and the observation self-accounting.
+//! engine. The harness owns everything else, identically for every
+//! scenario: the utilization epoch, the sampled causal sink, the flight
+//! recorder (registered after every other component), the host profiler,
+//! the run itself, and the post-run extraction of the recorder series, the
+//! blame tables, and the observation self-accounting.
+//!
+//! [`run`] runs one cell. [`run_cells`] fans a multi-cell run's cells out
+//! over worker threads: each cell is an ordinary single-cell run on its
+//! own engine, probed under `cell{c}.`, and the cells share only the
+//! causal log, into disjoint id ranges. Both bump the utilization epoch
+//! once before any cell starts and walk the blame tables once, after the
+//! last cell finishes.
 //!
 //! Component ids and causal sequence numbers follow registration and
 //! seeding order, so the harness never reorders either: the workload
@@ -23,8 +30,7 @@ use now_probe::recorder::{TimeSeries, WindowedSeries};
 use now_probe::{Gauge, Probe};
 use now_sim::parallel::run_indexed;
 use now_sim::{
-    CausalSink, Component, ComponentId, Ctx, Engine, EventCast, HostProfile, PartitionedEngine,
-    SimDuration, SimTime, Transport,
+    CausalSink, Component, Ctx, Engine, EventCast, HostProfile, SimDuration, SimTime, Transport,
 };
 
 use crate::cluster::NowCluster;
@@ -55,10 +61,8 @@ pub struct ScenarioObserver {
     pub window_budget: Option<usize>,
     /// When set, the engine attributes host (wall-clock) time to each
     /// component and [`ScenarioObservations::profile`] carries the
-    /// [`HostProfile`]. Serial runs only: multi-cell runs spread their
-    /// cells over threads, where per-component wall time has no single
-    /// meaning, so they skip profiling. The simulated history is
-    /// byte-identical either way.
+    /// [`HostProfile`], summed over the cells of a multi-cell run. The
+    /// simulated history is byte-identical either way.
     pub profile: bool,
 }
 
@@ -84,8 +88,8 @@ pub struct ScenarioObservations {
     /// The flight recorder's downsampled samples. Empty unless both a
     /// cadence and a window budget were set.
     pub windowed: WindowedSeries,
-    /// Host-time attribution. Present only when the observer asked for
-    /// profiling and the run was serial.
+    /// Host-time attribution, summed over every cell of the run. Present
+    /// only when the observer asked for profiling.
     pub profile: Option<HostProfile>,
 }
 
@@ -112,66 +116,6 @@ impl NowCluster {
         run: impl Fn(&Self, &S, &ScenarioObserver) -> (O, ScenarioObservations) + Sync,
     ) -> Vec<(O, ScenarioObservations)> {
         run_indexed(jobs, runs, |_, (spec, observer)| run(self, spec, observer))
-    }
-}
-
-/// The registration seam the harness and the workloads drive, over both
-/// engine types. The partition argument homes a component in a
-/// [`PartitionedEngine`]; the serial [`Engine`] ignores it.
-pub(crate) trait Host<M> {
-    /// Registers `component` (homed in `partition`) and returns its id.
-    fn register_in<C: Component<M>>(&mut self, partition: u32, component: C) -> ComponentId;
-    /// Seeds `event` for `id` at `at`.
-    fn seed(&mut self, id: ComponentId, at: SimTime, event: M);
-    /// Borrows a component as its concrete type.
-    fn component<C: Component<M>>(&self, id: ComponentId) -> &C;
-    /// Attaches a 1-in-`every` sampled causal sink.
-    fn set_causal_sink_sampled(&mut self, sink: Arc<dyn CausalSink>, every: u64);
-    /// Runs to completion, profiling host time under `labels` when given
-    /// and supported.
-    fn run_profiled(&mut self, labels: Option<&[&str]>) -> Option<HostProfile>;
-}
-
-impl<M: 'static> Host<M> for Engine<M> {
-    fn register_in<C: Component<M>>(&mut self, _partition: u32, component: C) -> ComponentId {
-        self.register(component)
-    }
-    fn seed(&mut self, id: ComponentId, at: SimTime, event: M) {
-        self.schedule_at(id, at, event);
-    }
-    fn component<C: Component<M>>(&self, id: ComponentId) -> &C {
-        Engine::component(self, id)
-    }
-    fn set_causal_sink_sampled(&mut self, sink: Arc<dyn CausalSink>, every: u64) {
-        Engine::set_causal_sink_sampled(self, sink, every);
-    }
-    fn run_profiled(&mut self, labels: Option<&[&str]>) -> Option<HostProfile> {
-        if let Some(labels) = labels {
-            self.enable_profiler(labels);
-        }
-        self.run();
-        self.take_profile()
-    }
-}
-
-impl<M: Send + 'static> Host<M> for PartitionedEngine<M> {
-    fn register_in<C: Component<M>>(&mut self, partition: u32, component: C) -> ComponentId {
-        self.register(partition, component)
-    }
-    fn seed(&mut self, id: ComponentId, at: SimTime, event: M) {
-        self.schedule_at(id, at, event);
-    }
-    fn component<C: Component<M>>(&self, id: ComponentId) -> &C {
-        PartitionedEngine::component(self, id)
-    }
-    fn set_causal_sink_sampled(&mut self, sink: Arc<dyn CausalSink>, every: u64) {
-        PartitionedEngine::set_causal_sink_sampled(self, sink, every);
-    }
-    fn run_profiled(&mut self, _labels: Option<&[&str]>) -> Option<HostProfile> {
-        // Cells run concurrently on threads: per-component wall time has
-        // no single meaning, so multi-cell runs are never profiled.
-        self.run();
-        None
     }
 }
 
@@ -211,22 +155,20 @@ impl Accounting<'_> {
     }
 }
 
-/// One scenario as the harness sees it (see the module docs).
+/// One scenario cell as the harness sees it (see the module docs).
 pub(crate) trait Workload {
     /// The engine's event type; it must carry the recorder's ticks.
     type Event: EventCast<RecorderEvent> + 'static;
-    /// The engine the run executes on.
-    type Engine: Host<Self::Event>;
     /// What registration hands to outcome extraction.
     type Ids;
     /// What the run returns.
     type Outcome;
 
     /// Builds the engine, its fabric wired to `probe`.
-    fn engine(&self, probe: &Probe) -> Self::Engine;
+    fn engine(&self, probe: &Probe) -> Engine<Self::Event>;
     /// Registers the workload's components and seeds their first events,
     /// in the fixed order its history depends on.
-    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> Self::Ids;
+    fn register(&self, engine: &mut Engine<Self::Event>, probe: &Probe) -> Self::Ids;
     /// Component labels by registration order.
     fn component_names(&self) -> Vec<&'static str>;
     /// `(tag, mark label)` per completion mark the blame tables walk
@@ -235,7 +177,12 @@ pub(crate) trait Workload {
     /// The flight recorder's gauges and horizon.
     fn recorder(&self, probe: &Probe) -> Recording;
     /// Reads the outcome off the finished engine.
-    fn outcome(&self, engine: &Self::Engine, ids: Self::Ids, acct: &Accounting) -> Self::Outcome;
+    fn outcome(
+        &self,
+        engine: &Engine<Self::Event>,
+        ids: Self::Ids,
+        acct: &Accounting,
+    ) -> Self::Outcome;
 }
 
 /// A private copy of `cluster`'s live fabric, probed through `probe`:
@@ -260,46 +207,101 @@ pub(crate) fn fabric_transport(
     }
 }
 
-/// Runs `workload` once under `observer` (see the module docs for what
-/// the harness owns and the ordering contract it keeps).
+/// Runs `workload` once under `observer`, as a single cell (see the
+/// module docs for what the harness owns and the ordering contract it
+/// keeps).
 pub(crate) fn run<W: Workload>(
     workload: &W,
     observer: &ScenarioObserver,
 ) -> (W::Outcome, ScenarioObservations) {
-    let probe = &observer.probe;
     // A new run is a new utilization epoch: resource ledgers shared
     // across a sweep close the previous run's wall and start idle.
-    probe.util_epoch();
+    observer.probe.util_epoch();
+    let (outcome, mut observations) = run_cell(workload, observer, &observer.probe, 0);
+    observations.blame = blame(workload, observer);
+    (outcome, observations)
+}
+
+/// Runs `cells` as one multi-cell run under `observer`, over up to
+/// `workers` threads: cell `c` is a single-cell run probed under
+/// `cell{c}.`, and only cell 0 carries the flight recorder. Returns the
+/// cells' outcomes in cell order, with the recorder series of cell 0, the
+/// blame tables of the merged causal log, and the summed host profile.
+/// All but the profile's host times are identical at every worker count.
+pub(crate) fn run_cells<W>(
+    cells: &[W],
+    workers: usize,
+    observer: &ScenarioObserver,
+) -> (Vec<W::Outcome>, ScenarioObservations)
+where
+    W: Workload + Sync,
+    W::Outcome: Send,
+{
+    // One epoch for the whole run: cells run concurrently, and a bump
+    // per cell would close a running cell's wall span.
+    observer.probe.util_epoch();
+    let runs = run_indexed(workers, cells, |c, cell| {
+        let probe = observer.probe.scoped(&format!("cell{c}."));
+        run_cell(cell, observer, &probe, c as u32)
+    });
+    let (outcomes, seen): (Vec<W::Outcome>, Vec<ScenarioObservations>) = runs.into_iter().unzip();
+    // Cell 0 carries the recorder series; the host profiles sum.
+    let mut seen = seen.into_iter();
+    let mut observations = seen.next().unwrap_or_default();
+    for cell in seen {
+        if let (Some(sum), Some(profile)) = (&mut observations.profile, &cell.profile) {
+            sum.merge(profile);
+        }
+    }
+    observations.blame = blame(&cells[0], observer);
+    (outcomes, observations)
+}
+
+/// Component labels by registration order, the recorder's last.
+fn labels<W: Workload>(workload: &W) -> Vec<&'static str> {
+    let mut names = workload.component_names();
+    names.push("recorder");
+    names
+}
+
+/// Runs cell `cell` of a run on its own engine, probed through `probe`:
+/// its causal ids offset by `cell << 44` into the shared log, the flight
+/// recorder on cell 0 only. The engine is dropped before this returns.
+/// Blame is left to the caller, which walks it once over the whole log.
+fn run_cell<W: Workload>(
+    workload: &W,
+    observer: &ScenarioObserver,
+    probe: &Probe,
+    cell: u32,
+) -> (W::Outcome, ScenarioObservations) {
     let mut engine = workload.engine(probe);
     if let Some(log) = &observer.causal {
         engine.set_causal_sink_sampled(
             Arc::clone(log) as Arc<dyn CausalSink>,
             observer.trace_sample_every.max(1),
         );
+        engine.set_causal_seq_offset(u64::from(cell) << 44);
     }
     let ids = workload.register(&mut engine, probe);
     // The flight recorder registers last (component ids above are stable
-    // whether or not it exists), homed in partition 0, and only when
-    // asked for.
-    let recorder_id = observer.sample_every.map(|every| {
+    // whether or not it exists), and only when asked for.
+    let recorder_id = observer.sample_every.filter(|_| cell == 0).map(|every| {
         let plan = workload.recorder(probe);
-        let id = engine.register_in(
-            0,
-            RecorderComponent::with_gauges(
-                &plan.probe,
-                &gauges_with_batch(plan.gauges, plan.batch),
-                every,
-                plan.horizon,
-                observer.window_budget,
-            ),
-        );
-        engine.seed(id, SimTime::ZERO, W::Event::upcast(RecorderEvent::Sample));
+        let id = engine.register(RecorderComponent::with_gauges(
+            &plan.probe,
+            &gauges_with_batch(plan.gauges, plan.batch),
+            every,
+            plan.horizon,
+            observer.window_budget,
+        ));
+        engine.schedule_at(id, SimTime::ZERO, W::Event::upcast(RecorderEvent::Sample));
         id
     });
 
-    let mut names = workload.component_names();
-    names.push("recorder");
-    let profile = engine.run_profiled(observer.profile.then_some(&names[..]));
+    if observer.profile {
+        engine.enable_profiler(&labels(workload));
+    }
+    engine.run();
 
     let (timeseries, windowed, recorder_bytes) = match recorder_id {
         Some(id) => {
@@ -313,14 +315,6 @@ pub(crate) fn run<W: Workload>(
         None => (TimeSeries::new(Vec::new()), WindowedSeries::default(), 0),
     };
     let log = observer.causal.as_deref();
-    let blame = log
-        .iter()
-        .flat_map(|log| {
-            workload.marks().iter().filter_map(|&(tag, label)| {
-                critical_path(log, label, &names).map(|table| (tag, table))
-            })
-        })
-        .collect();
     let acct = Accounting {
         probe,
         causal_records: log.map_or(0, CausalLog::len),
@@ -331,12 +325,29 @@ pub(crate) fn run<W: Workload>(
     (
         outcome,
         ScenarioObservations {
-            blame,
+            blame: Vec::new(),
             timeseries,
             windowed,
-            profile,
+            profile: engine.take_profile(),
         },
     )
+}
+
+/// The blame tables of a finished run, one per completion mark of
+/// `workload` found in the observer's causal log.
+fn blame<W: Workload>(
+    workload: &W,
+    observer: &ScenarioObserver,
+) -> Vec<(&'static str, BlameTable)> {
+    let Some(log) = &observer.causal else {
+        return Vec::new();
+    };
+    let names = labels(workload);
+    workload
+        .marks()
+        .iter()
+        .filter_map(|&(tag, label)| critical_path(log, label, &names).map(|table| (tag, table)))
+        .collect()
 }
 
 /// Events driving a [`RecorderComponent`].

@@ -6,9 +6,9 @@
 //! parallel jobs never shared wires with either. [`NowCluster::run_scenario`]
 //! composes them: a BSP parallel job, an out-of-core paging process, the
 //! cooperative-cache trace replay, and optional background traffic all
-//! run as [`Component`]s on **one** [`Engine`] whose
-//! [`CostModel::Fabric`](now_sim::CostModel) routes every remote byte
-//! through the same live [`now_net::Network`]. Occupancy is real: when the
+//! run as [`Component`]s on **one** [`Engine`] whose fabric
+//! ([`Engine::with_transport`]) routes every remote byte through the same
+//! live [`now_net::Network`]. Occupancy is real: when the
 //! background flows saturate a link, netram page fetches queue behind them
 //! and the job's barriers slip — the contention curve `now-bench` reports.
 //!
@@ -29,8 +29,7 @@ use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
 use now_sim::parallel::default_jobs;
 use now_sim::{
-    Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast, PartitionedEngine,
-    SimDuration, SimTime, TransferCost,
+    Component, ComponentId, CostMode, Ctx, Engine, EventCast, SimDuration, SimTime, TransferCost,
 };
 use now_trace::fs::{FsTrace, FsTraceConfig};
 use serde::{Deserialize, Serialize};
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::NowCluster;
 use crate::control::{ClusterControl, ControlEvent, ControlWiring, FaultOutcome};
 use crate::harness::{
-    self, fabric_transport, Accounting, Host, RecorderEvent, Recording, ScenarioObservations,
+    self, fabric_transport, Accounting, RecorderEvent, Recording, ScenarioObservations,
     ScenarioObserver, Workload,
 };
 
@@ -508,22 +507,19 @@ struct CellIds {
     injector: ComponentId,
 }
 
-/// Registers cell `c` of the coupled scenario on nodes `0..n`, homed in
-/// partition `c`, and seeds its events from seed `spec.seed + c`, every
-/// component publishing to `probe`. The single-cell run is cell 0.
+/// Registers one cell of the coupled scenario on nodes `0..n` and seeds
+/// its events from `spec.seed`, every component publishing to `probe`.
 ///
 /// Registration (job, solver, cache, traffic, control, injector) and
 /// seeding (job, solver, cache, traffic, injector, control) follow a
 /// fixed order: component ids and causal sequence numbers depend on it.
 fn build_cell(
-    host: &mut impl Host<ScenarioEvent>,
+    engine: &mut Engine<ScenarioEvent>,
     spec: &ScenarioSpec,
     n: u32,
-    c: u32,
     probe: &Probe,
 ) -> CellIds {
     let (k, h) = (spec.job_workers, spec.netram_hosts);
-    let seed = spec.seed.wrapping_add(u64::from(c));
     let worker_nodes: Vec<u32> = (0..k).collect();
     let pager_node = k;
     let host_nodes: Vec<u32> = (k + 1..=k + h).collect();
@@ -537,7 +533,7 @@ fn build_cell(
         spec.job_message_bytes,
     );
     job.set_probe(probe);
-    let job_id = host.register_in(c, job);
+    let job_id = engine.register(job);
 
     // The out-of-core paging process. The fixed-cost constants in the
     // memory config are placeholders: under the fabric cost model every
@@ -566,7 +562,7 @@ fn build_cell(
     )
     .with_placement(pager_node, host_nodes.clone());
     solver.set_probe(probe);
-    let solver_id = host.register_in(c, solver);
+    let solver_id = engine.register(solver);
 
     // The cooperative file cache, its clients sharing the workers'
     // nodes and its server on the cell's last node.
@@ -574,14 +570,14 @@ fn build_cell(
     trace_config.clients = k;
     trace_config.duration = spec.horizon;
     trace_config.accesses_per_sec = spec.cache_accesses_per_sec;
-    let trace = FsTrace::generate(&trace_config, seed);
+    let trace = FsTrace::generate(&trace_config, spec.seed);
     let mut config = CacheConfig::small(Policy::NChance { n: 2 });
-    config.seed = seed;
+    config.seed = spec.seed;
     let mut cache =
         CacheComponent::new(trace, config).with_placement(worker_nodes.clone(), server_node);
     cache.set_probe(probe);
     let first_access = cache.first_access_time();
-    let cache_id = host.register_in(c, cache);
+    let cache_id = engine.register(cache);
 
     // Background traffic: flow `i` rides from netram host `i % h` into
     // worker `i % k` — the same links paging and the job depend on.
@@ -595,7 +591,7 @@ fn build_cell(
         SimTime::ZERO + spec.horizon,
     );
     traffic.set_probe(probe);
-    let traffic_id = host.register_in(c, traffic);
+    let traffic_id = engine.register(traffic);
 
     // Fault machinery. Nodes past the netram hosts (and before the
     // server) are idle: the first few are held as spares for dead
@@ -635,23 +631,23 @@ fn build_cell(
         tick_until,
     );
     control.set_probe(probe.clone());
-    let control_id = host.register_in(c, control);
+    let control_id = engine.register(control);
     let mut injector = FaultInjectorComponent::new(spec.faults.clone(), vec![control_id]);
     injector.set_probe(probe.clone());
-    let injector_id = host.register_in(c, injector);
+    let injector_id = engine.register(injector);
 
     // Seed in fixed order: job, solver, cache, traffic.
-    host.seed(job_id, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
-    host.seed(
+    engine.schedule_at(job_id, SimTime::ZERO, ScenarioEvent::Job(JobEvent::Round));
+    engine.schedule_at(
         solver_id,
         SimTime::ZERO,
         ScenarioEvent::Page(PageEvent::Step),
     );
     if let Some(t) = first_access {
-        host.seed(cache_id, t, ScenarioEvent::Cache(CacheEvent::Access(0)));
+        engine.schedule_at(cache_id, t, ScenarioEvent::Cache(CacheEvent::Access(0)));
     }
     if spec.background_flows > 0 {
-        host.seed(
+        engine.schedule_at(
             traffic_id,
             SimTime::ZERO,
             ScenarioEvent::Traffic(TrafficEvent::Tick),
@@ -661,12 +657,12 @@ fn build_cell(
     // events: the run's history is byte-identical to a fault-free build
     // of the engine.
     if let Some(first_fault) = spec.faults.first_time() {
-        host.seed(
+        engine.schedule_at(
             injector_id,
             first_fault,
             ScenarioEvent::Inject(InjectorEvent::Fire),
         );
-        host.seed(
+        engine.schedule_at(
             control_id,
             SimTime::ZERO + spec.fault_heartbeat,
             ScenarioEvent::Control(ControlEvent::Tick),
@@ -683,12 +679,12 @@ fn build_cell(
 }
 
 /// Reads one cell's outcome off the finished engine.
-fn cell_outcome(host: &impl Host<ScenarioEvent>, ids: &CellIds) -> ScenarioOutcome {
-    let job = host.component::<BspJobComponent>(ids.job);
-    let solver = host.component::<MultigridComponent>(ids.solver);
-    let traffic = host.component::<TrafficComponent>(ids.traffic);
-    let control = host.component::<ClusterControl>(ids.control);
-    let injector = host.component::<FaultInjectorComponent>(ids.injector);
+fn cell_outcome(engine: &Engine<ScenarioEvent>, ids: &CellIds) -> ScenarioOutcome {
+    let job = engine.component::<BspJobComponent>(ids.job);
+    let solver = engine.component::<MultigridComponent>(ids.solver);
+    let traffic = engine.component::<TrafficComponent>(ids.traffic);
+    let control = engine.component::<ClusterControl>(ids.control);
+    let injector = engine.component::<FaultInjectorComponent>(ids.injector);
     ScenarioOutcome {
         job_makespan: job.makespan().expect(
             "the BSP job runs to completion (a crashed worker needs a \
@@ -696,7 +692,7 @@ fn cell_outcome(host: &impl Host<ScenarioEvent>, ids: &CellIds) -> ScenarioOutco
         ),
         mean_netram_fetch_us: solver.mean_netram_fetch_us(),
         paging: solver.result(),
-        cache: host.component::<CacheComponent>(ids.cache).result(),
+        cache: engine.component::<CacheComponent>(ids.cache).result(),
         background_frames: traffic.frames(),
         mean_background_latency_us: traffic.mean_latency_us(),
         faults: FaultOutcome {
@@ -710,18 +706,10 @@ fn cell_outcome(host: &impl Host<ScenarioEvent>, ids: &CellIds) -> ScenarioOutco
     }
 }
 
-/// The flight recorder of a coupled run, sampling through `probe`.
-fn coupled_recording(spec: &ScenarioSpec, probe: Probe) -> Recording {
-    Recording {
-        probe,
-        gauges: &RECORDED_GAUGES,
-        batch: spec.am_batch,
-        horizon: SimTime::ZERO + spec.horizon,
-    }
-}
-
-/// The classic single-cell coupled run: a serial [`Engine`] over the
-/// cluster's fabric.
+/// One cell of the coupled scenario: a serial [`Engine`] over a private
+/// copy of the cluster's fabric, seeded from `spec.seed`. A single-cell
+/// run is this workload; a multi-cell run runs cell `c` as this workload
+/// at seed `seed + c`.
 struct Coupled<'a> {
     cluster: &'a NowCluster,
     spec: &'a ScenarioSpec,
@@ -729,16 +717,15 @@ struct Coupled<'a> {
 
 impl Workload for Coupled<'_> {
     type Event = ScenarioEvent;
-    type Engine = Engine<ScenarioEvent>;
     type Ids = CellIds;
     type Outcome = ScenarioOutcome;
 
-    fn engine(&self, probe: &Probe) -> Self::Engine {
+    fn engine(&self, probe: &Probe) -> Engine<ScenarioEvent> {
         Engine::with_transport(fabric_transport(self.cluster, self.spec.am_batch, probe))
     }
 
-    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> CellIds {
-        build_cell(engine, self.spec, self.cluster.nodes(), 0, probe)
+    fn register(&self, engine: &mut Engine<ScenarioEvent>, probe: &Probe) -> CellIds {
+        build_cell(engine, self.spec, self.cluster.nodes(), probe)
     }
 
     fn component_names(&self) -> Vec<&'static str> {
@@ -750,87 +737,21 @@ impl Workload for Coupled<'_> {
     }
 
     fn recorder(&self, probe: &Probe) -> Recording {
-        coupled_recording(self.spec, probe.clone())
-    }
-
-    fn outcome(&self, engine: &Self::Engine, ids: CellIds, _: &Accounting<'_>) -> ScenarioOutcome {
-        cell_outcome(engine, &ids)
-    }
-}
-
-/// Cell `c`'s telemetry scope: its gauges and counters under `cell{c}.`.
-fn cell_probe(probe: &Probe, c: u32) -> Probe {
-    probe.scoped(&format!("cell{c}."))
-}
-
-/// The multi-cell coupled run: `cells` replicas of the scenario. Cell `c`
-/// is homed in partition `c` of a [`PartitionedEngine`] and built exactly
-/// like the single-cell run — local nodes `0..n`, seed `seed + c`, its own
-/// fabric — with its telemetry under a `cell{c}.` prefix.
-///
-/// Cells share nothing — no wires, no caches, no pages — so each one is
-/// an independent serial run, and the engine drains them to completion
-/// over `spec.partitions` worker threads. The history, outcome, and
-/// observations are byte-identical at every worker count; only
-/// wall-clock time changes.
-struct Cells<'a> {
-    cluster: &'a NowCluster,
-    spec: &'a ScenarioSpec,
-}
-
-impl Workload for Cells<'_> {
-    type Event = ScenarioEvent;
-    type Engine = PartitionedEngine<ScenarioEvent>;
-    type Ids = Vec<CellIds>;
-    type Outcome = ScenarioOutcome;
-
-    fn engine(&self, probe: &Probe) -> Self::Engine {
-        let cost_models = (0..self.spec.cells)
-            .map(|c| {
-                let fabric =
-                    fabric_transport(self.cluster, self.spec.am_batch, &cell_probe(probe, c));
-                CostModel::Fabric(fabric)
-            })
-            .collect();
-        let workers = match self.spec.partitions {
-            0 => default_jobs(),
-            p => p as usize,
-        };
-        PartitionedEngine::new(cost_models, workers)
-    }
-
-    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> Vec<CellIds> {
-        let n = self.cluster.nodes();
-        (0..self.spec.cells)
-            .map(|c| build_cell(engine, self.spec, n, c, &cell_probe(probe, c)))
-            .collect()
-    }
-
-    fn component_names(&self) -> Vec<&'static str> {
-        CELL_COMPONENT_NAMES.repeat(self.spec.cells as usize)
-    }
-
-    fn marks(&self) -> &'static [(&'static str, &'static str)] {
-        &SCENARIO_MARKS
-    }
-
-    fn recorder(&self, probe: &Probe) -> Recording {
-        // The recorder is homed in partition 0 with cell 0, whose gauges
-        // it samples: recorder and cell 0 share an event queue, so their
-        // relative order — and the recorded series — is the same at
-        // every worker count.
-        coupled_recording(self.spec, cell_probe(probe, 0))
+        Recording {
+            probe: probe.clone(),
+            gauges: &RECORDED_GAUGES,
+            batch: self.spec.am_batch,
+            horizon: SimTime::ZERO + self.spec.horizon,
+        }
     }
 
     fn outcome(
         &self,
-        engine: &Self::Engine,
-        ids: Vec<CellIds>,
+        engine: &Engine<ScenarioEvent>,
+        ids: CellIds,
         _: &Accounting<'_>,
     ) -> ScenarioOutcome {
-        let per_cell: Vec<ScenarioOutcome> =
-            ids.iter().map(|ids| cell_outcome(engine, ids)).collect();
-        aggregate_cells(&per_cell)
+        cell_outcome(engine, &ids)
     }
 }
 
@@ -861,9 +782,10 @@ impl NowCluster {
     /// into event timing (the recorder rides its own event chain, which
     /// touches no shared state).
     ///
-    /// A spec with `cells > 1` runs that many independent 32-node cells,
-    /// each on its own engine, spread over `partitions` worker threads;
-    /// the result is byte-identical at every worker count.
+    /// A spec with `cells > 1` runs cell `c` as the single-cell run at
+    /// seed `seed + c`, its telemetry under `cell{c}.`, the cells spread
+    /// over `partitions` worker threads, and folds the cells' outcomes
+    /// into one; the result is byte-identical at every worker count.
     ///
     /// # Panics
     ///
@@ -881,28 +803,40 @@ impl NowCluster {
             "scenario needs {k} workers + {h} netram hosts + pager + server; \
              only {n} nodes"
         );
-        if spec.cells > 1 {
-            assert!(
-                spec.faults.is_empty(),
-                "faulted runs cannot shard across cells: a fault plan names the \
-                 nodes of one cell (run with cells = 1)"
-            );
-            harness::run(
-                &Cells {
-                    cluster: self,
-                    spec,
-                },
-                observer,
-            )
-        } else {
-            harness::run(
+        if spec.cells <= 1 {
+            return harness::run(
                 &Coupled {
                     cluster: self,
                     spec,
                 },
                 observer,
-            )
+            );
         }
+        assert!(
+            spec.faults.is_empty(),
+            "faulted runs cannot shard across cells: a fault plan names the \
+             nodes of one cell (run with cells = 1)"
+        );
+        let specs: Vec<ScenarioSpec> = (0..spec.cells)
+            .map(|c| ScenarioSpec {
+                seed: spec.seed.wrapping_add(u64::from(c)),
+                cells: 1,
+                ..spec.clone()
+            })
+            .collect();
+        let cells: Vec<Coupled> = specs
+            .iter()
+            .map(|spec| Coupled {
+                cluster: self,
+                spec,
+            })
+            .collect();
+        let workers = match spec.partitions {
+            0 => default_jobs(),
+            p => p as usize,
+        };
+        let (outcomes, observations) = harness::run_cells(&cells, workers, observer);
+        (aggregate_cells(&outcomes), observations)
     }
 }
 
@@ -967,6 +901,7 @@ pub(crate) mod tests {
     use std::sync::Arc;
 
     use now_probe::causal::CausalLog;
+    use now_sim::HostProfile;
 
     use super::*;
     use crate::cluster::Interconnect;
@@ -1191,6 +1126,47 @@ pub(crate) mod tests {
         for partitions in [2, 3, 4] {
             assert_eq!(serial, observed(partitions), "partitions = {partitions}");
         }
+    }
+
+    /// A multi-cell run is profiled like a single-cell one: its host
+    /// profile sums its cells', so its event counts, in total and per
+    /// label, equal the merged profiles of the single-cell runs at
+    /// `seed + c`.
+    #[test]
+    fn multi_cell_profile_sums_its_cells() {
+        let spec = ScenarioSpec {
+            background_flows: 2,
+            ..small_spec()
+        };
+        let profiler = ScenarioObserver {
+            profile: true,
+            ..ScenarioObserver::disabled()
+        };
+        let profile = |spec: &ScenarioSpec| {
+            let (_, obs) = cluster().run_scenario_observed(spec, &profiler);
+            obs.profile.expect("a profiled run returns a profile")
+        };
+        let mut singles = HostProfile::default();
+        for c in 0..3 {
+            singles.merge(&profile(&ScenarioSpec {
+                seed: spec.seed + c,
+                ..spec.clone()
+            }));
+        }
+        let cells = profile(&ScenarioSpec {
+            cells: 3,
+            partitions: 2,
+            ..spec
+        });
+        let events = |p: &HostProfile| -> Vec<(String, u64)> {
+            p.components
+                .iter()
+                .map(|c| (c.label.clone(), c.events))
+                .collect()
+        };
+        assert!(cells.events > 0);
+        assert_eq!(cells.events, singles.events);
+        assert_eq!(events(&cells), events(&singles));
     }
 
     /// A cell is the single-cell run: a three-cell outcome is exactly the

@@ -123,15 +123,14 @@ struct Serve<'a> {
 
 impl Workload for Serve<'_> {
     type Event = ServeScenarioEvent;
-    type Engine = Engine<ServeScenarioEvent>;
     type Ids = ComponentId;
     type Outcome = ServeOutcome;
 
-    fn engine(&self, probe: &Probe) -> Self::Engine {
+    fn engine(&self, probe: &Probe) -> Engine<ServeScenarioEvent> {
         Engine::with_transport(fabric_transport(self.cluster, self.spec.am_batch, probe))
     }
 
-    fn register(&self, engine: &mut Self::Engine, probe: &Probe) -> ComponentId {
+    fn register(&self, engine: &mut Engine<ServeScenarioEvent>, probe: &Probe) -> ComponentId {
         let front_ends = self.spec.front_ends;
         let mut serve = ServeComponent::new(self.spec.config.clone(), front_ends)
             .with_placement((0..front_ends as u32).collect(), self.cluster.nodes() - 1);
@@ -164,7 +163,7 @@ impl Workload for Serve<'_> {
 
     fn outcome(
         &self,
-        engine: &Self::Engine,
+        engine: &Engine<ServeScenarioEvent>,
         id: ComponentId,
         acct: &Accounting<'_>,
     ) -> ServeOutcome {

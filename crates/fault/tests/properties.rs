@@ -97,14 +97,11 @@ fn monte_carlo_reproduces_the_availability_ordering() {
     }
 }
 
-/// Scripted fault plans under the partitioned engine: injector/sink pairs
-/// colocated in a partition form an event-closed map (the injector's
-/// zero-latency broadcasts never cross partitions), so the partitioned
-/// run must replay the serial delivery history bit-for-bit at every
-/// worker count.
-mod partitioned {
+/// Scripted fault plans on the engine: every fault a plan scripts reaches
+/// its injector's subscriber, at its scripted instant, in plan order.
+mod delivery {
     use now_fault::{Fault, FaultInjectorComponent, FaultPlan, InjectorEvent};
-    use now_sim::{Component, CostModel, Ctx, Engine, EventCast, PartitionedEngine, SimTime};
+    use now_sim::{Component, Ctx, Engine, EventCast, SimTime};
     use proptest::prelude::*;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,9 +135,9 @@ mod partitioned {
         p
     }
 
-    /// Registers one injector/sink pair per plan and seeds each plan's
-    /// first firing; returns each sink's delivery log.
-    fn serial_logs(plans: &[FaultPlan]) -> Vec<Vec<(SimTime, Fault)>> {
+    /// Registers one injector/sink pair per plan on one engine and seeds
+    /// each plan's first firing; returns each sink's delivery log.
+    fn delivery_logs(plans: &[FaultPlan]) -> Vec<Vec<(SimTime, Fault)>> {
         let mut engine: Engine<Ev> = Engine::new();
         let mut registered = Vec::new();
         for plan in plans {
@@ -160,61 +157,25 @@ mod partitioned {
             .collect()
     }
 
-    /// The same pairs homed round-robin across partitions, run over
-    /// `workers` threads: each pair stays whole, so the map is
-    /// event-closed.
-    fn partitioned_logs(
-        plans: &[FaultPlan],
-        partitions: usize,
-        workers: usize,
-    ) -> Vec<Vec<(SimTime, Fault)>> {
-        let cost_models = (0..partitions).map(|_| CostModel::Fixed).collect();
-        let mut engine: PartitionedEngine<Ev> = PartitionedEngine::new(cost_models, workers);
-        let mut registered = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            let home = (i % partitions) as u32;
-            let sink = engine.register(home, Sink::default());
-            let injector =
-                engine.register(home, FaultInjectorComponent::new(plan.clone(), vec![sink]));
-            registered.push((sink, injector));
-        }
-        for (plan, &(_, injector)) in plans.iter().zip(&registered) {
-            if let Some(t) = plan.first_time() {
-                engine.schedule_at(injector, t, Ev::Inject(InjectorEvent::Fire));
-            }
-        }
-        engine.run();
-        registered
-            .iter()
-            .map(|&(sink, _)| engine.component::<Sink>(sink).seen.clone())
-            .collect()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn partitioned_fault_delivery_replays_the_serial_history(
+        fn every_scripted_fault_is_delivered(
             raw_plans in prop::collection::vec(
                 prop::collection::vec((0u64..2_000, 0u32..16), 0..24),
                 2..5,
             ),
         ) {
             let plans: Vec<FaultPlan> = raw_plans.iter().map(|r| crash_plan(r)).collect();
-            let serial = serial_logs(&plans);
+            let logs = delivery_logs(&plans);
             prop_assert_eq!(
-                serial.iter().map(Vec::len).sum::<usize>(),
+                logs.iter().map(Vec::len).sum::<usize>(),
                 plans.iter().map(FaultPlan::len).sum::<usize>(),
                 "every scripted fault must be delivered"
             );
-            for partitions in 2..=3usize {
-                for workers in [1, 2, partitions] {
-                    prop_assert_eq!(
-                        &serial,
-                        &partitioned_logs(&plans, partitions, workers),
-                        "delivery diverged at {} partitions over {} workers", partitions, workers
-                    );
-                }
+            for (plan, log) in plans.iter().zip(&logs) {
+                prop_assert_eq!(plan.events(), &log[..], "delivered off its script");
             }
         }
     }

@@ -16,12 +16,12 @@
 //!   Delivery order among equal timestamps is the order the events were
 //!   scheduled, regardless of component registration order.
 //! * **A cost model** — components ask [`Ctx::transfer`] /
-//!   [`Ctx::rpc_detailed`] what remote traffic costs. Under
-//!   [`CostModel::Fixed`] there is no shared fabric and components charge
-//!   their own constants (the legacy behaviour, bit-for-bit). Under
-//!   [`CostModel::Fabric`] every transfer reserves real occupancy on one
-//!   shared [`Transport`], so independent workloads slow each other down
-//!   — the composition the paper argues for.
+//!   [`Ctx::rpc_detailed`] what remote traffic costs. On an
+//!   [`Engine::new`] engine there is no shared fabric and components
+//!   charge their own constants (the legacy behaviour, bit-for-bit). On an
+//!   [`Engine::with_transport`] engine every transfer reserves real
+//!   occupancy on one shared [`Transport`], so independent workloads slow
+//!   each other down — the composition the paper argues for.
 //!
 //! Heterogeneous engines (several subsystems on one fabric) wrap each
 //! subsystem's event enum in one routed enum via [`EventCast`]; a
@@ -117,9 +117,8 @@ macro_rules! event_cast {
 /// software time and returns when the payload is *delivered*, so back-to-
 /// back calls from competing components queue behind each other.
 ///
-/// `Send` because a multi-cell run moves each cell's engine (cost model
-/// included) onto a worker thread; the transport is still only ever
-/// called from one thread at a time.
+/// `Send` so that an engine owning one stays `Send` (see [`Component`]);
+/// the transport is still only ever called from one thread at a time.
 pub trait Transport: Send {
     /// Moves `bytes` from node `src` to node `dst`, requested at `now`,
     /// and returns the delivery time. `src == dst` is a local copy and
@@ -275,11 +274,11 @@ struct CausalState {
     /// seeds sample equal chains and output stays byte-identical.
     sample_every: u64,
     /// Added to every emitted seq and trace id (and to parent links) so
-    /// the engines of a partitioned run write into disjoint id ranges of
-    /// one shared sink — partition `p` gets `p << 44`, leaving 2^44 local
-    /// events per partition before a collision could occur. Zero for
-    /// serial engines. Sampling applies to the *offset* trace id, so
-    /// partitioned runs that sample should use `sample_every == 1` (the
+    /// the cell engines of a multi-cell run write into disjoint id ranges
+    /// of one shared sink — cell `c` gets `c << 44`, leaving 2^44 local
+    /// events per cell before a collision could occur. Zero for
+    /// single-cell engines. Sampling applies to the *offset* trace id, so
+    /// multi-cell runs that sample should use `sample_every == 1` (the
     /// scenario layer's blame path does).
     seq_offset: u64,
 }
@@ -293,14 +292,14 @@ impl CausalState {
     fn global_seq(&self, local: u64) -> u64 {
         debug_assert!(
             self.seq_offset == 0 || local < (1 << 44),
-            "partition overflowed its causal id range"
+            "cell overflowed its causal id range"
         );
         self.seq_offset + local
     }
 }
 
 /// How an [`Engine`] prices remote traffic.
-pub enum CostModel {
+pub(crate) enum CostModel {
     /// No shared fabric: components charge their own constant costs.
     /// Legacy single-subsystem runs use this mode and reproduce the
     /// pre-engine results byte-for-byte.
@@ -310,13 +309,15 @@ pub enum CostModel {
     Fabric(Box<dyn Transport>),
 }
 
-/// The cost-model discriminant, for components that branch on it without
-/// needing the transport itself.
+/// How an engine prices remote traffic, for components that branch on it
+/// without needing the transport itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostMode {
-    /// See [`CostModel::Fixed`].
+    /// No shared fabric ([`Engine::new`]): components charge their own
+    /// constant costs.
     Fixed,
-    /// See [`CostModel::Fabric`].
+    /// Every transfer occupies one live fabric
+    /// ([`Engine::with_transport`]).
     Fabric,
 }
 
@@ -324,9 +325,10 @@ pub enum CostMode {
 ///
 /// The `Any` supertrait lets callers recover the concrete component (and
 /// its accumulated results) after a run via [`Engine::component`]. The
-/// `Send` supertrait lets a partitioned run move the component (inside its
-/// partition's engine) onto a worker thread; components are still only
-/// ever driven from one thread at a time.
+/// `Send` supertrait keeps an [`Engine`], components included, free to
+/// move between threads. A multi-cell run builds, runs and drops cell
+/// `c`'s engine on the worker thread that claims the cell, so each
+/// component is only ever driven from one thread.
 pub trait Component<M>: Any + Send {
     /// Handles one event addressed to this component.
     fn on_event(&mut self, ctx: &mut Ctx<'_, M>, event: M);
@@ -551,8 +553,8 @@ impl<M> Ctx<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics under [`CostModel::Fixed`]: fixed-mode components charge
-    /// their own constants instead of consulting a fabric.
+    /// Panics on an [`Engine::new`] engine, which has no fabric:
+    /// fixed-mode components charge their own constants instead.
     pub fn transfer(&mut self, src: u32, dst: u32, bytes: u64) -> SimTime {
         let now = self.queue.now();
         self.transfer_at(src, dst, bytes, now)
@@ -564,7 +566,7 @@ impl<M> Ctx<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics under [`CostModel::Fixed`] (see [`Ctx::transfer`]).
+    /// Panics without a fabric (see [`Ctx::transfer`]).
     pub fn transfer_at(&mut self, src: u32, dst: u32, bytes: u64, at: SimTime) -> SimTime {
         match self.cost {
             CostModel::Fixed => panic!(
@@ -582,7 +584,7 @@ impl<M> Ctx<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics under [`CostModel::Fixed`] (see [`Ctx::transfer`]).
+    /// Panics without a fabric (see [`Ctx::transfer`]).
     pub fn transfer_detailed(&mut self, src: u32, dst: u32, bytes: u64) -> TransferCost {
         let now = self.queue.now();
         self.transfer_detailed_at(src, dst, bytes, now)
@@ -592,7 +594,7 @@ impl<M> Ctx<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics under [`CostModel::Fixed`] (see [`Ctx::transfer`]).
+    /// Panics without a fabric (see [`Ctx::transfer`]).
     pub fn transfer_detailed_at(
         &mut self,
         src: u32,
@@ -617,7 +619,7 @@ impl<M> Ctx<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics under [`CostModel::Fixed`] (see [`Ctx::transfer`]).
+    /// Panics without a fabric (see [`Ctx::transfer`]).
     pub fn rpc_detailed(
         &mut self,
         src: u32,
@@ -670,12 +672,8 @@ impl<M> Ctx<'_, M> {
 /// ```
 pub struct Engine<M> {
     queue: EventQueue<Envelope<M>>,
-    /// Indexed by [`ComponentId`]. `None` entries are *gaps*: components
-    /// that exist globally but are homed in another partition of a
-    /// partitioned run, kept so every partition's engine shares one
-    /// global id space and dispatch stays a direct index. Serial engines
-    /// never hold gaps.
-    components: Vec<Option<Box<dyn Component<M>>>>,
+    /// Indexed by [`ComponentId`].
+    components: Vec<Box<dyn Component<M>>>,
     cost: CostModel,
     causal: Option<CausalState>,
     /// Reusable [`Ctx::blame`] staging buffer: allocated at most once per
@@ -761,19 +759,19 @@ impl<M: 'static> Default for Engine<M> {
 }
 
 impl<M: 'static> Engine<M> {
-    /// An engine in [`CostModel::Fixed`] mode (legacy constant costs).
+    /// An engine with no shared fabric ([`CostMode::Fixed`]): components
+    /// charge their own constant costs.
     pub fn new() -> Self {
         Engine::with_cost_model(CostModel::Fixed)
     }
 
     /// An engine whose remote traffic traverses `transport`
-    /// ([`CostModel::Fabric`]).
+    /// ([`CostMode::Fabric`]).
     pub fn with_transport(transport: Box<dyn Transport>) -> Self {
         Engine::with_cost_model(CostModel::Fabric(transport))
     }
 
-    /// An engine with an explicit cost model.
-    pub fn with_cost_model(cost: CostModel) -> Self {
+    fn with_cost_model(cost: CostModel) -> Self {
         Engine {
             queue: EventQueue::new(),
             components: Vec::new(),
@@ -827,10 +825,11 @@ impl<M: 'static> Engine<M> {
     }
 
     /// Shifts every causal id this engine emits (seqs, trace ids, mark
-    /// seqs, and the parent links between them) by `offset`, so several
-    /// partition engines can share one sink without id collisions. Must
-    /// be called after enabling a sink and before scheduling anything;
-    /// a no-op without a sink. Partitions use `p << 44`.
+    /// seqs, and the parent links between them) by `offset`, so the cell
+    /// engines of a multi-cell run can share one sink without id
+    /// collisions. Must be called after enabling a sink and before
+    /// scheduling anything; a no-op without a sink. Cell `c` uses
+    /// `c << 44`.
     pub fn set_causal_seq_offset(&mut self, offset: u64) {
         if let Some(causal) = &mut self.causal {
             causal.seq_offset = offset;
@@ -839,23 +838,8 @@ impl<M: 'static> Engine<M> {
 
     /// Registers a component and returns its routing id.
     pub fn register<C: Component<M>>(&mut self, component: C) -> ComponentId {
-        self.components.push(Some(Box::new(component)));
+        self.components.push(Box::new(component));
         ComponentId(self.components.len() - 1)
-    }
-
-    /// Claims the next id without homing a component here: the component
-    /// with this id lives in another partition's engine. Keeps the id
-    /// spaces of all partition engines congruent so `ComponentId`s route
-    /// globally (see `partition.rs`).
-    pub(crate) fn register_gap(&mut self) -> ComponentId {
-        self.components.push(None);
-        ComponentId(self.components.len() - 1)
-    }
-
-    /// Number of registered component ids (including, in a partitioned
-    /// engine, ids homed in other partitions).
-    pub fn components(&self) -> usize {
-        self.components.len()
     }
 
     /// Current simulated time.
@@ -928,20 +912,13 @@ impl<M: 'static> Engine<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the destination is unregistered or is homed in another
-    /// partition's engine (a send across a partition boundary).
+    /// Panics if the destination is unregistered.
     fn dispatch(&mut self, id: EventId, envelope: Envelope<M>) {
-        let component = match self.components.get_mut(envelope.dst.0) {
-            Some(Some(c)) => c,
-            Some(None) => panic!(
-                "event addressed to component {:?} not homed in this partition \
-                 (partition-map routing bug)",
-                envelope.dst
-            ),
-            None => panic!(
+        let Some(component) = self.components.get_mut(envelope.dst.0) else {
+            panic!(
                 "event addressed to unregistered component {:?}",
                 envelope.dst
-            ),
+            )
         };
         let timing = self.profiler.as_ref().map(|p| {
             p.fabric_cell.set(0);
@@ -980,10 +957,7 @@ impl<M: 'static> Engine<M> {
     ///
     /// Panics if `id` is unregistered or the component is not a `C`.
     pub fn component<C: Component<M>>(&self, id: ComponentId) -> &C {
-        let boxed = self.components[id.0]
-            .as_ref()
-            .expect("component homed in another partition");
-        let component: &dyn Component<M> = &**boxed;
+        let component: &dyn Component<M> = &*self.components[id.0];
         let any: &dyn Any = component;
         any.downcast_ref::<C>()
             .expect("component type mismatch: wrong ComponentId for this type")
@@ -995,10 +969,7 @@ impl<M: 'static> Engine<M> {
     ///
     /// Panics if `id` is unregistered or the component is not a `C`.
     pub fn component_mut<C: Component<M>>(&mut self, id: ComponentId) -> &mut C {
-        let boxed = self.components[id.0]
-            .as_mut()
-            .expect("component homed in another partition");
-        let component: &mut dyn Component<M> = &mut **boxed;
+        let component: &mut dyn Component<M> = &mut *self.components[id.0];
         let any: &mut dyn Any = component;
         any.downcast_mut::<C>()
             .expect("component type mismatch: wrong ComponentId for this type")

@@ -13,13 +13,9 @@
 //! * [`Engine`] / [`Component`] — a routed event bus over the queue:
 //!   subsystems register as components, exchange typed events with
 //!   deterministic delivery order, and charge remote traffic either at
-//!   constant cost ([`CostModel::Fixed`]) or against one shared
-//!   [`Transport`] fabric ([`CostModel::Fabric`]), so coupled simulations
-//!   model cross-subsystem contention.
-//! * [`PartitionedEngine`] — independent engines under one component id
-//!   space, one per event-closed partition (a multi-cell run's cells),
-//!   each drained to completion over a pool of worker threads with no
-//!   synchronization, so the history is the same at any worker count.
+//!   constant cost ([`Engine::new`]) or against one shared [`Transport`]
+//!   fabric ([`Engine::with_transport`]), so coupled simulations model
+//!   cross-subsystem contention.
 //! * [`IdHasher`] — a fixed multiply-mix hasher for the integer-id maps on
 //!   the paging, cache and batching hot paths.
 //! * [`SimRng`] — a seeded random source with the distributions the workload
@@ -58,7 +54,6 @@
 
 mod engine;
 mod hash;
-mod partition;
 mod profile;
 mod queue;
 mod rng;
@@ -69,11 +64,10 @@ pub mod report;
 pub mod stats;
 
 pub use engine::{
-    CausalRecord, CausalSink, Component, ComponentId, CostMode, CostModel, Ctx, Engine, EventCast,
+    CausalRecord, CausalSink, Component, ComponentId, CostMode, Ctx, Engine, EventCast,
     TransferCost, Transport,
 };
 pub use hash::{IdBuildHasher, IdHasher};
-pub use partition::PartitionedEngine;
 pub use profile::{ComponentProfile, HostProfile};
 pub use queue::{EventId, EventQueue};
 pub use rng::{SimRng, ZipfSampler};
