@@ -2,9 +2,10 @@
 //! resident, block data is fetched on demand and evicted LRU under a
 //! byte budget — the realize-rs "Unreal cache" shape.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use bytes::Bytes;
+use now_sim::{IdBuildHasher, LruCache, Touch};
 
 use crate::manifest::ImageManifest;
 use crate::store::BlockHash;
@@ -33,11 +34,12 @@ pub struct PartialCache {
     manifest: ImageManifest,
     budget_bytes: u64,
     used_bytes: u64,
-    clock: u64,
-    /// Resident data keyed by hash; the stamp locates the LRU entry.
-    blocks: BTreeMap<BlockHash, (Bytes, u64)>,
-    /// Recency order: stamp -> hash, oldest first.
-    lru: BTreeMap<u64, BlockHash>,
+    /// Resident data keyed by hash. Never iterated in hash-table order.
+    blocks: HashMap<BlockHash, Bytes, IdBuildHasher>,
+    /// Recency order of the resident blocks, with one slot per distinct
+    /// manifest block: a cache holds only its own manifest's blocks, so
+    /// the byte budget, not the slot count, is what evicts.
+    lru: LruCache<BlockHash>,
     stats: PartialCacheStats,
 }
 
@@ -45,13 +47,13 @@ impl PartialCache {
     /// An empty cache for `manifest` holding at most `budget_bytes` of
     /// block data.
     pub fn new(manifest: ImageManifest, budget_bytes: u64) -> Self {
+        let slots = manifest.unique_blocks().len().max(1);
         PartialCache {
             manifest,
             budget_bytes,
             used_bytes: 0,
-            clock: 0,
-            blocks: BTreeMap::new(),
-            lru: BTreeMap::new(),
+            blocks: HashMap::with_capacity_and_hasher(slots, IdBuildHasher::default()),
+            lru: LruCache::new(slots),
             stats: PartialCacheStats::default(),
         }
     }
@@ -90,14 +92,10 @@ impl PartialCache {
     /// The block's data if resident, touching its recency (both local
     /// reads and peer serves count as use).
     pub fn get(&mut self, hash: BlockHash) -> Option<Bytes> {
-        let clock = self.clock;
-        match self.blocks.get_mut(&hash) {
-            Some((bytes, stamp)) => {
+        match self.blocks.get(&hash) {
+            Some(bytes) => {
                 self.stats.hits += 1;
-                self.lru.remove(stamp);
-                *stamp = clock;
-                self.lru.insert(clock, hash);
-                self.clock += 1;
+                self.lru.touch(hash, false);
                 Some(bytes.clone())
             }
             None => {
@@ -117,33 +115,40 @@ impl PartialCache {
         }
         self.stats.inserts += 1;
         self.used_bytes += bytes.len() as u64;
-        let stamp = self.clock;
-        self.clock += 1;
-        self.blocks.insert(hash, (bytes, stamp));
-        self.lru.insert(stamp, hash);
+        self.blocks.insert(hash, bytes);
         let mut evicted = Vec::new();
-        while self.used_bytes > self.budget_bytes && self.blocks.len() > 1 {
-            let (&oldest, &victim) = self.lru.iter().next().expect("blocks resident");
-            if victim == hash {
-                break; // never evict the block just fetched
-            }
-            self.lru.remove(&oldest);
-            let (bytes, _) = self.blocks.remove(&victim).expect("indexed by lru");
-            self.used_bytes -= bytes.len() as u64;
-            self.stats.evictions += 1;
-            self.stats.evicted_bytes += bytes.len() as u64;
-            evicted.push(victim);
+        // Only a block from outside the manifest can overflow the slots.
+        if let Touch::MissEvicted { victim, .. } = self.lru.touch(hash, false) {
+            self.evict(victim, &mut evicted);
+        }
+        // The new block is the most recent, so with two or more resident
+        // the least recent is another block.
+        while self.used_bytes > self.budget_bytes && self.lru.len() > 1 {
+            let victim = *self.lru.lru().expect("blocks resident");
+            self.lru.remove(&victim);
+            self.evict(victim, &mut evicted);
         }
         evicted
+    }
+
+    /// Drops `victim`'s data, already unlinked from the recency order.
+    fn evict(&mut self, victim: BlockHash, evicted: &mut Vec<BlockHash>) {
+        let bytes = self.blocks.remove(&victim).expect("indexed by lru");
+        self.used_bytes -= bytes.len() as u64;
+        self.stats.evictions += 1;
+        self.stats.evicted_bytes += bytes.len() as u64;
+        evicted.push(victim);
     }
 
     /// Drops every resident block — a node crash losing its cache (the
     /// manifest, like any flist, survives on the registry and stays
     /// resident here). Returns the dropped hashes in hash order.
     pub fn clear(&mut self) -> Vec<BlockHash> {
-        let dropped: Vec<BlockHash> = self.blocks.keys().copied().collect();
-        self.blocks.clear();
-        self.lru.clear();
+        let mut dropped: Vec<BlockHash> = self.blocks.drain().map(|(hash, _)| hash).collect();
+        dropped.sort_unstable();
+        for hash in &dropped {
+            self.lru.remove(hash);
+        }
         self.used_bytes = 0;
         dropped
     }
@@ -162,9 +167,11 @@ impl PartialCache {
         self.stats
     }
 
-    /// Approximate resident footprint: manifest + data + index overhead.
+    /// Approximate resident footprint: manifest, data, the data map's
+    /// buckets (entry plus control byte) and the recency list.
     pub fn approx_bytes(&self) -> usize {
-        self.manifest.approx_bytes() + self.used_bytes as usize + self.blocks.len() * 64
+        let buckets = self.blocks.capacity() * (std::mem::size_of::<(BlockHash, Bytes)>() + 1);
+        self.manifest.approx_bytes() + self.used_bytes as usize + buckets + self.lru.approx_bytes()
     }
 }
 

@@ -22,11 +22,11 @@
 //! [`category::CAS_DISK`], so the blame table partitions the cold-start
 //! makespan by *cause*.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{HashMap, HashSet};
 
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
-use now_sim::{Component, CostMode, Ctx, EventCast, SimDuration, SimRng, SimTime};
+use now_sim::{Component, CostMode, Ctx, EventCast, IdBuildHasher, SimDuration, SimRng, SimTime};
 
 use crate::cache::PartialCache;
 use crate::image::ImageCatalog;
@@ -144,6 +144,53 @@ pub struct FetchStats {
     pub verify_failures: u64,
 }
 
+/// A set of fetchers, one bit per node in `ceil(fetchers / 64)` words.
+#[derive(Debug, Clone)]
+struct NodeSet(Box<[u64]>);
+
+impl NodeSet {
+    /// An empty set able to hold nodes `0..nodes`.
+    fn new(nodes: u32) -> Self {
+        NodeSet(vec![0; (nodes as usize).div_ceil(64)].into_boxed_slice())
+    }
+
+    fn insert(&mut self, node: u32) {
+        self.0[node as usize / 64] |= 1 << (node % 64);
+    }
+
+    fn remove(&mut self, node: u32) {
+        self.0[node as usize / 64] &= !(1 << (node % 64));
+    }
+
+    /// The set's words with `node` left out.
+    fn words_without(&self, node: u32) -> impl Iterator<Item = u64> + '_ {
+        let (home, bit) = (node as usize / 64, 1u64 << (node % 64));
+        let words = self.0.iter().enumerate();
+        words.map(move |(w, &word)| if w == home { word & !bit } else { word })
+    }
+
+    /// Counting the members other than `node` in ascending order, the
+    /// `rr % others`-th of them; `None` if there are none.
+    fn nth_other(&self, node: u32, rr: u64) -> Option<u32> {
+        let others: u32 = self.words_without(node).map(u64::count_ones).sum();
+        if others == 0 {
+            return None;
+        }
+        let mut nth = (rr % u64::from(others)) as u32;
+        for (w, mut word) in self.words_without(node).enumerate() {
+            let ones = word.count_ones();
+            if nth < ones {
+                for _ in 0..nth {
+                    word &= word - 1; // drop the lowest member
+                }
+                return Some(w as u32 * 64 + word.trailing_zeros());
+            }
+            nth -= ones;
+        }
+        unreachable!("nth < others")
+    }
+}
+
 /// A delivered block waiting to be re-hashed.
 struct Delivery {
     node: u32,
@@ -167,13 +214,17 @@ pub struct FetchCore {
     /// Per node: position in its plan.
     pos: Vec<usize>,
     caches: Vec<PartialCache>,
+    /// Block-data bytes resident over all caches: the `cas.cached_bytes`
+    /// gauge, kept as inserts and evictions happen.
+    cached_bytes: u64,
     /// Which fetchers currently hold each block resident (maintained
-    /// through evictions) — the tracker's state.
-    holders: BTreeMap<BlockHash, BTreeSet<u32>>,
+    /// through evictions) — the tracker's state. A set may be empty.
+    holders: HashMap<BlockHash, NodeSet, IdBuildHasher>,
     /// Blocks already read off the registry disk (its page cache).
-    warmed: BTreeSet<BlockHash>,
-    /// Per node: manifest hash → recomputed hash of the bytes received.
-    delivered: Vec<BTreeMap<BlockHash, BlockHash>>,
+    warmed: HashSet<BlockHash, IdBuildHasher>,
+    /// Per node: manifest hash → recomputed hash of the bytes received,
+    /// read in manifest order only.
+    delivered: Vec<HashMap<BlockHash, BlockHash, IdBuildHasher>>,
     /// Deliveries not yet re-hashed, verified [`LANES`] at a time.
     pending: Vec<Delivery>,
     /// Round-robin cursors: registry NIC per request, peer per hit.
@@ -224,9 +275,10 @@ impl FetchCore {
             plans,
             pos: vec![0; n],
             caches,
-            holders: BTreeMap::new(),
-            warmed: BTreeSet::new(),
-            delivered: vec![BTreeMap::new(); n],
+            cached_bytes: 0,
+            holders: HashMap::default(),
+            warmed: HashSet::default(),
+            delivered: vec![HashMap::default(); n],
             pending: Vec::with_capacity(LANES),
             rr_nic: 0,
             rr_peer: 0,
@@ -327,19 +379,18 @@ impl FetchCore {
     /// Approximate resident footprint: store, caches, plans, tracker,
     /// the registry's warmed set, the per-node delivery records, and the
     /// verification queue (whose block data the caches already count).
+    /// A hash-table bucket costs its entry plus one control byte.
     pub fn approx_bytes(&self) -> usize {
         let caches: usize = self.caches.iter().map(PartialCache::approx_bytes).sum();
         let plans: usize = self.plans.iter().map(|p| p.len() * 8).sum();
-        // B-tree entries cost about twice their key and value bytes.
-        let delivered: usize = self.delivered.iter().map(|d| d.len() * 32).sum();
+        let set_words = (self.config.fetchers as usize).div_ceil(64);
+        let holders = self.holders.capacity() * (std::mem::size_of::<(BlockHash, NodeSet)>() + 1)
+            + self.holders.len() * set_words * 8;
+        let warmed = self.warmed.capacity() * (std::mem::size_of::<BlockHash>() + 1);
+        let record = 2 * std::mem::size_of::<BlockHash>() + 1;
+        let delivered: usize = self.delivered.iter().map(|d| d.capacity() * record).sum();
         let pending = self.pending.capacity() * std::mem::size_of::<Delivery>();
-        self.store.approx_bytes()
-            + caches
-            + plans
-            + self.holders.len() * 64
-            + self.warmed.len() * 16
-            + delivered
-            + pending
+        self.store.approx_bytes() + caches + plans + holders + warmed + delivered + pending
     }
 
     /// Fabric node of fetcher `node` (identity placement).
@@ -358,15 +409,9 @@ impl FetchCore {
     /// A peer (not `node`) holding `hash`, round-robin over the holder
     /// set so serving load spreads; `None` if nobody else has it.
     fn pick_peer(&mut self, node: u32, hash: BlockHash) -> Option<u32> {
-        let holders = self.holders.get(&hash)?;
-        let others = holders.len() - usize::from(holders.contains(&node));
-        if others == 0 {
-            return None;
-        }
-        let nth = (self.rr_peer % others as u64) as usize;
-        let peer = holders.iter().copied().filter(|&h| h != node).nth(nth);
+        let peer = self.holders.get(&hash)?.nth_other(node, self.rr_peer)?;
         self.rr_peer += 1;
-        peer
+        Some(peer)
     }
 
     /// Fixed-mode cost of one network leg carrying `bytes` of payload.
@@ -387,18 +432,22 @@ impl FetchCore {
             self.verify_pending();
         }
         self.stats.delivered_blocks += 1;
-        for victim in self.caches[node as usize].insert(hash, bytes) {
+        let cache = &mut self.caches[node as usize];
+        let before = cache.used_bytes();
+        let victims = cache.insert(hash, bytes);
+        self.cached_bytes = self.cached_bytes - before + cache.used_bytes();
+        for victim in victims {
             self.stats.evictions += 1;
             if let Some(set) = self.holders.get_mut(&victim) {
-                set.remove(&node);
-                if set.is_empty() {
-                    self.holders.remove(&victim);
-                }
+                set.remove(node);
             }
         }
-        if self.caches[node as usize].contains(hash) {
-            self.holders.entry(hash).or_default().insert(node);
-        }
+        // A block is never the victim of its own insert.
+        let fetchers = self.config.fetchers;
+        self.holders
+            .entry(hash)
+            .or_insert_with(|| NodeSet::new(fetchers))
+            .insert(node);
     }
 
     /// Re-hashes every queued delivery from the bytes it received, side by
@@ -432,8 +481,7 @@ impl FetchCore {
             .set(self.stats.registry_bytes as f64);
         self.peer_bytes_gauge.set(self.stats.peer_bytes as f64);
         self.disk_reads_gauge.set(self.stats.disk_reads as f64);
-        let cached: u64 = self.caches.iter().map(PartialCache::used_bytes).sum();
-        self.cached_bytes_gauge.set(cached as f64);
+        self.cached_bytes_gauge.set(self.cached_bytes as f64);
     }
 
     /// Kick-off: one step event per fetcher, all at `now` (synchronized
@@ -669,8 +717,17 @@ mod tests {
     use super::*;
     use crate::image::ImageCatalogSpec;
     use now_sim::Engine;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
-    fn run(strategy: FetchStrategy, fetchers: u32, budget: u64) -> (FetchStats, SimTime, u64) {
+    /// Runs one fixed-cost distribution of the smoke catalog to
+    /// completion and hands the finished core to `read`.
+    fn run_with<T>(
+        strategy: FetchStrategy,
+        fetchers: u32,
+        budget: u64,
+        read: impl FnOnce(&FetchCore) -> T,
+    ) -> T {
         let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(42));
         let config = FetchConfig::new(fetchers, 2, budget, 7);
         let mut engine: Engine<CasEvent> = Engine::new();
@@ -680,18 +737,18 @@ mod tests {
         };
         engine.schedule_at(id, SimTime::ZERO, CasEvent::Start);
         engine.run();
-        match strategy {
-            FetchStrategy::Registry => {
-                let c = engine.component::<RegistryFetch>(id).core();
-                assert!(c.complete(), "every fetcher must drain its plan");
-                (c.stats(), c.makespan(), c.content_digest())
-            }
-            FetchStrategy::Cooperative => {
-                let c = engine.component::<CooperativeFetch>(id).core();
-                assert!(c.complete(), "every fetcher must drain its plan");
-                (c.stats(), c.makespan(), c.content_digest())
-            }
-        }
+        let core = match strategy {
+            FetchStrategy::Registry => engine.component::<RegistryFetch>(id).core(),
+            FetchStrategy::Cooperative => engine.component::<CooperativeFetch>(id).core(),
+        };
+        assert!(core.complete(), "every fetcher must drain its plan");
+        read(core)
+    }
+
+    fn run(strategy: FetchStrategy, fetchers: u32, budget: u64) -> (FetchStats, SimTime, u64) {
+        run_with(strategy, fetchers, budget, |c| {
+            (c.stats(), c.makespan(), c.content_digest())
+        })
     }
 
     #[test]
@@ -746,6 +803,157 @@ mod tests {
         let a = run(FetchStrategy::Cooperative, 8, 64 * 1024);
         let b = run(FetchStrategy::Cooperative, 8, 64 * 1024);
         assert_eq!(a, b);
+    }
+
+    /// Eviction order and peer choice, pinned: the full stats, makespan,
+    /// completion times (folded) and content digest of fixed-cost runs
+    /// under budgets that evict (20,000 B and 64 KiB) and one that does
+    /// not (1 MiB). Seventy fetchers span two words of a holder set.
+    /// Captured from the B-tree holder sets and clock-stamped LRU these
+    /// structures replaced.
+    #[test]
+    fn eviction_order_and_peer_choice_are_pinned() {
+        use FetchStrategy::{Cooperative, Registry};
+        #[rustfmt::skip]
+        const PINNED: [(FetchStrategy, u32, u64, [u64; 13]); 18] = [
+            (Registry, 3, 20_000, [
+                183, 183, 2611115, 0, 0, 101, 0, 0, 179, 0,
+                114914350, 0x67332670d2fb76e5, 0xa67f189fe8657963,
+            ]),
+            (Registry, 3, 64 * 1024, [
+                183, 183, 2611115, 0, 0, 101, 0, 0, 169, 0,
+                114914350, 0x67332670d2fb76e5, 0xa67f189fe8657963,
+            ]),
+            (Registry, 3, 1024 * 1024, [
+                183, 183, 2611115, 0, 0, 101, 0, 0, 0, 0,
+                114914350, 0x67332670d2fb76e5, 0xa67f189fe8657963,
+            ]),
+            (Registry, 16, 20_000, [
+                980, 980, 13948148, 0, 0, 122, 0, 0, 961, 0,
+                67042550, 0x7db6a0402fa20905, 0x5c555127961ec5e5,
+            ]),
+            (Registry, 16, 64 * 1024, [
+                980, 980, 13948148, 0, 0, 122, 0, 0, 911, 0,
+                67042550, 0x7db6a0402fa20905, 0x5c555127961ec5e5,
+            ]),
+            (Registry, 16, 1024 * 1024, [
+                980, 980, 13948148, 0, 0, 122, 0, 0, 0, 0,
+                67042550, 0x7db6a0402fa20905, 0x5c555127961ec5e5,
+            ]),
+            (Registry, 70, 20_000, [
+                4287, 4287, 61014351, 0, 0, 122, 0, 0, 4201, 0,
+                51432900, 0x11cd05ca788ab423, 0xa9e7853314e79701,
+            ]),
+            (Registry, 70, 64 * 1024, [
+                4287, 4287, 61014351, 0, 0, 122, 0, 0, 3981, 0,
+                51432900, 0x11cd05ca788ab423, 0xa9e7853314e79701,
+            ]),
+            (Registry, 70, 1024 * 1024, [
+                4287, 4287, 61014351, 0, 0, 122, 0, 0, 0, 0,
+                51432900, 0x11cd05ca788ab423, 0xa9e7853314e79701,
+            ]),
+            (Cooperative, 3, 20_000, [
+                183, 178, 2542112, 5, 69003, 101, 183, 5, 179, 0,
+                114113150, 0x3a8e13854c220235, 0xa67f189fe8657963,
+            ]),
+            (Cooperative, 3, 64 * 1024, [
+                183, 168, 2408627, 15, 202488, 101, 183, 15, 169, 0,
+                114312350, 0xb95117e5a24afe35, 0xa67f189fe8657963,
+            ]),
+            (Cooperative, 3, 1024 * 1024, [
+                183, 101, 1454999, 82, 1156116, 101, 183, 82, 0, 0,
+                115640350, 0xe61b5f03578fc055, 0xa67f189fe8657963,
+            ]),
+            (Cooperative, 16, 20_000, [
+                980, 814, 11570616, 166, 2377532, 122, 980, 166, 961, 0,
+                66772550, 0xbe5e56fd43165a05, 0x5c555127961ec5e5,
+            ]),
+            (Cooperative, 16, 64 * 1024, [
+                980, 543, 7870741, 437, 6077407, 122, 980, 437, 910, 0,
+                67834950, 0x927df0f111be3fe5, 0x5c555127961ec5e5,
+            ]),
+            (Cooperative, 16, 1024 * 1024, [
+                980, 122, 1752863, 858, 12195285, 122, 980, 858, 0, 0,
+                69362150, 0x3d578757e4e9b4c5, 0x5c555127961ec5e5,
+            ]),
+            (Cooperative, 70, 20_000, [
+                4287, 1884, 26535307, 2403, 34479044, 122, 4287, 2403, 4200, 0,
+                52952850, 0x1f4db779ea439d33, 0xa9e7853314e79701,
+            ]),
+            (Cooperative, 70, 64 * 1024, [
+                4287, 664, 9532928, 3623, 51481423, 122, 4287, 3623, 3978, 0,
+                53882450, 0x7c881e77520f5333, 0xa9e7853314e79701,
+            ]),
+            (Cooperative, 70, 1024 * 1024, [
+                4287, 122, 1752863, 4165, 59261488, 122, 4287, 4165, 0, 0,
+                54333700, 0x480e6ee6e17cfdb3, 0xa9e7853314e79701,
+            ]),
+        ];
+        for (strategy, fetchers, budget, want) in PINNED {
+            let got = run_with(strategy, fetchers, budget, |c| {
+                let s = c.stats();
+                let completions = c
+                    .completions()
+                    .iter()
+                    .fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
+                        (h ^ t.as_nanos()).wrapping_mul(0x0000_0100_0000_01b3)
+                    });
+                [
+                    s.delivered_blocks,
+                    s.registry_blocks,
+                    s.registry_bytes,
+                    s.peer_blocks,
+                    s.peer_bytes,
+                    s.disk_reads,
+                    s.lookups,
+                    s.lookup_hits,
+                    s.evictions,
+                    s.verify_failures,
+                    c.makespan().as_nanos(),
+                    completions,
+                    c.content_digest(),
+                ]
+            });
+            assert_eq!(got, want, "{strategy:?}, {fetchers} fetchers, {budget} B");
+        }
+    }
+
+    proptest! {
+        /// A holder bitset picks the peer an ordered set picks: the
+        /// `rr % others`-th member other than the caller. Up to 130 nodes
+        /// (three words), with the caller inside or outside the set.
+        #[test]
+        fn holder_bitset_picks_like_an_ordered_set(
+            nodes in 1u32..131,
+            ops in prop::collection::vec((any::<u32>(), 0u8..4), 0..80),
+            caller in any::<u32>(),
+            caller_holds in any::<bool>(),
+            rr in any::<u64>(),
+        ) {
+            let mut set = NodeSet::new(nodes);
+            let mut reference = BTreeSet::new();
+            for (node, op) in ops {
+                let node = node % nodes;
+                if op == 0 {
+                    set.remove(node);
+                    reference.remove(&node);
+                } else {
+                    set.insert(node);
+                    reference.insert(node);
+                }
+            }
+            let node = caller % nodes;
+            if caller_holds {
+                set.insert(node);
+                reference.insert(node);
+            } else {
+                set.remove(node);
+                reference.remove(&node);
+            }
+            let others: Vec<u32> = reference.iter().copied().filter(|&h| h != node).collect();
+            let want = (!others.is_empty()).then(|| others[(rr % others.len() as u64) as usize]);
+            prop_assert_eq!(set.nth_other(node, rr), want);
+        }
     }
 
     /// Delivers every plan of `fetchers` nodes straight through `accept`,

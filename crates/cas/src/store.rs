@@ -29,13 +29,13 @@ const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Chains [`BlockHash::of_chunks`] runs side by side. One FNV-1a step is
 /// an xor and a multiply, about four cycles, and a core starts one
-/// multiply per cycle. Two chains use half of those multiply slots and
-/// hash twice as fast as one; like the one-lane loop, they slow only as
-/// much as the core does when other work shares it. Three or four chains
-/// hash up to 3.7 times as fast as one, but they crowd the multiplier,
-/// and a run's time then swings far more from one run to the next
-/// (EXPERIMENTS.md, "Lane count and run-to-run spread").
-pub(crate) const LANES: usize = 2;
+/// multiply per cycle, so four chains fill the multiply slots that one
+/// chain leaves idle; two fill half. Four lanes hash up to 3.7 times as
+/// fast as one. On the `O(1)` fetch bookkeeping they run `distribute`
+/// in 37 ms against two lanes' 59 ms on a 2-vCPU Xeon, with a wider but
+/// bounded run-to-run spread (EXPERIMENTS.md, "Four lanes on `O(1)`
+/// fetch bookkeeping").
+pub(crate) const LANES: usize = 4;
 
 impl BlockHash {
     /// Hashes `bytes` under `seed`: the one-lane case of
@@ -68,7 +68,7 @@ impl BlockHash {
         out
     }
 
-    /// Hashes every chunk of `chunks`, in order, two lanes at a time
+    /// Hashes every chunk of `chunks`, in order, four lanes at a time
     /// (see [`BlockHash::of_lanes`]): a lane takes the next chunk as soon
     /// as its own is done, so short tails do not stall the others.
     pub fn of_chunks<'a>(seed: u64, chunks: impl IntoIterator<Item = &'a [u8]>) -> Vec<BlockHash> {

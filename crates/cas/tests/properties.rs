@@ -46,7 +46,7 @@ fn manifest_for(blocks: &[Vec<u8>], store: &mut BlockStore) -> ImageManifest {
 proptest! {
     /// The side-by-side kernel gives every chunk exactly its one-lane
     /// hash, whatever the seed and the mix of lengths, and so does the
-    /// multi-chunk helper when its lanes refill (six chunks on its two lanes).
+    /// multi-chunk helper when its lanes refill (six chunks on its four lanes).
     #[test]
     fn lane_hashing_matches_one_lane(
         seed in any::<u64>(),
@@ -123,7 +123,10 @@ proptest! {
 
     /// The partial cache never exceeds its budget (beyond the single
     /// oversized-block allowance), tracks used bytes exactly, and
-    /// survives arbitrary get/insert/clear ("node crash") sequences.
+    /// survives arbitrary get/insert/clear ("node crash") sequences. It
+    /// also matches a reference model, a vector in recency order under
+    /// the same byte budget: the victims of each insert in order, the hit
+    /// or miss of each get, and what each clear drops, in hash order.
     #[test]
     fn partial_cache_budget_invariants(
         blocks in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..64), 2..24),
@@ -135,21 +138,31 @@ proptest! {
         let manifest = manifest_for(&blocks, &mut store);
         let hashes = manifest.unique_blocks();
         let mut cache = PartialCache::new(manifest, budget);
+        // Least recently used first.
+        let mut model: Vec<BlockHash> = Vec::new();
+        let len = |h: BlockHash| store.get(h).expect("manifest block").len() as u64;
         for (op, idx) in &ops {
             let h = hashes[idx % hashes.len()];
+            let pos = model.iter().position(|&m| m == h);
             match op {
                 0 => {
                     // A fault: the node loses its block data, never its
                     // manifest.
                     let dropped = cache.clear();
+                    model.sort_unstable();
+                    prop_assert_eq!(&dropped, &model);
+                    model.clear();
                     prop_assert_eq!(cache.used_bytes(), 0);
                     prop_assert_eq!(cache.len(), 0);
                     prop_assert_eq!(cache.missing(), hashes.len());
-                    prop_assert!(dropped.len() <= hashes.len());
                 }
                 1 | 2 => {
                     let got = cache.get(h);
-                    prop_assert_eq!(got.is_some(), cache.contains(h));
+                    prop_assert_eq!(got.is_some(), pos.is_some(), "hit or miss");
+                    if let Some(p) = pos {
+                        model.remove(p);
+                        model.push(h);
+                    }
                     if let Some(bytes) = got {
                         prop_assert_eq!(
                             &bytes[..],
@@ -159,7 +172,18 @@ proptest! {
                 }
                 _ => {
                     let bytes = store.get(h).expect("manifest block");
-                    cache.insert(h, bytes);
+                    let evicted = cache.insert(h, bytes);
+                    let mut victims = Vec::new();
+                    if pos.is_none() {
+                        model.push(h);
+                        let mut used: u64 = model.iter().map(|&m| len(m)).sum();
+                        while used > budget && model.len() > 1 {
+                            let victim = model.remove(0);
+                            used -= len(victim);
+                            victims.push(victim);
+                        }
+                    }
+                    prop_assert_eq!(evicted, victims, "victims, oldest first");
                     prop_assert!(cache.contains(h), "fresh insert stays resident");
                 }
             }
@@ -171,10 +195,14 @@ proptest! {
             let resident: u64 = hashes
                 .iter()
                 .filter(|h| cache.contains(**h))
-                .map(|h| store.get(*h).expect("manifest block").len() as u64)
+                .map(|&h| len(h))
                 .sum();
             prop_assert_eq!(cache.used_bytes(), resident);
             prop_assert_eq!(cache.missing() + cache.len(), hashes.len());
+            prop_assert_eq!(cache.len(), model.len());
+            for &m in &model {
+                prop_assert!(cache.contains(m));
+            }
         }
     }
 

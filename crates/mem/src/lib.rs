@@ -8,8 +8,8 @@
 //!
 //! * [`DiskModel`] — seek + rotation + transfer timing for a 1994
 //!   workstation disk (the paper's 14.8 ms for an 8-KB access).
-//! * [`LruCache`] — a generic exact-LRU cache, used here for page frames
-//!   and by `now-cache` for file blocks.
+//! * [`LruCache`] — the exact-LRU cache of `now-sim`, used here for page
+//!   frames and re-exported for `now-cache` and `now-xfs`.
 //! * [`Pager`] — a demand pager with a bounded local frame pool backed by
 //!   disk or by [`NetworkRam`], with sequential prefetch: the mechanism
 //!   that lets network RAM stream pages at wire bandwidth.
@@ -35,14 +35,13 @@
 #![warn(missing_docs)]
 
 mod disk;
-mod lru;
 mod netram;
 mod pager;
 
 pub mod multigrid;
 
 pub use disk::DiskModel;
-pub use lru::{LruCache, Touch};
 pub use multigrid::{MultigridComponent, PageEvent};
 pub use netram::{NetworkRam, RemoteAccessCost};
+pub use now_sim::{LruCache, Touch};
 pub use pager::{FaultKind, FixedPath, PageId, Pager, PagerStats, RemotePath};

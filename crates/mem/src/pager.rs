@@ -18,11 +18,10 @@
 use std::collections::HashSet;
 
 use now_probe::Probe;
-use now_sim::{IdBuildHasher, SimDuration, SimTime};
+use now_sim::{IdBuildHasher, LruCache, SimDuration, SimTime, Touch};
 use serde::{Deserialize, Serialize};
 
-use crate::lru::Touch;
-use crate::{DiskModel, LruCache, NetworkRam, RemoteAccessCost};
+use crate::{DiskModel, NetworkRam, RemoteAccessCost};
 
 /// Pages a disk swap device clusters per transfer.
 pub const SWAP_CLUSTER: u64 = 8;

@@ -18,6 +18,8 @@
 //!   cross-subsystem contention.
 //! * [`IdHasher`] — a fixed multiply-mix hasher for the integer-id maps on
 //!   the paging, cache and batching hot paths.
+//! * [`LruCache`] — the exact `O(1)` LRU behind page frames, file-block
+//!   caches and partial image caches.
 //! * [`SimRng`] — a seeded random source with the distributions the workload
 //!   generators need (uniform, exponential, Zipf, Pareto, normal) implemented
 //!   locally so results do not drift with external crate versions.
@@ -54,6 +56,7 @@
 
 mod engine;
 mod hash;
+mod lru;
 mod profile;
 mod queue;
 mod rng;
@@ -68,6 +71,7 @@ pub use engine::{
     TransferCost, Transport,
 };
 pub use hash::{IdBuildHasher, IdHasher};
+pub use lru::{LruCache, Touch};
 pub use profile::{ComponentProfile, HostProfile};
 pub use queue::{EventId, EventQueue};
 pub use rng::{SimRng, ZipfSampler};
