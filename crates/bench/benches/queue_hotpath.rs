@@ -1,18 +1,20 @@
-//! Hot-path cost of the [`EventQueue`] itself: schedule/pop churn and
-//! cancel-heavy churn.
+//! Hot-path cost of the [`EventQueue`] itself: schedule/pop churn,
+//! cancel-heavy churn, and a deep monotone backlog.
 //!
-//! The queue used to track pending events in a `HashSet<u64>`, paying a
-//! SipHash per schedule, per cancel, and per pop; it now uses a dense
-//! windowed bitset, so those are single bit operations. These two
-//! workloads pin the hot path from both sides:
+//! The queue is a radix heap on firing time: events sit in a slab of
+//! slots, linked into FIFO buckets by the highest bit in which their time
+//! differs from the last anchor, and `pop` relinks only the lowest
+//! occupied bucket. Cancels leave tombstones that are unlinked in bulk.
+//! These workloads pin the hot path from three sides:
 //!
 //! * `schedule_pop_churn` — the dispatch loop every simulator runs: a
 //!   standing population of events, each pop scheduling a successor.
-//!   The rework must not be slower here.
 //! * `cancel_heavy_churn` — the mixed-workload simulators' pattern:
-//!   provisional finish events scheduled, cancelled, and rescheduled.
-//!   This is where hashing and tombstone churn used to dominate, and
-//!   where the bitset must be measurably faster.
+//!   provisional finish events scheduled, cancelled, and rescheduled,
+//!   so tombstones pile up and are unlinked constantly.
+//! * `deep_monotone_churn` — the serving workload's shape: a backlog of
+//!   1,024 standing events, half re-armed a 15 ms think time ahead, so
+//!   pops walk far below a deep, slowly draining tail.
 //!
 //! Before/after numbers for this bench live in `EXPERIMENTS.md`.
 
@@ -70,6 +72,34 @@ fn cancel_heavy_churn(events: u64) -> SimTime {
     q.now()
 }
 
+/// Backlog of the serve-shaped churn: about the pending-set depth of one
+/// `serve` benchmark run.
+const DEEP: u64 = 1_024;
+
+/// Serving shape: `DEEP` standing events; the even ones re-arm 15 ms
+/// ahead (a user's think time), the odd ones a few microseconds ahead (a
+/// request's service steps). Exercises schedule + pop under a deep,
+/// monotone backlog.
+fn deep_monotone_churn(events: u64) -> SimTime {
+    let mut q = EventQueue::new();
+    for i in 0..DEEP {
+        q.schedule_at(SimTime::from_micros(i * 15_000 / DEEP + 1), i);
+    }
+    let mut left = events;
+    while left > 0 {
+        let Some((_, n)) = q.pop() else { break };
+        black_box(n);
+        left -= 1;
+        let delay = if n % 2 == 0 {
+            SimDuration::from_millis(15)
+        } else {
+            SimDuration::from_micros(n % 17 + 1)
+        };
+        q.schedule_after(delay, n);
+    }
+    q.now()
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue_hotpath");
     g.bench_function("schedule_pop_churn_100k", |b| {
@@ -77,6 +107,9 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("cancel_heavy_churn_100k", |b| {
         b.iter(|| cancel_heavy_churn(black_box(EVENTS)))
+    });
+    g.bench_function("deep_monotone_churn_100k", |b| {
+        b.iter(|| deep_monotone_churn(black_box(EVENTS)))
     });
     g.finish();
 }

@@ -1,6 +1,6 @@
 //! Criterion benches for the substrate subsystems themselves: event
-//! queue throughput, Active Messages protocol, software RAID data path,
-//! xFS operations, the LRU, and content hashing.
+//! queue throughput, Zipf sampling, Active Messages protocol, software
+//! RAID data path, xFS operations, the LRU, and content hashing.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -20,6 +20,21 @@ fn bench_event_queue(c: &mut Criterion) {
                 n += 1;
             }
             black_box(n)
+        })
+    });
+    g.finish();
+}
+
+fn bench_zipf(c: &mut Criterion) {
+    use now_sim::{SimRng, ZipfSampler};
+    // The serving workload's catalog: Zipf 0.9 over 4,096 objects.
+    let zipf = ZipfSampler::new(4_096, 0.9);
+    let mut g = c.benchmark_group("zipf");
+    g.throughput(Throughput::Elements(10_000));
+    g.bench_function("sample_4096", |b| {
+        b.iter(|| {
+            let mut rng = SimRng::new(7);
+            (0..10_000).fold(0, |acc, _| acc ^ zipf.sample(black_box(&mut rng)))
         })
     });
     g.finish();
@@ -178,6 +193,7 @@ fn bench_cas(c: &mut Criterion) {
 criterion_group!(
     subsystems,
     bench_event_queue,
+    bench_zipf,
     bench_active_messages,
     bench_raid,
     bench_xfs,

@@ -1,134 +1,51 @@
 //! The event queue at the heart of every simulator in this workspace.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-
 use crate::{SimDuration, SimTime};
 
 /// Identifier of a scheduled event, returned by
 /// [`EventQueue::schedule_at`] and usable with [`EventQueue::cancel`].
 ///
-/// Ids are unique within one queue for its whole lifetime (they are never
-/// reused), so a stale id held after its event fired is harmless.
+/// Sequence numbers are unique within one queue for its whole lifetime
+/// (they are never reused), so a stale id held after its event fired is
+/// harmless. The id also names the slot its event is stored in, so
+/// `cancel` finds the event without a search; slots are reused, and the
+/// sequence number tells a reused slot from the one the id was issued for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
 impl EventId {
     /// The queue sequence number behind this id. Unique for the queue's
     /// lifetime, so it doubles as a stable event identity for provenance
     /// tracking (see `Engine`'s causal log).
     pub const fn seq(self) -> u64 {
-        self.0
+        self.seq
     }
 }
 
-struct Scheduled<E> {
+/// Bucket 0 holds the events due exactly at the anchor; bucket `b` in
+/// `1..=64` holds those whose time first differs from it in bit `b - 1`.
+const BUCKETS: usize = 65;
+
+/// End of a slot list.
+const NIL: u32 = u32::MAX;
+
+/// One stored event. A slot is linked into exactly one list: a bucket's
+/// (while scheduled or cancelled) or the free list (after it fired or a
+/// tombstone was unlinked).
+struct Slot<E> {
     time: SimTime,
     seq: u64,
-    payload: E,
+    next: u32,
+    /// `None` once the event was cancelled (a tombstone) or has fired.
+    payload: Option<E>,
 }
 
-// Order: earliest time first; FIFO (lowest sequence number) among equal
-// times. `BinaryHeap` is a max-heap, so the comparisons are reversed.
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-/// Dense pending-event tracker: one bit per sequence number.
-///
-/// Sequence numbers are allocated monotonically and never reused, so the
-/// set of seqs that can still be pending at any moment is a contiguous
-/// window `[base, base + 64 * words.len())`. Membership, insertion, and
-/// removal are single bit operations on that window — no hashing — which
-/// is what takes per-event SipHash churn off the schedule/cancel/pop hot
-/// path. Fully dead words at the front of the window are trimmed as they
-/// appear, so memory tracks the span between the oldest live event and
-/// the newest, not the queue's lifetime event count.
-///
-/// The monotone-insert assumption and the front-trim both presume exactly
-/// one consumer driving this queue, which `&mut` access guarantees: every
-/// seq comes off this queue's own counter, so `base` never has to move
-/// backwards.
-#[derive(Default)]
-struct PendingSet {
-    /// Seq mapped to bit 0 of `words[0]`; always a multiple of 64.
-    base: u64,
-    words: VecDeque<u64>,
-    live: usize,
-}
-
-impl PendingSet {
-    /// Marks `seq` pending. Seqs arrive in strictly increasing order
-    /// (they come off the queue's monotonic counter), so inserts only
-    /// ever extend the window to the right.
-    fn insert(&mut self, seq: u64) {
-        debug_assert!(seq >= self.base, "seqs are allocated monotonically");
-        let offset = seq - self.base;
-        let idx = (offset / 64) as usize;
-        while self.words.len() <= idx {
-            self.words.push_back(0);
-        }
-        self.words[idx] |= 1 << (offset % 64);
-        self.live += 1;
-    }
-
-    fn contains(&self, seq: u64) -> bool {
-        if seq < self.base {
-            return false;
-        }
-        let offset = seq - self.base;
-        let idx = (offset / 64) as usize;
-        idx < self.words.len() && self.words[idx] & (1 << (offset % 64)) != 0
-    }
-
-    /// Clears `seq` if it was pending, returning whether it was. Trims
-    /// dead words off the window's front so `base` chases the oldest
-    /// live event. The last word is always kept: `base` must never
-    /// overtake the counter the next insert will use.
-    fn remove(&mut self, seq: u64) -> bool {
-        if seq < self.base {
-            return false;
-        }
-        let offset = seq - self.base;
-        let idx = (offset / 64) as usize;
-        if idx >= self.words.len() {
-            return false;
-        }
-        let bit = 1 << (offset % 64);
-        if self.words[idx] & bit == 0 {
-            return false;
-        }
-        self.words[idx] &= !bit;
-        self.live -= 1;
-        while self.words.len() > 1 && self.words.front() == Some(&0) {
-            self.words.pop_front();
-            self.base += 64;
-        }
-        true
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
+/// The bucket an event at `time` belongs in, for an anchor `last <= time`.
+fn bucket(last: SimTime, time: SimTime) -> usize {
+    (u64::BITS - (time.as_nanos() ^ last.as_nanos()).leading_zeros()) as usize
 }
 
 /// A deterministic discrete-event queue.
@@ -153,26 +70,64 @@ impl PendingSet {
 /// q.cancel(a);
 /// assert_eq!(q.pop().unwrap().1, "b");
 /// ```
-#[derive(Default)]
+///
+/// # Layout
+///
+/// A radix heap keyed on firing time, which is valid because no event is
+/// ever scheduled before the clock. `last` is a time no later than any
+/// stored event; bucket 0 holds the events due exactly at `last`, and
+/// bucket `b` those whose time first differs from `last` in bit `b - 1`,
+/// so every time in a bucket precedes every time in the next. `pop`
+/// serves bucket 0 and, when it runs dry, re-anchors `last` at the
+/// earliest time in the lowest occupied bucket and relinks that bucket's
+/// events into the (empty) buckets below it.
+///
+/// Each bucket is a FIFO list threaded through one slab of slots, so a
+/// stored event never moves and a warm queue never allocates. Lists keep
+/// scheduling order: a push appends the newest sequence number, and a
+/// relink walks a list front to back. Events due at the same time thus
+/// leave bucket 0 in FIFO order without comparing sequence numbers.
+///
+/// `cancel` drops the payload in place and leaves a tombstone that `pop`
+/// skips; tombstones are unlinked once they are more than half of what is
+/// stored.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    /// Seqs of events that are scheduled, not yet fired, and not cancelled.
-    /// Heap entries absent from this set are tombstones left by `cancel`.
-    ///
-    /// Invariant: the heap's top entry is never a tombstone (`pop` and
-    /// `cancel` drain dead tops eagerly), so [`EventQueue::peek_time`]
-    /// can read the next firing time without mutating anything.
-    pending: PendingSet,
+    slots: Vec<Slot<E>>,
+    /// Head of the free-slot list.
+    free: u32,
+    head: [u32; BUCKETS],
+    tail: [u32; BUCKETS],
+    /// Bit `b` is set iff bucket `b` holds a slot.
+    occupied: u128,
+    /// The radix anchor: no stored event is earlier, and it is never
+    /// later than `now` between calls. Moves only in `pop`.
+    last: SimTime,
+    /// Slots linked into buckets: live events plus tombstones.
+    stored: usize,
+    /// Events that are scheduled, not yet fired, and not cancelled.
+    live: usize,
     now: SimTime,
     next_seq: u64,
+}
+
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            pending: PendingSet::default(),
+            slots: Vec::new(),
+            free: NIL,
+            head: [NIL; BUCKETS],
+            tail: [NIL; BUCKETS],
+            occupied: 0,
+            last: SimTime::ZERO,
+            stored: 0,
+            live: 0,
             now: SimTime::ZERO,
             next_seq: 0,
         }
@@ -192,6 +147,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is earlier than [`EventQueue::now`] — an event
     /// scheduled in the past is always a simulation bug.
+    #[inline]
     pub fn schedule_at(&mut self, time: SimTime, payload: E) -> EventId {
         assert!(
             time >= self.now,
@@ -200,9 +156,34 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, payload });
-        self.pending.insert(seq);
-        EventId(seq)
+        let slot = if self.free == NIL {
+            let slot = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("event queue holds fewer than u32::MAX slots");
+            self.slots.push(Slot {
+                time,
+                seq,
+                next: NIL,
+                payload: Some(payload),
+            });
+            slot
+        } else {
+            let slot = self.free;
+            let entry = &mut self.slots[slot as usize];
+            self.free = entry.next;
+            *entry = Slot {
+                time,
+                seq,
+                next: NIL,
+                payload: Some(payload),
+            };
+            slot
+        };
+        self.link(bucket(self.last, time), slot);
+        self.stored += 1;
+        self.live += 1;
+        EventId { seq, slot }
     }
 
     /// Schedules `payload` to fire `delay` after the current time.
@@ -215,39 +196,26 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending (it will now never be
     /// delivered), `false` if it had already fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // Lazy deletion: drop the id from the pending set and leave the heap
-        // entry behind as a tombstone that later pops discard. Ids of fired
-        // or already-cancelled events are simply absent from the set.
-        if self.pending.remove(id.0) {
-            // Tombstones would otherwise sit in the heap until their
-            // timestamp is reached, so a cancel-heavy workload (schedule,
-            // cancel, reschedule — the mixed-workload simulator's finish
-            // events) grows storage without bound. Rebuild the heap without
-            // them once they exceed half of it.
-            if self.heap.len() > 2 * self.pending.len() {
-                let pending = &self.pending;
-                self.heap.retain(|s| pending.contains(s.seq));
-            }
-            self.drain_dead_top();
-            true
-        } else {
-            false
+        let Some(entry) = self.slots.get_mut(id.slot as usize) else {
+            return false;
+        };
+        if entry.seq != id.seq || entry.payload.take().is_none() {
+            return false;
         }
-    }
-
-    /// Restores the live-top invariant: pops tombstones sitting at the
-    /// top of the heap so `peek` always sees a pending event.
-    fn drain_dead_top(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.pending.contains(top.seq) {
-                break;
-            }
-            self.heap.pop();
+        self.live -= 1;
+        // Tombstones would otherwise sit in their buckets until their time
+        // is reached, so a cancel-heavy workload (schedule, cancel,
+        // reschedule — the mixed-workload simulator's finish events) would
+        // grow storage without bound.
+        if self.stored > 2 * self.live {
+            self.unlink_tombstones();
         }
+        true
     }
 
     /// Removes and returns the next event as `(time, payload)`, advancing the
     /// clock to its timestamp. Returns `None` when the queue is empty.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_with_id().map(|(time, _, payload)| (time, payload))
     }
@@ -255,48 +223,166 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::pop`] that also returns the event's [`EventId`], so a
     /// dispatcher can tie follow-up scheduling back to the event being
     /// handled (provenance links in the `Engine`'s causal log).
+    #[inline]
     pub fn pop_with_id(&mut self) -> Option<(SimTime, EventId, E)> {
-        while let Some(ev) = self.heap.pop() {
-            if !self.pending.remove(ev.seq) {
-                continue; // tombstone of a cancelled event
+        loop {
+            let slot = self.unlink_earliest()?;
+            let entry = &mut self.slots[slot as usize];
+            let payload = entry.payload.take();
+            entry.next = self.free;
+            self.free = slot;
+            self.stored -= 1;
+            if let Some(payload) = payload {
+                self.live -= 1;
+                self.now = entry.time;
+                let id = EventId {
+                    seq: entry.seq,
+                    slot,
+                };
+                return Some((entry.time, id, payload));
             }
-            self.now = ev.time;
-            self.drain_dead_top();
-            return Some((ev.time, EventId(ev.seq), ev.payload));
+        }
+    }
+
+    /// Unlinks and returns the earliest stored slot, live or tombstone:
+    /// the head of bucket 0, after refilling bucket 0 from the lowest
+    /// occupied bucket if it ran dry. `None` when nothing is stored.
+    #[inline]
+    fn unlink_earliest(&mut self) -> Option<u32> {
+        if self.occupied & 1 == 0 {
+            if self.occupied == 0 {
+                // Popped tombstones can carry the anchor past the clock;
+                // scheduling resumes at `now`.
+                self.last = self.now;
+                return None;
+            }
+            let b = self.occupied.trailing_zeros() as usize;
+            let first = self.head[b];
+            let entry = &self.slots[first as usize];
+            if entry.next == NIL {
+                // A lone slot is the earliest event, and leaves as it is.
+                self.last = entry.time;
+                self.occupied &= !(1 << b);
+                return Some(first);
+            }
+            self.relink(b);
+        }
+        let first = self.head[0];
+        let next = self.slots[first as usize].next;
+        self.head[0] = next;
+        if next == NIL {
+            self.occupied &= !1;
+        }
+        Some(first)
+    }
+
+    /// Re-anchors `last` at the earliest time in bucket `b`, the lowest
+    /// occupied one, and relinks its slots into the empty buckets below,
+    /// which leaves its earliest events in bucket 0.
+    fn relink(&mut self, b: usize) {
+        self.occupied &= !(1 << b);
+        let first = self.head[b];
+        let mut earliest = self.slots[first as usize].time;
+        let mut s = self.slots[first as usize].next;
+        while s != NIL {
+            let entry = &self.slots[s as usize];
+            earliest = earliest.min(entry.time);
+            s = entry.next;
+        }
+        self.last = earliest;
+        let mut s = first;
+        while s != NIL {
+            let entry = &self.slots[s as usize];
+            let (next, below) = (entry.next, bucket(earliest, entry.time));
+            self.push_back(below, s);
+            s = next;
+        }
+    }
+
+    /// Appends `slot` to bucket `b`'s list.
+    fn push_back(&mut self, b: usize, slot: u32) {
+        self.slots[slot as usize].next = NIL;
+        self.link(b, slot);
+    }
+
+    /// Appends `slot`, whose `next` is already `NIL`, to bucket `b`'s
+    /// list. `schedule_at` calls this directly, having just written the
+    /// slot: a separate, inlined step measured faster on a one-event
+    /// chain than going through `push_back`.
+    #[inline]
+    fn link(&mut self, b: usize, slot: u32) {
+        if self.occupied & (1 << b) == 0 {
+            self.occupied |= 1 << b;
+            self.head[b] = slot;
+        } else {
+            self.slots[self.tail[b] as usize].next = slot;
+        }
+        self.tail[b] = slot;
+    }
+
+    /// Moves every tombstone to the free list, keeping each bucket's
+    /// remaining order.
+    fn unlink_tombstones(&mut self) {
+        let mut buckets = self.occupied;
+        while buckets != 0 {
+            let b = buckets.trailing_zeros() as usize;
+            buckets &= buckets - 1;
+            self.occupied &= !(1 << b);
+            let mut s = self.head[b];
+            while s != NIL {
+                let entry = &self.slots[s as usize];
+                let (next, live) = (entry.next, entry.payload.is_some());
+                if live {
+                    self.push_back(b, s);
+                } else {
+                    self.slots[s as usize].next = self.free;
+                    self.free = s;
+                    self.stored -= 1;
+                }
+                s = next;
+            }
+        }
+    }
+
+    /// The timestamp of the next pending event without removing it or
+    /// mutating the queue; cancelled entries never surface. Reads the
+    /// lowest bucket that holds a live event. `None` when empty.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let mut buckets = self.occupied;
+        while buckets != 0 {
+            let b = buckets.trailing_zeros() as usize;
+            buckets &= buckets - 1;
+            let mut earliest: Option<SimTime> = None;
+            let mut s = self.head[b];
+            while s != NIL {
+                let entry = &self.slots[s as usize];
+                if entry.payload.is_some() {
+                    if b == 0 {
+                        return Some(entry.time);
+                    }
+                    earliest = Some(earliest.map_or(entry.time, |t| t.min(entry.time)));
+                }
+                s = entry.next;
+            }
+            if earliest.is_some() {
+                return earliest;
+            }
         }
         None
     }
 
-    /// The timestamp of the next pending event without removing it or
-    /// mutating the queue; cancelled entries never surface (the heap's top
-    /// is kept live by `cancel` and `pop`). `None` when empty.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let top = self.heap.peek()?;
-        if self.pending.contains(top.seq) {
-            return Some(top.time);
-        }
-        // Defensive fallback should the live-top invariant ever lapse:
-        // the earliest live entry, found by a full scan.
-        self.heap
-            .iter()
-            .filter(|s| self.pending.contains(s.seq))
-            .map(|s| (s.time, s.seq))
-            .min()
-            .map(|(time, _)| time)
-    }
-
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
-    /// Heap slots currently allocated, including cancelled events that have
-    /// not yet been compacted away. Every [`EventQueue::cancel`] re-establishes
-    /// `storage_len() <= 2 * len()`: the heap is rebuilt without tombstoned
-    /// entries whenever they exceed half of it. Exposed so memory-bound
+    /// Slots currently linked into buckets, including cancelled events
+    /// that have not yet been unlinked. Every [`EventQueue::cancel`]
+    /// re-establishes `storage_len() <= 2 * len()`: tombstones are unlinked
+    /// whenever they exceed half of what is stored. Exposed so memory-bound
     /// regression tests can observe the compaction.
     pub fn storage_len(&self) -> usize {
-        self.heap.len()
+        self.stored
     }
 
     /// True if no events are pending.
@@ -396,7 +482,7 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_false() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(42)));
+        assert!(!q.cancel(EventId { seq: 42, slot: 0 }));
     }
 
     #[test]
@@ -472,7 +558,7 @@ mod tests {
     #[test]
     fn storage_stays_within_twice_live_under_churn() {
         let mut q = EventQueue::new();
-        // Long-lived events keep the heap non-trivial while short-lived
+        // Long-lived events keep the queue non-trivial while short-lived
         // ones are scheduled and immediately cancelled.
         for i in 0..50u64 {
             q.schedule_at(SimTime::from_secs(1_000 + i), i);
@@ -508,7 +594,7 @@ mod tests {
     fn cancelled_top_never_surfaces_through_peek() {
         let mut q = EventQueue::new();
         // Cancel the earliest events in a different order than scheduled,
-        // so tombstones would sit at the top without the live-top drain.
+        // so the lowest buckets hold nothing but tombstones.
         let ids: Vec<_> = (0..8)
             .map(|i| q.schedule_at(SimTime::from_micros(i), i))
             .collect();
@@ -521,9 +607,9 @@ mod tests {
 
     #[test]
     fn pending_window_survives_front_trimming() {
-        // Regression for the windowed bitset: cancelling every early event
-        // trims dead words off the window's front, after which newly
-        // scheduled (higher) seqs must still insert and cancel correctly.
+        // Cancelling every event of a round unlinks its tombstones and
+        // frees their slots; later rounds reuse those slots under newer
+        // seqs, and must still schedule and cancel correctly.
         let mut q = EventQueue::new();
         for round in 0..5u64 {
             let ids: Vec<_> = (0..200)
@@ -545,11 +631,11 @@ mod tests {
         // Draining events *strictly* before an edge leaves the clock at
         // most one event short of it; events scheduled afterwards at or
         // past the edge must schedule cleanly (no schedule-into-past
-        // panic), keep FIFO order, and survive the bitset's front-trim
+        // panic), keep FIFO order, and survive tombstone unlinking
         // kicking in mid-run.
         let mut q = EventQueue::new();
         let edge = SimTime::from_micros(100);
-        // A churny first window so the pending window front-trims: many
+        // A churny first window whose tombstones get unlinked: many
         // schedule+cancel pairs, then live events just below the edge.
         for round in 0..300u64 {
             let id = q.schedule_after(SimDuration::from_micros(1), round);

@@ -172,7 +172,11 @@ impl SimRng {
 /// most accesses. The cooperative-caching trace generator uses this sampler
 /// to reproduce that skew.
 ///
-/// Sampling is O(log n) by binary search over the precomputed CDF.
+/// Sampling inverts the precomputed CDF through a guide table (Chen and
+/// Asau, 1974): one cell per rank, each naming the first rank that can
+/// answer a draw in it, so a draw searches only its cell's few ranks. The
+/// rank is exactly the one a binary search over the whole CDF finds, ties
+/// included, in O(1) expected steps at any skew.
 ///
 /// # Example
 ///
@@ -191,6 +195,17 @@ impl SimRng {
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
+    /// `guide[j]` is the first rank whose CDF lies in [`cell`] `j` or a
+    /// later one, and `guide[n] = n`. Every rank before `guide[j]` has a
+    /// CDF below any draw in cell `j`, and rank `guide[j + 1]` one above
+    /// it.
+    guide: Vec<u32>,
+}
+
+/// The guide cell of a CDF value or draw `u` over `n` ranks:
+/// `min(⌊u·n⌋, n − 1)`, which never decreases as `u` grows.
+fn cell(u: f64, n: usize) -> usize {
+    ((u * n as f64) as usize).min(n - 1)
 }
 
 impl ZipfSampler {
@@ -200,10 +215,11 @@ impl ZipfSampler {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `theta` is negative.
+    /// Panics if `n` is zero or above `u32::MAX`, or `theta` is negative.
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf sampler needs at least one rank");
         assert!(theta >= 0.0, "zipf skew must be non-negative");
+        let ranks = u32::try_from(n).expect("zipf sampler takes at most u32::MAX ranks");
         let mut cdf = Vec::with_capacity(n);
         let mut total = 0.0;
         for rank in 0..n {
@@ -213,7 +229,14 @@ impl ZipfSampler {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfSampler { cdf }
+        let mut guide = Vec::with_capacity(n + 1);
+        for (rank, &p) in (0..ranks).zip(&cdf) {
+            while guide.len() <= cell(p, n) {
+                guide.push(rank);
+            }
+        }
+        guide.resize(n + 1, ranks);
+        ZipfSampler { cdf, guide }
     }
 
     /// Number of ranks.
@@ -227,20 +250,31 @@ impl ZipfSampler {
         false
     }
 
-    /// Approximate heap + inline footprint in bytes (the CDF table).
+    /// Approximate heap + inline footprint in bytes (the CDF and guide
+    /// tables).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.cdf.capacity() * std::mem::size_of::<f64>()
+        std::mem::size_of::<Self>()
+            + self.cdf.capacity() * std::mem::size_of::<f64>()
+            + self.guide.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Draws a rank in `[0, n)`.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.rank(rng.f64())
+    }
+
+    /// The rank a binary search of the CDF for `u` reports: the last rank
+    /// whose CDF equals `u` if there is one, else the first whose CDF
+    /// exceeds it, clamped to `n - 1`.
+    fn rank(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        let j = cell(u, n);
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let above = lo + self.cdf[lo..hi].partition_point(|&p| p <= u);
+        if above > 0 && self.cdf[above - 1] == u {
+            above - 1
+        } else {
+            above.min(n - 1)
         }
     }
 }
@@ -381,6 +415,50 @@ mod tests {
         }
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 600.0, "uniform bucket {c}");
+        }
+    }
+
+    /// The rank `sample` drew before the guide table.
+    fn rank_by_binary_search(z: &ZipfSampler, u: f64) -> usize {
+        match z
+            .cdf
+            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
+        {
+            Ok(i) => i,
+            Err(i) => i.min(z.cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn zipf_guide_rank_matches_binary_search_at_every_cdf_value() {
+        // The serve catalog, the file-trace generator's shared and
+        // private pools (both of its presets), the degenerate single
+        // rank, the uniform case, and a steep tail whose CDF runs flat:
+        // from rank 208,062 on the terms fall below half an ulp of the
+        // running total, so the last 91,938 ranks share the CDF value 1.0.
+        for (n, theta) in [
+            (4_096, 0.9),
+            (250, 0.96),
+            (155, 0.96),
+            (50, 0.85),
+            (40, 0.85),
+            (1, 0.9),
+            (1_000, 0.0),
+            (300_000, 3.0),
+        ] {
+            let z = ZipfSampler::new(n, theta);
+            let ties = z.cdf.windows(2).filter(|w| w[0] == w[1]).count();
+            assert!(theta < 3.0 || ties > 90_000, "n={n}: only {ties} ties");
+            let edges = [0.0, 1.0f64.next_down()];
+            for &p in z.cdf.iter().chain(&edges) {
+                for u in [p.next_down(), p, p.next_up()] {
+                    assert_eq!(
+                        z.rank(u),
+                        rank_by_binary_search(&z, u),
+                        "n={n} theta={theta} u={u}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,8 +1,43 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
+use std::collections::BTreeMap;
+
 use now_sim::stats::{Accumulator, Percentiles};
-use now_sim::{EventQueue, LruCache, SimDuration, SimRng, SimTime, Touch, ZipfSampler};
+use now_sim::{EventId, EventQueue, LruCache, SimDuration, SimRng, SimTime, Touch, ZipfSampler};
 use proptest::prelude::*;
+
+/// A delay from one of four kinds, picked by `x`'s low bits: due now,
+/// sub-microsecond, an exact power of two up to 2^40 ns, or random below
+/// such a power. Together they reach every radix bucket and cross every
+/// power-of-two boundary of the clock.
+fn model_delay(x: u64) -> SimDuration {
+    let shift = (x >> 2) % 41;
+    SimDuration::from_nanos(match x % 4 {
+        0 => 0,
+        1 => (x >> 8) % 1_000,
+        2 => 1 << shift,
+        _ => (x >> 8) & ((1 << shift) - 1),
+    })
+}
+
+/// The rank `ZipfSampler` drew before its guide table: a binary search over
+/// the CDF, built as `ZipfSampler::new` builds it.
+fn zipf_by_binary_search(n: usize, theta: f64) -> impl Fn(f64) -> usize {
+    let mut total = 0.0;
+    let mut cdf: Vec<f64> = (0..n)
+        .map(|rank| {
+            total += 1.0 / ((rank + 1) as f64).powf(theta);
+            total
+        })
+        .collect();
+    for v in &mut cdf {
+        *v /= total;
+    }
+    move |u| match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
+        Ok(i) => i,
+        Err(i) => i.min(n - 1),
+    }
+}
 
 proptest! {
     /// Popping yields events in non-decreasing time order regardless of the
@@ -173,6 +208,23 @@ proptest! {
         }
     }
 
+    /// `sample` draws exactly the rank a binary search over the CDF finds,
+    /// draw for draw, at any size and skew.
+    #[test]
+    fn zipf_sample_matches_binary_search(
+        n in 1usize..=5_000,
+        theta in 0.0f64..3.0,
+        seed in any::<u64>(),
+    ) {
+        let z = ZipfSampler::new(n, theta);
+        let reference = zipf_by_binary_search(n, theta);
+        let mut rng = SimRng::new(seed);
+        let mut replay = rng.clone();
+        for _ in 0..500 {
+            prop_assert_eq!(z.sample(&mut rng), reference(replay.f64()));
+        }
+    }
+
     /// Replays from the same seed are identical across all distributions.
     #[test]
     fn rng_replay_identical(seed in any::<u64>()) {
@@ -258,6 +310,55 @@ proptest! {
             prop_assert_eq!(next, t);
         }
         prop_assert!(q.is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The queue behaves exactly like an ordered map keyed on `(time, seq)`
+    /// under random schedule, cancel, pop and peek sequences: each pop
+    /// returns the model's first entry, and `peek_time`, `len` and
+    /// `cancel`'s result agree with it after every step. Cancels draw from
+    /// every id ever issued, including those of fired events whose slots
+    /// the queue has since reused.
+    #[test]
+    fn queue_matches_an_ordered_model(
+        ops in prop::collection::vec((0u8..4, any::<u64>()), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+        let mut issued: Vec<(EventId, SimTime)> = Vec::new();
+        for &(op, x) in &ops {
+            match op {
+                0 | 1 => {
+                    let time = q.now() + model_delay(x);
+                    let id = q.schedule_at(time, x);
+                    model.insert((time, id.seq()), x);
+                    issued.push((id, time));
+                }
+                2 => {
+                    if let Some(&(id, time)) = issued.get((x as usize) % issued.len().max(1)) {
+                        let pending = model.remove(&(time, id.seq())).is_some();
+                        prop_assert_eq!(q.cancel(id), pending);
+                        if pending {
+                            prop_assert!(q.storage_len() <= 2 * q.len().max(1));
+                        }
+                    }
+                }
+                _ => {
+                    let want = model.pop_first().map(|((t, seq), v)| (t, seq, v));
+                    let got = q.pop_with_id().map(|(t, id, v)| (t, id.seq(), v));
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.keys().next().map(|&(t, _)| t));
+        }
+        while let Some(((t, seq), v)) = model.pop_first() {
+            prop_assert_eq!(q.pop_with_id().map(|(t, id, v)| (t, id.seq(), v)), Some((t, seq, v)));
+        }
+        prop_assert!(q.pop().is_none());
     }
 }
 
