@@ -62,4 +62,4 @@ pub use layer::{
     ActiveMessages, AmConfig, AmStats, BatchConfig, HandlerId, HandlerTable, MsgId, Notification,
     HANDLER_BATCH, HANDLER_REPLY, HANDLER_REQUEST,
 };
-pub use transport::{BatchingTransport, CsmaTransport, FabricTransport};
+pub use transport::{BatchingTransport, FabricTransport};

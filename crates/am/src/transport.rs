@@ -1,15 +1,16 @@
 //! Engine transports backed by the live `now-net` fabric models.
 //!
 //! The simulation engine ([`now_sim::Engine`]) charges remote traffic
-//! through the [`Transport`] trait. These implementations close the loop
+//! through the [`Transport`] trait. [`FabricTransport`] closes the loop
 //! with the `now-net` crate: every transfer runs through a real fabric
-//! model — occupancy, queue wait, and (for [`CsmaTransport`]) CSMA/CD
-//! collisions — so components that share one transport contend with each
-//! other exactly as the paper argues NOW subsystems must.
+//! model — occupancy and queue wait — so components that share one
+//! transport contend with each other exactly as the paper argues NOW
+//! subsystems must. [`BatchingTransport`] amortizes per-message overhead
+//! over any transport.
 
 use std::collections::HashMap;
 
-use now_net::{CsmaBus, Fabric, Network, NicAttachment, NodeId, SoftwareCosts};
+use now_net::{Network, NodeId};
 use now_probe::Probe;
 use now_sim::{IdBuildHasher, SimDuration, SimTime, TransferCost, Transport};
 
@@ -31,10 +32,10 @@ use crate::layer::BatchConfig;
 /// use now_sim::{SimTime, Transport};
 ///
 /// let mut t = FabricTransport::new(presets::am_atm(8));
-/// let delivered = t.transfer(0, 5, 8_192, SimTime::ZERO);
-/// assert!(delivered > SimTime::ZERO);
+/// let cost = t.transfer(0, 5, 8_192, SimTime::ZERO);
+/// assert!(cost.delivered > SimTime::ZERO);
 /// // Local copies are free: no fabric involved.
-/// assert_eq!(t.transfer(3, 3, 8_192, SimTime::ZERO), SimTime::ZERO);
+/// assert_eq!(t.transfer(3, 3, 8_192, SimTime::ZERO).delivered, SimTime::ZERO);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FabricTransport {
@@ -49,11 +50,7 @@ impl FabricTransport {
 }
 
 impl Transport for FabricTransport {
-    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime {
-        self.transfer_detailed(src, dst, bytes, now).delivered
-    }
-
-    fn transfer_detailed(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
+    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
         if src == dst {
             return TransferCost::free(now); // local copy: the fabric is not involved
         }
@@ -63,62 +60,6 @@ impl Transport for FabricTransport {
             overhead: out.send_cpu + out.recv_cpu,
             wait: out.wire_start.saturating_since(now + out.send_cpu),
             wire: out.wire_done_at.saturating_since(out.wire_start),
-        }
-    }
-}
-
-/// A [`Transport`] over a raw CSMA/CD Ethernet bus: the baseline NOW's
-/// shared medium, where arbitration and collisions — not just
-/// serialisation — eat the budget as stations contend.
-///
-/// Software stack and NIC costs are charged around the wire exactly as
-/// [`Network::transfer`] charges them, so the two transports differ only
-/// in the fabric model.
-#[derive(Debug, Clone)]
-pub struct CsmaTransport {
-    bus: CsmaBus,
-    stack: SoftwareCosts,
-    nic: NicAttachment,
-}
-
-impl CsmaTransport {
-    /// Builds a transport over classic 10-Mbps Ethernet with the given
-    /// software stack and NIC attachment.
-    pub fn new(bus: CsmaBus, stack: SoftwareCosts, nic: NicAttachment) -> Self {
-        CsmaTransport { bus, stack, nic }
-    }
-
-    /// Collisions burned on the bus so far.
-    pub fn collisions(&self) -> u64 {
-        self.bus.collisions()
-    }
-
-    /// Frames carried so far.
-    pub fn frames(&self) -> u64 {
-        self.bus.frames()
-    }
-}
-
-impl Transport for CsmaTransport {
-    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime {
-        self.transfer_detailed(src, dst, bytes, now).delivered
-    }
-
-    fn transfer_detailed(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
-        if src == dst {
-            return TransferCost::free(now);
-        }
-        let send_cpu = self.stack.send_cost(bytes) + self.nic.extra_overhead();
-        let recv_cpu = self.stack.recv_cost(bytes) + self.nic.extra_overhead();
-        let wire_request = now + send_cpu;
-        let timing = self
-            .bus
-            .transfer(NodeId(src), NodeId(dst), bytes, wire_request);
-        TransferCost {
-            delivered: timing.rx_done + recv_cpu,
-            overhead: send_cpu + recv_cpu,
-            wait: timing.tx_start.saturating_since(wire_request),
-            wire: timing.rx_done.saturating_since(timing.tx_start),
         }
     }
 }
@@ -174,23 +115,14 @@ impl<T> BatchingTransport<T> {
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
 }
 
 impl<T: Transport> Transport for BatchingTransport<T> {
-    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime {
-        self.transfer_detailed(src, dst, bytes, now).delivered
-    }
-
-    fn transfer_detailed(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
+    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
         if !self.config.enabled() || src == dst {
-            return self.inner.transfer_detailed(src, dst, bytes, now);
+            return self.inner.transfer(src, dst, bytes, now);
         }
-        let cost = self.inner.transfer_detailed(src, dst, bytes, now);
+        let cost = self.inner.transfer(src, dst, bytes, now);
         let max_msgs = self.config.max_batch_msgs.max(1);
         let joined = match self.windows.get_mut(&(src, dst)) {
             Some(w)
@@ -251,32 +183,26 @@ mod tests {
             .transfer(NodeId(1), NodeId(2), 4_096, SimTime::ZERO)
             .delivered_at;
         let mut t = FabricTransport::new(presets::am_atm(8));
-        assert_eq!(t.transfer(1, 2, 4_096, SimTime::ZERO), expect);
+        assert_eq!(t.transfer(1, 2, 4_096, SimTime::ZERO).delivered, expect);
     }
 
     #[test]
     fn local_transfers_are_free_on_both_transports() {
         let mut f = FabricTransport::new(presets::am_atm(4));
-        let mut c = CsmaTransport::new(
-            CsmaBus::ethernet_10(4, 1),
-            SoftwareCosts::tcp_kernel(),
-            NicAttachment::IoBus,
-        );
         let now = SimTime::from_micros(7);
-        assert_eq!(Transport::transfer(&mut f, 2, 2, 1 << 20, now), now);
-        assert_eq!(Transport::transfer(&mut c, 2, 2, 1 << 20, now), now);
+        assert_eq!(f.transfer(2, 2, 1 << 20, now), TransferCost::free(now));
     }
 
     #[test]
     fn detailed_breakdown_partitions_delivery_time() {
         let mut t = FabricTransport::new(presets::am_atm(8));
         // Uncontended reference cost first.
-        let quiet = t.transfer_detailed(4, 5, 8_192, SimTime::ZERO);
+        let quiet = t.transfer(4, 5, 8_192, SimTime::ZERO);
         assert_eq!(SimTime::ZERO + quiet.total(), quiet.delivered);
         // Load the path to node 1 so a follow-up transfer contends.
         t.transfer(0, 1, 1 << 20, SimTime::ZERO);
         let now = SimTime::from_micros(1);
-        let cost = t.transfer_detailed(0, 1, 8_192, now);
+        let cost = t.transfer(0, 1, 8_192, now);
         assert_eq!(now + cost.total(), cost.delivered, "pieces partition");
         assert!(cost.overhead > SimDuration::ZERO);
         assert!(cost.wire > SimDuration::ZERO);
@@ -285,30 +211,103 @@ mod tests {
             "contention must show up in the wait/wire terms, \
              not vanish from the breakdown"
         );
+    }
 
-        let mut c = CsmaTransport::new(
-            CsmaBus::ethernet_10(4, 1),
-            SoftwareCosts::tcp_kernel(),
-            NicAttachment::IoBus,
-        );
-        let cost = c.transfer_detailed(0, 1, 1_024, SimTime::ZERO);
-        assert_eq!(SimTime::ZERO + cost.total(), cost.delivered);
+    /// An inner transport whose every remote transfer costs the same
+    /// overhead, wait and wire, so batching's effect on the reported cost
+    /// reads off exactly.
+    struct FixedCost;
+
+    const O: SimDuration = SimDuration::from_micros(2);
+    const WAIT: SimDuration = SimDuration::from_micros(1);
+    const WIRE: SimDuration = SimDuration::from_micros(5);
+
+    impl Transport for FixedCost {
+        fn transfer(&mut self, src: u32, dst: u32, _: u64, now: SimTime) -> TransferCost {
+            if src == dst {
+                return TransferCost::free(now);
+            }
+            TransferCost {
+                delivered: now + O + WAIT + WIRE,
+                overhead: O,
+                wait: WAIT,
+                wire: WIRE,
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Role {
+        Leader,
+        Joiner,
+        Local,
     }
 
     #[test]
-    fn csma_contention_grows_collisions() {
-        let mut t = CsmaTransport::new(
-            CsmaBus::ethernet_10(8, 11),
-            SoftwareCosts::am_hpam(),
-            NicAttachment::IoBus,
-        );
-        let mut now = SimTime::ZERO;
-        for i in 0..500u32 {
-            // Offered essentially back-to-back: arbitration must kick in.
-            now += SimDuration::from_nanos(u64::from(i));
-            Transport::transfer(&mut t, i % 8, (i + 1) % 8, 200, now);
+    fn batching_windows_join_expire_fill_and_pass_through() {
+        use now_probe::Registry;
+        use Role::{Joiner, Leader, Local};
+
+        let config = BatchConfig {
+            flush_quantum: SimDuration::from_micros(4),
+            max_batch_bytes: 10_000,
+            max_batch_msgs: 3,
+        };
+        // (at ns, src, dst, bytes, role) over the pairs (0, 1) and (2, 3).
+        let script = [
+            (0, 0, 1, 1_000, Leader),     // opens (0, 1) until 4 µs
+            (1_000, 2, 3, 1_000, Leader), // opens (2, 3) until 5 µs
+            (2_000, 0, 1, 1_000, Joiner),
+            (3_000, 0, 1, 1_000, Joiner), // (0, 1) now holds max_batch_msgs
+            (3_500, 0, 1, 1_000, Leader), // closed by the message bound
+            (4_000, 2, 3, 9_500, Leader), // closed by the byte bound
+            (5_000, 0, 1, 500, Joiner),
+            (6_000, 4, 4, 1 << 20, Local),
+            (9_000, 0, 1, 100, Leader),  // (0, 1) expired at 7.5 µs
+            (12_000, 2, 3, 100, Leader), // (2, 3) expired at 8 µs
+            (13_000, 2, 3, 100, Joiner),
+        ];
+        let registry = Registry::new();
+        let mut batched = BatchingTransport::new(FixedCost, config);
+        batched.set_probe(registry.probe());
+        let off = Registry::new();
+        let mut plain = BatchingTransport::new(FixedCost, BatchConfig::disabled());
+        plain.set_probe(off.probe());
+        for (at, src, dst, bytes, role) in script {
+            let now = SimTime::from_nanos(at);
+            let inner = FixedCost.transfer(src, dst, bytes, now);
+            let cost = batched.transfer(src, dst, bytes, now);
+            let expected = match role {
+                Leader => inner,
+                Joiner => TransferCost {
+                    delivered: now + WAIT + WIRE,
+                    overhead: SimDuration::ZERO,
+                    wait: WAIT,
+                    wire: WIRE,
+                },
+                Local => TransferCost::free(now),
+            };
+            assert_eq!(cost, expected, "{role:?} at {now:?} on ({src}, {dst})");
+            assert_eq!(
+                plain.transfer(src, dst, bytes, now),
+                inner,
+                "a disabled config passes straight through"
+            );
         }
-        assert_eq!(t.frames(), 500);
-        assert!(t.collisions() > 0, "saturated CSMA must collide");
+
+        let s = registry.snapshot();
+        let batches = s.counter("am.batches").unwrap();
+        let timeouts = s.counter("am.flush_timeouts").unwrap();
+        let on_size = s.counter("am.flush_on_size").unwrap();
+        assert_eq!((batches, timeouts, on_size), (6, 2, 2));
+        assert_eq!(s.counter("am.batched_msgs"), Some(10));
+        // A pair's first window displaces nothing, and a window still open
+        // at the end is counted by neither flush counter: batches exceed
+        // the flushes by one per pair that opened a window.
+        let pairs = 2;
+        assert_eq!(batches, timeouts + on_size + pairs);
+        assert_eq!(s.gauge("net.batch_occupancy"), Some(2.0));
+        let off = off.snapshot();
+        assert!(off.counters.is_empty() && off.gauges.is_empty());
     }
 }

@@ -888,10 +888,10 @@ fn serve_expected_requests(spec: &ServeSpec) -> u64 {
 /// loop arrivals outrun the server and p99 explodes.
 ///
 /// Every observation structure is memory-bounded: `blame` samples
-/// ~[`SERVE_SAMPLED_CHAINS`] request chains per population into a
+/// ~`SERVE_SAMPLED_CHAINS` request chains per population into a
 /// capacity-bounded log and appends one sampled chain's table, and
 /// `record` returns flight-recorder series downsampled into
-/// [`SERVE_WINDOW_BUDGET`] windows. The whole population is one
+/// `SERVE_WINDOW_BUDGET` windows. The whole population is one
 /// event-coupled component, so `partitions` clamps to 1; `nodes` does not
 /// apply. The report is byte-identical for any `jobs` and `partitions`.
 pub fn serve(opts: &ReportOptions, probe: &Probe) -> ObservedReport {

@@ -355,7 +355,7 @@ impl ServeComponent {
             }
             CostMode::Fabric => {
                 let (src, dst) = (self.node_of(client), self.server_node);
-                let cost = ctx.transfer_detailed(src, dst, REQUEST_BYTES);
+                let cost = ctx.transfer(src, dst, REQUEST_BYTES, ctx.now());
                 ctx.blame(category::AM_OVERHEAD, cost.overhead);
                 ctx.blame(category::FABRIC_WAIT, cost.wait);
                 ctx.blame(category::WIRE, cost.wire);
@@ -404,7 +404,7 @@ impl ServeComponent {
     /// fixed-cost paths charge the round trip from their constants.
     fn respond<M>(&mut self, ctx: &mut Ctx<'_, M>, client: u32) -> SimTime {
         let (src, dst) = (self.server_node, self.node_of(client));
-        let cost = ctx.transfer_detailed(src, dst, self.config.object_bytes);
+        let cost = ctx.transfer(src, dst, self.config.object_bytes, ctx.now());
         ctx.blame(category::AM_OVERHEAD, cost.overhead);
         ctx.blame(category::FABRIC_WAIT, cost.wait);
         ctx.blame(category::WIRE, cost.wire);

@@ -411,8 +411,7 @@ impl CacheComponent {
                 let delivered = match source {
                     // One round trip through the manager/server.
                     RemoteSource::Pool | RemoteSource::Server => {
-                        let cost =
-                            ctx.rpc_detailed(c, self.server_node, REQUEST_BYTES, BLOCK_BYTES);
+                        let cost = ctx.rpc(c, self.server_node, REQUEST_BYTES, BLOCK_BYTES);
                         ctx.blame(category::AM_OVERHEAD, cost.overhead);
                         ctx.blame(category::FABRIC_WAIT, cost.wait);
                         ctx.blame(category::WIRE, cost.wire);
@@ -422,10 +421,10 @@ impl CacheComponent {
                     // back to the requester.
                     RemoteSource::Peer { holder } => {
                         let h = self.node_of(holder);
-                        let at_server = ctx.transfer(c, self.server_node, REQUEST_BYTES);
-                        let at_holder =
-                            ctx.transfer_at(self.server_node, h, REQUEST_BYTES, at_server);
-                        let delivered = ctx.transfer_at(h, c, BLOCK_BYTES, at_holder);
+                        let server = self.server_node;
+                        let at_server = ctx.transfer(c, server, REQUEST_BYTES, now).delivered;
+                        let at_holder = ctx.transfer(server, h, REQUEST_BYTES, at_server).delivered;
+                        let delivered = ctx.transfer(h, c, BLOCK_BYTES, at_holder).delivered;
                         // The whole three-hop detour is the price of
                         // forwarding; charge it as one term.
                         ctx.blame(category::CACHE_FORWARD, delivered.saturating_since(now));
@@ -476,7 +475,7 @@ impl CacheComponent {
             CostMode::Fabric => {
                 let now = ctx.now();
                 let c = self.node_of(client);
-                let cost = ctx.rpc_detailed(c, self.server_node, REQUEST_BYTES, BLOCK_BYTES);
+                let cost = ctx.rpc(c, self.server_node, REQUEST_BYTES, BLOCK_BYTES);
                 ctx.blame(category::AM_OVERHEAD, cost.overhead);
                 ctx.blame(category::FABRIC_WAIT, cost.wait);
                 ctx.blame(category::WIRE, cost.wire);

@@ -556,11 +556,11 @@ impl FetchCore {
                 let disk_starts = if looked_up {
                     ctx.now()
                 } else {
-                    let req = ctx.transfer_detailed(src, nic, self.config.request_bytes);
+                    let req = ctx.transfer(src, nic, self.config.request_bytes, ctx.now());
                     ctx.blame(category::CAS_REGISTRY, req.total());
                     req.delivered
                 };
-                let data = ctx.transfer_detailed_at(nic, src, len, disk_starts + disk);
+                let data = ctx.transfer(nic, src, len, disk_starts + disk);
                 ctx.blame(category::CAS_REGISTRY, data.total());
                 (disk_starts, data.delivered)
             }
@@ -598,7 +598,7 @@ impl FetchCore {
             }
             CostMode::Fabric => {
                 let nic = self.next_nic();
-                let cost = ctx.rpc_detailed(
+                let cost = ctx.rpc(
                     src,
                     nic,
                     self.config.lookup_bytes,
@@ -623,8 +623,7 @@ impl FetchCore {
                     }
                     CostMode::Fabric => {
                         let departs = lookup_done + self.config.peer_service;
-                        let data =
-                            ctx.transfer_detailed_at(self.fetcher_fabric(peer), src, len, departs);
+                        let data = ctx.transfer(self.fetcher_fabric(peer), src, len, departs);
                         ctx.blame(category::CAS_PEER, self.config.peer_service + data.total());
                         data.delivered
                     }

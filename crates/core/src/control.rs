@@ -395,7 +395,7 @@ impl ClusterControl {
                 if src == dst {
                     ctx.now()
                 } else {
-                    ctx.transfer(src, dst, chunk)
+                    ctx.transfer(src, dst, chunk, ctx.now()).delivered
                 }
             }
         };

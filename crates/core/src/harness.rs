@@ -276,7 +276,7 @@ fn run_cell<W: Workload>(
 ) -> (W::Outcome, ScenarioObservations) {
     let mut engine = workload.engine(probe);
     if let Some(log) = &observer.causal {
-        engine.set_causal_sink_sampled(
+        engine.set_causal_sink(
             Arc::clone(log) as Arc<dyn CausalSink>,
             observer.trace_sample_every.max(1),
         );
@@ -350,7 +350,8 @@ fn blame<W: Workload>(
         .collect()
 }
 
-/// Events driving a [`RecorderComponent`].
+/// Events driving the time-series flight recorder, the component that
+/// samples every registered gauge at a fixed sim-time cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecorderEvent {
     /// Sample every registered gauge once.

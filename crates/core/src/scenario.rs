@@ -236,7 +236,7 @@ impl<M: EventCast<JobEvent> + 'static> Component<M> for BspJobComponent {
                 for w in 0..k {
                     let src = self.worker_nodes[w];
                     let dst = self.worker_nodes[(w + 1) % k];
-                    let cost = ctx.transfer_detailed_at(src, dst, self.message_bytes, compute_done);
+                    let cost = ctx.transfer(src, dst, self.message_bytes, compute_done);
                     if cost.delivered > barrier {
                         barrier = cost.delivered;
                         critical = Some(cost);
@@ -338,7 +338,7 @@ impl<M: EventCast<TrafficEvent> + 'static> Component<M> for TrafficComponent {
         let now = ctx.now();
         if ctx.cost_mode() == CostMode::Fabric {
             for &(src, dst) in &self.flows {
-                let delivered = ctx.transfer(src, dst, self.frame_bytes);
+                let delivered = ctx.transfer(src, dst, self.frame_bytes, now).delivered;
                 self.latency_sum += delivered.saturating_since(now);
                 self.frames += 1;
             }

@@ -379,7 +379,7 @@ impl MixedComponent {
             CostMode::Fixed => ctx.now() + self.migration_delay,
             CostMode::Fabric => {
                 let bytes = self.config.process_mem_mb * 1024 * 1024;
-                let cost = ctx.transfer_detailed(from, to, bytes);
+                let cost = ctx.transfer(from, to, bytes, ctx.now());
                 ctx.blame(category::AM_OVERHEAD, cost.overhead);
                 ctx.blame(category::FABRIC_WAIT, cost.wait);
                 ctx.blame(category::WIRE, cost.wire);

@@ -195,10 +195,10 @@ impl<M> RemotePath for EnginePath<'_, '_, M> {
         let cost = if sequential {
             // Streaming: the request pipeline is hidden, the page rides
             // one way on the wire.
-            self.ctx.transfer_detailed(src, self.node, bytes)
+            self.ctx.transfer(src, self.node, bytes, now)
         } else {
             // Cold fetch: small request out, the page back.
-            self.ctx.rpc_detailed(self.node, src, 64, bytes)
+            self.ctx.rpc(self.node, src, 64, bytes)
         };
         self.overhead += cost.overhead;
         self.wait += cost.wait;

@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod csma;
 mod fabric;
 mod logp;
 mod network;
@@ -50,7 +49,6 @@ mod topology;
 
 pub mod presets;
 
-pub use csma::{CsmaBus, SLOT};
 pub use fabric::{Fabric, SharedBus, SwitchedFabric, WireTiming};
 pub use logp::LogP;
 pub use network::{Network, NicAttachment, TransferOutcome};

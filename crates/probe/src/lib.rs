@@ -16,9 +16,10 @@
 //!   simulation code. A default-constructed probe is *disabled*: every
 //!   operation is a branch on `None` and nothing allocates, so
 //!   instrumented hot paths cost nothing when nobody is watching.
-//! * [`Span`] measures an interval of **simulated** time ([`SimTime`], not
-//!   wall time) and attributes it to a `(category, name)` pair; ended
-//!   spans land in both a latency histogram and the trace ring.
+//! * [`Span`] measures an interval of **simulated** time
+//!   ([`SimTime`](now_sim::SimTime), not wall time) and attributes it to a
+//!   `(category, name)` pair; ended spans land in both a latency histogram
+//!   and the trace ring.
 //! * [`TraceRing`] buffers structured instant/complete events up to a
 //!   fixed capacity; overflow is counted, never reallocated.
 //!

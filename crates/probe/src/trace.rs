@@ -71,8 +71,8 @@ impl TraceRing {
         }
     }
 
-    /// Events recorded so far, in the total order of
-    /// [`TraceEvent::sort_key`].
+    /// Events recorded so far, in a total order: by timestamp, then node,
+    /// category, name, duration and arguments.
     pub fn sorted_events(&self) -> Vec<TraceEvent> {
         let mut events = self.events.lock().expect("trace ring poisoned").clone();
         events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));

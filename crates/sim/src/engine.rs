@@ -16,7 +16,7 @@
 //!   Delivery order among equal timestamps is the order the events were
 //!   scheduled, regardless of component registration order.
 //! * **A cost model** — components ask [`Ctx::transfer`] /
-//!   [`Ctx::rpc_detailed`] what remote traffic costs. On an
+//!   [`Ctx::rpc`] what remote traffic costs. On an
 //!   [`Engine::new`] engine there is no shared fabric and components
 //!   charge their own constants (the legacy behaviour, bit-for-bit). On an
 //!   [`Engine::with_transport`] engine every transfer reserves real
@@ -121,44 +121,15 @@ macro_rules! event_cast {
 /// the transport is still only ever called from one thread at a time.
 pub trait Transport: Send {
     /// Moves `bytes` from node `src` to node `dst`, requested at `now`,
-    /// and returns the delivery time. `src == dst` is a local copy and
-    /// must cost nothing (return `now`).
-    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime;
-
-    /// [`Transport::transfer`] with a cost breakdown: where the time
-    /// between request and delivery went. The default treats the whole
-    /// interval as wire time; occupancy transports override it to split
-    /// out software overhead and contention wait.
-    fn transfer_detailed(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
-        let delivered = self.transfer(src, dst, bytes, now);
-        TransferCost::opaque(now, delivered)
-    }
-
-    /// A request/response pair: `request_bytes` to `dst`, then
-    /// `response_bytes` back, with the cost breakdown summed over both
-    /// legs. `delivered` is when the response lands.
-    fn rpc_detailed(
-        &mut self,
-        src: u32,
-        dst: u32,
-        request_bytes: u64,
-        response_bytes: u64,
-        now: SimTime,
-    ) -> TransferCost {
-        let there = self.transfer_detailed(src, dst, request_bytes, now);
-        let back = self.transfer_detailed(dst, src, response_bytes, there.delivered);
-        TransferCost {
-            delivered: back.delivered,
-            overhead: there.overhead + back.overhead,
-            wait: there.wait + back.wait,
-            wire: there.wire + back.wire,
-        }
-    }
+    /// and returns when the payload was delivered and where the time
+    /// went. `src == dst` is a local copy and must cost nothing
+    /// ([`TransferCost::free`]).
+    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost;
 }
 
 /// Where the time of one fabric exchange went, as reported by
-/// [`Transport::transfer_detailed`]. The pieces partition the interval
-/// between request and delivery: `overhead + wait + wire` equals
+/// [`Transport::transfer`]. The pieces partition the interval between
+/// request and delivery: `overhead + wait + wire` equals
 /// `delivered - requested_at` exactly for occupancy transports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferCost {
@@ -182,17 +153,6 @@ impl TransferCost {
             overhead: SimDuration::ZERO,
             wait: SimDuration::ZERO,
             wire: SimDuration::ZERO,
-        }
-    }
-
-    /// An opaque exchange: the whole interval counts as wire time. Used
-    /// by transports that do not expose a breakdown.
-    pub fn opaque(requested_at: SimTime, delivered: SimTime) -> Self {
-        TransferCost {
-            delivered,
-            overhead: SimDuration::ZERO,
-            wait: SimDuration::ZERO,
-            wire: delivered.saturating_since(requested_at),
         }
     }
 
@@ -263,12 +223,48 @@ fn drain_blame(buf: &mut Vec<(&'static str, SimDuration)>) -> Vec<(&'static str,
     }
 }
 
+/// Schedules `event` for `dst` at `time` as the root of a fresh trace
+/// (no parent, no pending blame), recording it when the new trace is
+/// sampled. `src` is the scheduling component; `None` for seeds placed
+/// before the run.
+fn schedule_root<M>(
+    queue: &mut EventQueue<Envelope<M>>,
+    mut causal: Option<&mut CausalState>,
+    src: Option<ComponentId>,
+    dst: ComponentId,
+    time: SimTime,
+    event: M,
+) -> EventId {
+    let trace = match &mut causal {
+        Some(causal) => {
+            causal.next_trace += 1;
+            causal.global_seq(causal.next_trace)
+        }
+        None => 0,
+    };
+    let id = queue.schedule_at(time, Envelope { dst, trace, event });
+    if let Some(causal) = causal.filter(|c| c.sampled(trace)) {
+        causal.sink.record(CausalRecord {
+            seq: causal.global_seq(id.seq()),
+            parent: None,
+            trace,
+            src,
+            dst,
+            scheduled_at: queue.now(),
+            fires_at: time,
+            label: "",
+            blame: Vec::new(),
+        });
+    }
+    id
+}
+
 struct CausalState {
     sink: Arc<dyn CausalSink>,
     next_trace: u64,
     next_mark: u64,
     /// Record provenance only for traces where `trace % sample_every == 0`
-    /// (1 = every trace, the [`Engine::set_causal_sink`] behaviour).
+    /// (1 = every trace; see [`Engine::set_causal_sink`]).
     /// Trace ids are assigned deterministically in scheduling order, so
     /// which chains are sampled is a pure function of the workload — equal
     /// seeds sample equal chains and output stays byte-identical.
@@ -423,7 +419,7 @@ impl<M> Ctx<'_, M> {
     /// root of a *fresh* trace, exactly as [`Engine::schedule_at`] seeds
     /// one before the run. Open-loop workload generators use this so every
     /// request chain is its own trace: the engine can then sample 1-in-N
-    /// chains end-to-end ([`Engine::set_causal_sink_sampled`]) and causal
+    /// chains end-to-end ([`Engine::set_causal_sink`]) and causal
     /// memory stays proportional to sampled chains, not events. Pending
     /// [`Ctx::blame`] is left for the current chain, not attached here.
     ///
@@ -431,29 +427,8 @@ impl<M> Ctx<'_, M> {
     ///
     /// Panics if `time` is in the past.
     pub fn schedule_root_at(&mut self, time: SimTime, event: M) -> EventId {
-        let dst = self.self_id;
-        let trace = match &mut self.causal {
-            Some(causal) => {
-                causal.next_trace += 1;
-                causal.global_seq(causal.next_trace)
-            }
-            None => 0,
-        };
-        let id = self.queue.schedule_at(time, Envelope { dst, trace, event });
-        if let Some(causal) = self.causal.as_ref().filter(|c| c.sampled(trace)) {
-            causal.sink.record(CausalRecord {
-                seq: causal.global_seq(id.seq()),
-                parent: None,
-                trace,
-                src: Some(self.self_id),
-                dst,
-                scheduled_at: self.queue.now(),
-                fires_at: time,
-                label: "",
-                blame: Vec::new(),
-            });
-        }
-        id
+        let (me, causal) = (self.self_id, self.causal.as_deref_mut());
+        schedule_root(self.queue, causal, Some(me), me, time, event)
     }
 
     /// Attributes `amount` of the time leading up to the *next* scheduled
@@ -548,79 +523,48 @@ impl<M> Ctx<'_, M> {
         self.queue.cancel(id)
     }
 
-    /// Charges a one-way transfer of `bytes` from node `src` to node
-    /// `dst` against the shared fabric, returning the delivery time.
+    /// The shared fabric every pricing call charges.
     ///
     /// # Panics
     ///
     /// Panics on an [`Engine::new`] engine, which has no fabric:
     /// fixed-mode components charge their own constants instead.
-    pub fn transfer(&mut self, src: u32, dst: u32, bytes: u64) -> SimTime {
-        let now = self.queue.now();
-        self.transfer_at(src, dst, bytes, now)
-    }
-
-    /// [`Ctx::transfer`] starting at an explicit time `at` (at or after
-    /// now) — for chaining the hops of a multi-hop exchange, where each
-    /// leg departs when the previous one delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a fabric (see [`Ctx::transfer`]).
-    pub fn transfer_at(&mut self, src: u32, dst: u32, bytes: u64, at: SimTime) -> SimTime {
+    fn transport(&mut self) -> &mut dyn Transport {
         match self.cost {
             CostModel::Fixed => panic!(
                 "fabric transfer requested under CostModel::Fixed; \
                  fixed-mode components charge their own constants"
             ),
-            CostModel::Fabric(t) => {
-                fabric_timed(self.fabric_ns, || t.transfer(src, dst, bytes, at))
-            }
+            CostModel::Fabric(t) => t.as_mut(),
         }
     }
 
-    /// [`Ctx::transfer`] with a cost breakdown ([`TransferCost`]), for
-    /// components attributing their service time via [`Ctx::blame`].
+    /// Charges a one-way transfer of `bytes` from node `src` to node
+    /// `dst` against the shared fabric, departing at `at` (now, or later
+    /// for the next hop of a multi-hop exchange, which departs when the
+    /// previous one delivered). Returns the delivery time and its cost
+    /// breakdown ([`TransferCost`]), for components attributing their
+    /// service time via [`Ctx::blame`].
     ///
     /// # Panics
     ///
-    /// Panics without a fabric (see [`Ctx::transfer`]).
-    pub fn transfer_detailed(&mut self, src: u32, dst: u32, bytes: u64) -> TransferCost {
-        let now = self.queue.now();
-        self.transfer_detailed_at(src, dst, bytes, now)
+    /// Panics on an [`Engine::new`] engine, which has no fabric:
+    /// fixed-mode components charge their own constants instead.
+    pub fn transfer(&mut self, src: u32, dst: u32, bytes: u64, at: SimTime) -> TransferCost {
+        let fabric_ns = self.fabric_ns;
+        let t = self.transport();
+        fabric_timed(fabric_ns, || t.transfer(src, dst, bytes, at))
     }
 
-    /// [`Ctx::transfer_at`] with a cost breakdown.
+    /// Charges a request/response exchange against the shared fabric:
+    /// `request_bytes` from `src` to `dst` now, then `response_bytes` back
+    /// when the request lands. `delivered` is when the response lands;
+    /// the breakdown is summed over both legs.
     ///
     /// # Panics
     ///
     /// Panics without a fabric (see [`Ctx::transfer`]).
-    pub fn transfer_detailed_at(
-        &mut self,
-        src: u32,
-        dst: u32,
-        bytes: u64,
-        at: SimTime,
-    ) -> TransferCost {
-        match self.cost {
-            CostModel::Fixed => panic!(
-                "fabric transfer requested under CostModel::Fixed; \
-                 fixed-mode components charge their own constants"
-            ),
-            CostModel::Fabric(t) => {
-                fabric_timed(self.fabric_ns, || t.transfer_detailed(src, dst, bytes, at))
-            }
-        }
-    }
-
-    /// Charges a request/response exchange against the shared fabric
-    /// (see [`Transport::rpc_detailed`]), returning the breakdown summed
-    /// over both legs.
-    ///
-    /// # Panics
-    ///
-    /// Panics without a fabric (see [`Ctx::transfer`]).
-    pub fn rpc_detailed(
+    pub fn rpc(
         &mut self,
         src: u32,
         dst: u32,
@@ -628,15 +572,18 @@ impl<M> Ctx<'_, M> {
         response_bytes: u64,
     ) -> TransferCost {
         let now = self.queue.now();
-        match self.cost {
-            CostModel::Fixed => panic!(
-                "fabric rpc requested under CostModel::Fixed; \
-                 fixed-mode components charge their own constants"
-            ),
-            CostModel::Fabric(t) => fabric_timed(self.fabric_ns, || {
-                t.rpc_detailed(src, dst, request_bytes, response_bytes, now)
-            }),
-        }
+        let fabric_ns = self.fabric_ns;
+        let t = self.transport();
+        fabric_timed(fabric_ns, || {
+            let there = t.transfer(src, dst, request_bytes, now);
+            let back = t.transfer(dst, src, response_bytes, there.delivered);
+            TransferCost {
+                delivered: back.delivered,
+                overhead: there.overhead + back.overhead,
+                wait: there.wait + back.wait,
+                wire: there.wire + back.wire,
+            }
+        })
     }
 }
 
@@ -798,23 +745,18 @@ impl<M: 'static> Engine<M> {
         self.profiler.take().map(ProfilerState::into_profile)
     }
 
-    /// Enables causal tracing: every event scheduled from here on gets a
-    /// [`CausalRecord`] (provenance link, trace id, blame) delivered to
-    /// `sink`. Without a sink the engine does no causal work at all —
-    /// no records, no allocation, identical event history.
-    pub fn set_causal_sink(&mut self, sink: Arc<dyn CausalSink>) {
-        self.set_causal_sink_sampled(sink, 1);
-    }
-
-    /// Enables causal tracing with 1-in-N trace sampling: only chains
-    /// whose trace id is a multiple of `sample_every` are recorded
-    /// (blame, provenance, and marks for other chains are skipped
-    /// entirely). Trace ids are assigned in deterministic scheduling
+    /// Enables causal tracing with 1-in-N trace sampling: every event
+    /// scheduled from here on in a chain whose trace id is a multiple of
+    /// `sample_every` gets a [`CausalRecord`] (provenance link, trace id,
+    /// blame) delivered to `sink`; blame, provenance and marks of other
+    /// chains are skipped entirely. `sample_every` of 0 is treated as 1
+    /// (every chain). Trace ids are assigned in deterministic scheduling
     /// order, so sampling is a pure function of the workload — runs stay
-    /// byte-identical — and, crucially, *which events fire and when is
-    /// identical at every sampling rate*: observation never feeds back
-    /// into the simulation. `sample_every` of 0 is treated as 1.
-    pub fn set_causal_sink_sampled(&mut self, sink: Arc<dyn CausalSink>, sample_every: u64) {
+    /// byte-identical — and *which events fire and when is identical at
+    /// every sampling rate*: observation never feeds back into the
+    /// simulation. Without a sink the engine does no causal work at all —
+    /// no records, no allocation, identical event history.
+    pub fn set_causal_sink(&mut self, sink: Arc<dyn CausalSink>, sample_every: u64) {
         self.causal = Some(CausalState {
             sink,
             next_trace: 0,
@@ -852,14 +794,6 @@ impl<M: 'static> Engine<M> {
         self.queue.len()
     }
 
-    /// Which cost model the engine is running under.
-    pub fn cost_mode(&self) -> CostMode {
-        match self.cost {
-            CostModel::Fixed => CostMode::Fixed,
-            CostModel::Fabric(_) => CostMode::Fabric,
-        }
-    }
-
     /// Seeds an event for `dst` at absolute time `time` (used to start a
     /// simulation before [`Engine::run`]).
     ///
@@ -867,29 +801,8 @@ impl<M: 'static> Engine<M> {
     ///
     /// Panics if `time` is in the past.
     pub fn schedule_at(&mut self, dst: ComponentId, time: SimTime, event: M) -> EventId {
-        // Seeds root fresh traces: no parent, no source component.
-        let trace = match &mut self.causal {
-            Some(causal) => {
-                causal.next_trace += 1;
-                causal.global_seq(causal.next_trace)
-            }
-            None => 0,
-        };
-        let id = self.queue.schedule_at(time, Envelope { dst, trace, event });
-        if let Some(causal) = self.causal.as_ref().filter(|c| c.sampled(trace)) {
-            causal.sink.record(CausalRecord {
-                seq: causal.global_seq(id.seq()),
-                parent: None,
-                trace,
-                src: None,
-                dst,
-                scheduled_at: self.queue.now(),
-                fires_at: time,
-                label: "",
-                blame: Vec::new(),
-            });
-        }
-        id
+        let causal = self.causal.as_mut();
+        schedule_root(&mut self.queue, causal, None, dst, time, event)
     }
 
     /// Runs until the queue is empty, dispatching each event to its
@@ -1082,7 +995,7 @@ mod tests {
         struct Greedy;
         impl Component<u32> for Greedy {
             fn on_event(&mut self, ctx: &mut Ctx<'_, u32>, _: u32) {
-                ctx.transfer(0, 1, 4_096);
+                ctx.transfer(0, 1, 4_096, ctx.now());
             }
         }
         let mut engine = Engine::new();
@@ -1091,27 +1004,37 @@ mod tests {
         engine.run();
     }
 
-    #[test]
-    fn fabric_mode_charges_the_transport() {
-        struct WireDelay;
-        impl Transport for WireDelay {
-            fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime {
-                if src == dst {
-                    return now;
-                }
-                now + SimDuration::from_nanos(bytes)
+    /// A transport whose wire takes one nanosecond per byte, with no
+    /// software overhead and no contention: the whole interval is wire.
+    struct WireDelay;
+
+    impl Transport for WireDelay {
+        fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
+            if src == dst {
+                return TransferCost::free(now);
+            }
+            let wire = SimDuration::from_nanos(bytes);
+            TransferCost {
+                delivered: now + wire,
+                overhead: SimDuration::ZERO,
+                wait: SimDuration::ZERO,
+                wire,
             }
         }
+    }
+
+    #[test]
+    fn fabric_mode_charges_the_transport() {
         struct Sender {
             delivered: Option<SimTime>,
         }
         impl Component<u32> for Sender {
             fn on_event(&mut self, ctx: &mut Ctx<'_, u32>, _: u32) {
-                self.delivered = Some(ctx.transfer(0, 1, 1_000));
+                assert_eq!(ctx.cost_mode(), CostMode::Fabric);
+                self.delivered = Some(ctx.transfer(0, 1, 1_000, ctx.now()).delivered);
             }
         }
         let mut engine = Engine::with_transport(Box::new(WireDelay));
-        assert_eq!(engine.cost_mode(), CostMode::Fabric);
         let id = engine.register(Sender { delivered: None });
         engine.schedule_at(id, SimTime::from_micros(2), 0);
         engine.run();
@@ -1152,7 +1075,7 @@ mod tests {
     fn causal_records_link_children_to_parents() {
         let sink = Arc::new(VecSink::default());
         let mut engine = Engine::new();
-        engine.set_causal_sink(sink.clone());
+        engine.set_causal_sink(sink.clone(), 1);
         let b = ComponentId(1);
         let a = engine.register(Chainer { hops: 3, peer: b });
         engine.register(Chainer { hops: 3, peer: a });
@@ -1185,7 +1108,7 @@ mod tests {
     fn seeds_start_fresh_traces() {
         let sink = Arc::new(VecSink::default());
         let mut engine: Engine<u32> = Engine::new();
-        engine.set_causal_sink(sink.clone());
+        engine.set_causal_sink(sink.clone(), 1);
         struct Quiet;
         impl Component<u32> for Quiet {
             fn on_event(&mut self, _: &mut Ctx<'_, u32>, _: u32) {}
@@ -1217,7 +1140,7 @@ mod tests {
             }
             let mut engine = Engine::new();
             if traced {
-                engine.set_causal_sink(Arc::new(VecSink::default()));
+                engine.set_causal_sink(Arc::new(VecSink::default()), 1);
             }
             let id = engine.register(Log {
                 peer: ComponentId(0),
@@ -1253,7 +1176,7 @@ mod tests {
     fn sampled_sink_records_one_in_n_chains_end_to_end() {
         let sink = Arc::new(VecSink::default());
         let mut engine = Engine::new();
-        engine.set_causal_sink_sampled(sink.clone(), 3);
+        engine.set_causal_sink(sink.clone(), 3);
         let id = engine.register(OpenLoop {
             remaining: 8,
             fired_at: Vec::new(),
@@ -1284,7 +1207,7 @@ mod tests {
         let history = |sample: Option<u64>| -> Vec<u64> {
             let mut engine = Engine::new();
             if let Some(n) = sample {
-                engine.set_causal_sink_sampled(Arc::new(VecSink::default()), n);
+                engine.set_causal_sink(Arc::new(VecSink::default()), n);
             }
             let id = engine.register(OpenLoop {
                 remaining: 20,
@@ -1303,7 +1226,7 @@ mod tests {
     fn default_sink_samples_every_trace() {
         let sink = Arc::new(VecSink::default());
         let mut engine = Engine::new();
-        engine.set_causal_sink(sink.clone());
+        engine.set_causal_sink(sink.clone(), 1);
         let id = engine.register(OpenLoop {
             remaining: 3,
             fired_at: Vec::new(),
@@ -1317,15 +1240,6 @@ mod tests {
 
     #[test]
     fn profiler_attributes_events_without_changing_history() {
-        struct SlowWire;
-        impl Transport for SlowWire {
-            fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> SimTime {
-                if src == dst {
-                    return now;
-                }
-                now + SimDuration::from_nanos(bytes)
-            }
-        }
         struct Talker {
             peer: ComponentId,
             hops_left: u32,
@@ -1334,7 +1248,7 @@ mod tests {
         impl Component<u32> for Talker {
             fn on_event(&mut self, ctx: &mut Ctx<'_, u32>, n: u32) {
                 self.seen.push(ctx.now().as_nanos());
-                let delivered = ctx.transfer(0, 1, 1_000);
+                let delivered = ctx.transfer(0, 1, 1_000, ctx.now()).delivered;
                 if self.hops_left > 0 {
                     self.hops_left -= 1;
                     ctx.send_to_at(self.peer, delivered, n + 1);
@@ -1342,7 +1256,7 @@ mod tests {
             }
         }
         let run = |profiled: bool| {
-            let mut engine = Engine::with_transport(Box::new(SlowWire));
+            let mut engine = Engine::with_transport(Box::new(WireDelay));
             if profiled {
                 engine.enable_profiler(&["talker-a", "talker-b"]);
             }
@@ -1409,9 +1323,6 @@ mod tests {
 
     #[test]
     fn transfer_cost_breakdown_partitions_the_interval() {
-        let opaque = TransferCost::opaque(SimTime::from_micros(2), SimTime::from_micros(9));
-        assert_eq!(opaque.total(), SimDuration::from_micros(7));
-        assert_eq!(opaque.wire, SimDuration::from_micros(7));
         let free = TransferCost::free(SimTime::from_micros(4));
         assert_eq!(free.total(), SimDuration::ZERO);
         assert_eq!(free.delivered, SimTime::from_micros(4));
@@ -1419,16 +1330,21 @@ mod tests {
 
     #[test]
     fn default_rpc_is_request_then_response() {
-        struct WireDelay;
-        impl Transport for WireDelay {
-            fn transfer(&mut self, _: u32, _: u32, bytes: u64, now: SimTime) -> SimTime {
-                now + SimDuration::from_nanos(bytes)
+        struct Caller {
+            cost: Option<TransferCost>,
+        }
+        impl Component<u32> for Caller {
+            fn on_event(&mut self, ctx: &mut Ctx<'_, u32>, _: u32) {
+                self.cost = Some(ctx.rpc(0, 1, 100, 900));
             }
         }
-        let mut t = WireDelay;
-        let cost = t.rpc_detailed(0, 1, 100, 900, SimTime::ZERO);
+        let mut engine = Engine::with_transport(Box::new(WireDelay));
+        let id = engine.register(Caller { cost: None });
+        engine.schedule_at(id, SimTime::ZERO, 0);
+        engine.run();
+        let cost = engine.component::<Caller>(id).cost.unwrap();
         assert_eq!(cost.delivered, SimTime::from_micros(1));
-        // The default breakdown is opaque: both legs count as wire time.
+        // Both legs are all wire on this transport, and they sum.
         assert_eq!(cost.wire, SimDuration::from_micros(1));
         assert_eq!(cost.total(), SimDuration::from_micros(1));
     }
