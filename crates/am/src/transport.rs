@@ -8,6 +8,7 @@
 //! subsystems must. [`BatchingTransport`] amortizes per-message overhead
 //! over any transport.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use now_net::{Network, NodeId};
@@ -124,22 +125,39 @@ impl<T: Transport> Transport for BatchingTransport<T> {
         }
         let cost = self.inner.transfer(src, dst, bytes, now);
         let max_msgs = self.config.max_batch_msgs.max(1);
-        let joined = match self.windows.get_mut(&(src, dst)) {
-            Some(w)
+        let fresh = Window {
+            open_until: now + self.config.flush_quantum,
+            msgs: 1,
+            bytes,
+        };
+        // One probe of the window map: join the pair's open window, or
+        // lead a fresh one in its place. A displaced window closed by
+        // timeout (expired) or by a size bound (full).
+        let (joined, displaced) = match self.windows.entry((src, dst)) {
+            Entry::Occupied(slot) => {
+                let w = slot.into_mut();
                 if now < w.open_until
                     && w.msgs < max_msgs
-                    && w.bytes + bytes <= self.config.max_batch_bytes =>
-            {
-                w.msgs += 1;
-                w.bytes += bytes;
-                Some(w.msgs)
+                    && w.bytes + bytes <= self.config.max_batch_bytes
+                {
+                    w.msgs += 1;
+                    w.bytes += bytes;
+                    (Some(w.msgs), None)
+                } else {
+                    (None, Some(std::mem::replace(w, fresh)))
+                }
             }
-            _ => None,
+            Entry::Vacant(slot) => {
+                slot.insert(fresh);
+                (None, None)
+            }
         };
         if let Some(occupancy) = joined {
-            self.probe.count("am.batched_msgs", 1);
-            self.probe
-                .gauge_set("net.batch_occupancy", f64::from(occupancy));
+            if self.probe.is_enabled() {
+                self.probe.count("am.batched_msgs", 1);
+                self.probe
+                    .gauge_set("net.batch_occupancy", f64::from(occupancy));
+            }
             return TransferCost {
                 delivered: now + cost.wait + cost.wire,
                 overhead: SimDuration::ZERO,
@@ -147,25 +165,19 @@ impl<T: Transport> Transport for BatchingTransport<T> {
                 wire: cost.wire,
             };
         }
-        // Leader: pays `o` in full and opens a fresh window; the window it
-        // displaces closes by timeout (expired) or by a size bound (full).
-        if let Some(old) = self.windows.insert(
-            (src, dst),
-            Window {
-                open_until: now + self.config.flush_quantum,
-                msgs: 1,
-                bytes,
-            },
-        ) {
-            if now >= old.open_until {
-                self.probe.count("am.flush_timeouts", 1);
-            } else {
-                self.probe.count("am.flush_on_size", 1);
+        // Leader: pays `o` in full.
+        if self.probe.is_enabled() {
+            if let Some(old) = displaced {
+                if now >= old.open_until {
+                    self.probe.count("am.flush_timeouts", 1);
+                } else {
+                    self.probe.count("am.flush_on_size", 1);
+                }
             }
+            self.probe.count("am.batches", 1);
+            self.probe.count("am.batched_msgs", 1);
+            self.probe.gauge_set("net.batch_occupancy", 1.0);
         }
-        self.probe.count("am.batches", 1);
-        self.probe.count("am.batched_msgs", 1);
-        self.probe.gauge_set("net.batch_occupancy", 1.0);
         cost
     }
 }

@@ -549,7 +549,7 @@ fn build_cell(
         ..MultigridConfig::paper_defaults()
     };
     let pages = spec.paging_problem_mb * 1024 * 1024 / PAGE_BYTES;
-    let mut built_pager = memory.build_pager();
+    let mut built_pager = memory.build_pager(pages);
     built_pager.set_probe(probe.clone());
     if spec.netram_mirrored {
         built_pager.set_netram_mirrored(true);
@@ -954,6 +954,17 @@ pub(crate) mod tests {
             busy.mean_netram_fetch_us,
             quiet.mean_netram_fetch_us
         );
+    }
+
+    #[test]
+    fn a_zero_cache_rate_runs_without_cache_traffic() {
+        let out = cluster().run_scenario(&ScenarioSpec {
+            cache_accesses_per_sec: 0.0,
+            ..ScenarioSpec::contention_default()
+        });
+        assert_eq!((out.cache.reads, out.cache.writes), (0, 0));
+        assert!(out.job_makespan > SimDuration::ZERO);
+        assert!(out.paging.pager.netram_faults > 0, "paging still runs");
     }
 
     #[test]

@@ -101,14 +101,18 @@ impl MemoryConfig {
     }
 
     /// Builds the demand pager this configuration describes (local frame
-    /// pool backed by disk or network RAM) — for callers composing their
-    /// own engine, e.g. a coupled cluster scenario.
-    pub fn build_pager(&self) -> Pager {
+    /// pool backed by disk or network RAM) for an address space of `pages`
+    /// pages — for callers composing their own engine, e.g. a coupled
+    /// cluster scenario.
+    pub fn build_pager(&self, pages: u64) -> Pager {
         let disk = DiskModel::workstation_1994();
         match *self {
-            MemoryConfig::LocalWithDisk { mb } => {
-                Pager::with_disk((mb * 1024 * 1024 / PAGE_BYTES) as usize, PAGE_BYTES, disk)
-            }
+            MemoryConfig::LocalWithDisk { mb } => Pager::with_disk(
+                (mb * 1024 * 1024 / PAGE_BYTES) as usize,
+                pages,
+                PAGE_BYTES,
+                disk,
+            ),
             MemoryConfig::LocalWithNetRam {
                 mb,
                 hosts,
@@ -116,6 +120,7 @@ impl MemoryConfig {
                 cost,
             } => Pager::with_netram(
                 (mb * 1024 * 1024 / PAGE_BYTES) as usize,
+                pages,
                 PAGE_BYTES,
                 NetworkRam::new(
                     hosts,
@@ -412,7 +417,7 @@ pub fn run_probed(problem_mb: u64, memory: MemoryConfig, probe: &Probe) -> RunRe
     assert!(problem_mb > 0, "problem must have pages");
     let app = MultigridConfig::paper_defaults();
     let pages = problem_mb * 1024 * 1024 / PAGE_BYTES;
-    let mut pager = memory.build_pager();
+    let mut pager = memory.build_pager(pages);
     pager.set_probe(probe.clone());
     // A smoothing sweep reads and writes each page in order; the engine
     // (in fixed-cost mode) drives the same access sequence the hand-rolled

@@ -8,6 +8,7 @@
 //! memory somewhere, and spills to disk when the building is out of free
 //! DRAM.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use now_net::Network;
@@ -74,6 +75,33 @@ impl RemoteAccessCost {
 struct Placement {
     primary: u32,
     mirror: Option<u32>,
+}
+
+/// The per-host frame counts a store claims from, borrowed apart from
+/// the placement map.
+struct Frames<'a> {
+    used: &'a mut [u64],
+    next_host: &'a mut u32,
+    per_host_pages: u64,
+}
+
+impl Frames<'_> {
+    /// Claims one free frame round-robin, skipping `exclude`.
+    fn claim(&mut self, exclude: Option<u32>) -> Option<u32> {
+        let hosts = self.used.len() as u32;
+        for _ in 0..hosts {
+            let h = *self.next_host;
+            *self.next_host = (h + 1) % hosts;
+            if Some(h) == exclude {
+                continue;
+            }
+            if self.used[h as usize] < self.per_host_pages {
+                self.used[h as usize] += 1;
+                return Some(h);
+            }
+        }
+        None
+    }
 }
 
 /// The building-wide pool of idle DRAM.
@@ -170,42 +198,33 @@ impl NetworkRam {
     /// mirrored store that cannot find two hosts with room spills rather
     /// than keep an unprotected single copy.
     pub fn store(&mut self, page: PageId) -> bool {
-        if self.locations.contains_key(&page) {
+        // One probe of the placement map: the vacant entry is filled in
+        // place once the frames are claimed.
+        let Entry::Vacant(slot) = self.locations.entry(page) else {
             return true;
-        }
-        let Some(primary) = self.claim_frame(None) else {
+        };
+        let mut frames = Frames {
+            used: &mut self.used,
+            next_host: &mut self.next_host,
+            per_host_pages: self.per_host_pages,
+        };
+        let Some(primary) = frames.claim(None) else {
             return false;
         };
         let mirror = if self.mirrored {
-            match self.claim_frame(Some(primary)) {
+            match frames.claim(Some(primary)) {
                 Some(m) => Some(m),
                 None => {
-                    self.used[primary as usize] -= 1;
+                    frames.used[primary as usize] -= 1;
                     return false;
                 }
             }
         } else {
             None
         };
-        self.locations.insert(page, Placement { primary, mirror });
+        slot.insert(Placement { primary, mirror });
         self.probe.count("netram.pages_out", 1);
         true
-    }
-
-    /// Claims one free frame round-robin, skipping `exclude`.
-    fn claim_frame(&mut self, exclude: Option<u32>) -> Option<u32> {
-        for _ in 0..self.hosts {
-            let h = self.next_host;
-            self.next_host = (self.next_host + 1) % self.hosts;
-            if Some(h) == exclude {
-                continue;
-            }
-            if self.used[h as usize] < self.per_host_pages {
-                self.used[h as usize] += 1;
-                return Some(h);
-            }
-        }
-        None
     }
 
     /// Removes `page` from the pool, freeing its frame(s), and returns the

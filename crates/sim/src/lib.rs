@@ -71,7 +71,7 @@ pub use engine::{
     TransferCost, Transport,
 };
 pub use hash::{IdBuildHasher, IdHasher};
-pub use lru::{LruCache, Touch};
+pub use lru::{LruCache, LruIndex, Touch};
 pub use profile::{ComponentProfile, HostProfile};
 pub use queue::{EventId, EventQueue};
 pub use rng::{SimRng, ZipfSampler};

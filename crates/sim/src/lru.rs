@@ -3,16 +3,67 @@
 //! The workspace's one LRU: page frames in `now-mem`, file blocks in
 //! `now-cache` and xFS, and the block data of `now-cas` partial caches.
 //! Recency is an intrusive doubly-linked list threaded through a slab of
-//! nodes, with a hash index from key to slot, so every operation is
-//! `O(1)` and LRU order is exact (not approximate) — important because
+//! nodes, with an index from key to slot, so every operation is `O(1)`
+//! and LRU order is exact (not approximate) — important because
 //! cache-policy experiments compare algorithms whose differences can be
 //! subtle. Slots freed by [`LruCache::remove`] are threaded onto a free
 //! list through the same slab, so a miss that reuses one grows nothing.
+//!
+//! The index is a hash map unless the caller supplies another
+//! [`LruIndex`]: a key space that is a dense range of small integers can
+//! index a table directly, as the demand pager of `now-mem` does with
+//! its page table.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::IdBuildHasher;
+
+/// The key → slot map behind an [`LruCache`].
+///
+/// The cache calls [`insert`](Self::insert) only for a key the index
+/// does not hold, and [`remove`](Self::remove) for the keys it evicts or
+/// removes. An index may keep more per key than its slot (the pager's
+/// page table does), but what [`get`](Self::get) returns must change only
+/// through these calls.
+pub trait LruIndex<K> {
+    /// The slot of resident `key`, if any.
+    fn get(&self, key: &K) -> Option<u32>;
+    /// Records that absent `key` now lives in `slot`.
+    fn insert(&mut self, key: K, slot: u32);
+    /// Forgets `key`, returning the slot it lived in.
+    fn remove(&mut self, key: &K) -> Option<u32>;
+    /// Number of resident keys.
+    fn len(&self) -> usize;
+
+    /// True if no key is resident.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The default index: a hash map on the simulator's id hasher.
+impl<K: Eq + Hash> LruIndex<K> for HashMap<K, u32, IdBuildHasher> {
+    #[inline]
+    fn get(&self, key: &K) -> Option<u32> {
+        HashMap::get(self, key).copied()
+    }
+
+    #[inline]
+    fn insert(&mut self, key: K, slot: u32) {
+        HashMap::insert(self, key, slot);
+    }
+
+    #[inline]
+    fn remove(&mut self, key: &K) -> Option<u32> {
+        HashMap::remove(self, key)
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        HashMap::len(self)
+    }
+}
 
 /// The result of touching a key in the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +96,9 @@ struct Node<K> {
 
 /// An exact-LRU cache mapping keys to a dirty bit.
 ///
+/// `I` is the key → slot index: a hash map by default, or any
+/// [`LruIndex`] passed to [`LruCache::with_index`].
+///
 /// # Example
 ///
 /// ```
@@ -58,12 +112,12 @@ struct Node<K> {
 /// assert!(matches!(t, now_sim::Touch::MissEvicted { victim: 2, .. }));
 /// ```
 #[derive(Debug, Clone)]
-pub struct LruCache<K> {
+pub struct LruCache<K, I = HashMap<K, u32, IdBuildHasher>> {
     capacity: usize,
     /// Resident entries and free slots; grows to at most `capacity`.
     nodes: Vec<Node<K>>,
     /// key -> slot of its resident node.
-    index: HashMap<K, u32, IdBuildHasher>,
+    index: I,
     /// Least-recently-used resident slot.
     head: u32,
     /// Most-recently-used resident slot.
@@ -73,21 +127,60 @@ pub struct LruCache<K> {
 }
 
 impl<K: Eq + Hash + Copy> LruCache<K> {
-    /// Creates a cache holding at most `capacity` keys.
+    /// Creates a cache holding at most `capacity` keys, indexed by a hash
+    /// map.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        LruCache::with_index(
+            capacity,
+            HashMap::with_capacity_and_hasher(capacity, IdBuildHasher::default()),
+        )
+    }
+
+    /// Approximate heap + inline footprint in bytes. Bounded by the
+    /// cache's capacity, so serving reports can contrast (fixed) workload
+    /// memory with (fixed) observation memory.
+    pub fn approx_bytes(&self) -> usize {
+        // A slab node, plus up to two index buckets (key, slot) with
+        // their control bytes: the table keeps spare buckets. A coarse
+        // per-entry estimate is enough for self-accounting.
+        let per_entry = std::mem::size_of::<Node<K>>() + std::mem::size_of::<(K, u32)>() * 2 + 2;
+        std::mem::size_of::<Self>() + self.capacity.max(self.index.len()) * per_entry
+    }
+}
+
+impl<K: Copy, I: LruIndex<K>> LruCache<K, I> {
+    /// Creates a cache holding at most `capacity` keys over an empty
+    /// `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or `index` is not empty.
+    pub fn with_index(capacity: usize, index: I) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
+        assert!(index.is_empty(), "an LRU index starts empty");
         LruCache {
             capacity,
             nodes: Vec::new(),
-            index: HashMap::with_capacity_and_hasher(capacity, IdBuildHasher::default()),
+            index,
             head: NIL,
             tail: NIL,
             free: NIL,
         }
+    }
+
+    /// The key → slot index.
+    pub fn index(&self) -> &I {
+        &self.index
+    }
+
+    /// The key → slot index, for an index that keeps more per key than
+    /// its slot. The caller must leave the key → slot map as it is.
+    pub fn index_mut(&mut self) -> &mut I {
+        &mut self.index
     }
 
     /// Capacity in entries.
@@ -107,14 +200,14 @@ impl<K: Eq + Hash + Copy> LruCache<K> {
 
     /// True if `key` is resident (does not affect recency).
     pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
+        self.index.get(key).is_some()
     }
 
     /// Accesses `key`, making it most-recently-used; inserts on miss,
     /// evicting the LRU entry if full. `write` marks the entry dirty
     /// (sticky until eviction or removal).
     pub fn touch(&mut self, key: K, write: bool) -> Touch<K> {
-        if let Some(&slot) = self.index.get(&key) {
+        if let Some(slot) = self.index.get(&key) {
             self.nodes[slot as usize].dirty |= write;
             if slot != self.tail {
                 self.unlink(slot);
@@ -181,17 +274,6 @@ impl<K: Eq + Hash + Copy> LruCache<K> {
             slot = node.next;
             Some(&node.key)
         })
-    }
-
-    /// Approximate heap + inline footprint in bytes. Bounded by the
-    /// cache's capacity, so serving reports can contrast (fixed) workload
-    /// memory with (fixed) observation memory.
-    pub fn approx_bytes(&self) -> usize {
-        // A slab node, plus up to two index buckets (key, slot) with
-        // their control bytes: the table keeps spare buckets. A coarse
-        // per-entry estimate is enough for self-accounting.
-        let per_entry = std::mem::size_of::<Node<K>>() + std::mem::size_of::<(K, u32)>() * 2 + 2;
-        std::mem::size_of::<Self>() + self.capacity.max(self.index.len()) * per_entry
     }
 
     /// Detaches resident `slot` from the recency list.
@@ -334,6 +416,60 @@ mod tests {
             }
         }
         assert_eq!(hits, 0, "cyclic scan defeats LRU entirely");
+    }
+
+    /// A dense index over keys `0..n`: a slot per key, `NIL` when absent.
+    struct Dense {
+        slots: Vec<u32>,
+        len: usize,
+    }
+
+    impl LruIndex<u64> for Dense {
+        fn get(&self, key: &u64) -> Option<u32> {
+            let slot = self.slots[*key as usize];
+            (slot != NIL).then_some(slot)
+        }
+
+        fn insert(&mut self, key: u64, slot: u32) {
+            self.slots[key as usize] = slot;
+            self.len += 1;
+        }
+
+        fn remove(&mut self, key: &u64) -> Option<u32> {
+            let slot = std::mem::replace(&mut self.slots[*key as usize], NIL);
+            (slot != NIL).then(|| {
+                self.len -= 1;
+                slot
+            })
+        }
+
+        fn len(&self) -> usize {
+            self.len
+        }
+    }
+
+    #[test]
+    fn a_dense_index_evicts_like_the_hashed_default() {
+        let dense = Dense {
+            slots: vec![NIL; 64],
+            len: 0,
+        };
+        let mut a = LruCache::with_index(8, dense);
+        let mut b = LruCache::new(8);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = x % 64;
+            if i % 5 == 0 {
+                assert_eq!(a.remove(&key), b.remove(&key));
+            } else {
+                assert_eq!(a.touch(key, i % 3 == 0), b.touch(key, i % 3 == 0));
+            }
+            assert_eq!(a.len(), b.len());
+        }
+        assert!(a.iter().eq(b.iter()), "same recency order");
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub struct FsTraceConfig {
     pub mean_file_blocks: u32,
     /// Zipf skew for file popularity within each pool.
     pub zipf_theta: f64,
-    /// Mean accesses per second for an *active* client.
+    /// Mean accesses per second for an *active* client. Zero generates
+    /// no accesses.
     pub accesses_per_sec: f64,
     /// Probability an access targets the shared pool rather than the
     /// client's private files.
@@ -142,12 +143,18 @@ impl FsTrace {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (zero clients or files).
+    /// Panics if the configuration is degenerate (zero clients or files),
+    /// or if `accesses_per_sec` is negative or not finite.
     pub fn generate(config: &FsTraceConfig, seed: u64) -> FsTrace {
         assert!(config.clients > 0, "trace needs at least one client");
         assert!(
             config.shared_files > 0 && config.private_files_per_client > 0,
             "trace needs files"
+        );
+        assert!(
+            config.accesses_per_sec >= 0.0 && config.accesses_per_sec.is_finite(),
+            "accesses_per_sec must be finite and non-negative, got {}",
+            config.accesses_per_sec
         );
         let mut rng = SimRng::new(seed);
 
@@ -175,6 +182,10 @@ impl FsTrace {
                 config.accesses_per_sec / 10.0
             };
             let mean_gap = 1.0 / rate;
+            if !mean_gap.is_finite() {
+                // A zero rate (or one too small to invert): no accesses.
+                continue;
+            }
             let mut t = SimTime::ZERO + SimDuration::from_secs_f64(crng.exponential(mean_gap));
             let horizon = SimTime::ZERO + config.duration;
             while t < horizon {
@@ -394,6 +405,33 @@ mod tests {
 
     fn small_trace() -> FsTrace {
         FsTrace::generate(&FsTraceConfig::small(), 1)
+    }
+
+    #[test]
+    fn zero_rate_generates_no_accesses() {
+        let mut config = FsTraceConfig::small();
+        config.accesses_per_sec = 0.0;
+        let t = FsTrace::generate(&config, 7);
+        assert!(t.is_empty());
+        assert_eq!(t.clients, config.clients);
+        let nonzero = FsTrace::generate(&FsTraceConfig::small(), 7);
+        assert_eq!(t.file_blocks, nonzero.file_blocks);
+    }
+
+    #[test]
+    #[should_panic(expected = "accesses_per_sec must be finite and non-negative")]
+    fn negative_rate_is_rejected() {
+        let mut config = FsTraceConfig::small();
+        config.accesses_per_sec = -1.0;
+        FsTrace::generate(&config, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "accesses_per_sec must be finite and non-negative")]
+    fn non_finite_rate_is_rejected() {
+        let mut config = FsTraceConfig::small();
+        config.accesses_per_sec = f64::NAN;
+        FsTrace::generate(&config, 7);
     }
 
     #[test]

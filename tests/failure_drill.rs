@@ -108,7 +108,7 @@ fn netram_job_survives_donor_churn() {
     // An out-of-core job keeps running as donor hosts come and go; its
     // pages degrade to disk prices, never to wrong data or a crash.
     let pool = NetworkRam::new(4, 512, RemoteAccessCost::table2_atm(), 8_192);
-    let mut pager = Pager::with_netram(64, 8_192, pool, DiskModel::workstation_1994());
+    let mut pager = Pager::with_netram(64, 512, 8_192, pool, DiskModel::workstation_1994());
     // Touch a working set larger than local frames.
     for i in 0..512u64 {
         pager.access(PageId(i), true, SimDuration::ZERO);
