@@ -813,25 +813,25 @@ impl<M: 'static> Engine<M> {
     /// Panics if an event addresses an unregistered component.
     pub fn run(&mut self) {
         let run_start = self.profiler.as_ref().map(|_| Instant::now());
-        while let Some((_, id, envelope)) = self.queue.pop_with_id() {
-            self.dispatch(id, envelope);
+        // The envelope is taken apart here, so dispatch gets its
+        // destination and trace as scalars instead of reading them back
+        // out of a moved copy of the whole envelope.
+        while let Some((_, id, Envelope { dst, trace, event })) = self.queue.pop_with_id() {
+            self.dispatch(id, dst, trace, event);
         }
         if let (Some(start), Some(profiler)) = (run_start, self.profiler.as_mut()) {
             profiler.wall_ns += start.elapsed().as_nanos() as u64;
         }
     }
 
-    /// Delivers one event to its component.
+    /// Delivers `event`, of trace `trace`, to component `dst`.
     ///
     /// # Panics
     ///
     /// Panics if the destination is unregistered.
-    fn dispatch(&mut self, id: EventId, envelope: Envelope<M>) {
-        let Some(component) = self.components.get_mut(envelope.dst.0) else {
-            panic!(
-                "event addressed to unregistered component {:?}",
-                envelope.dst
-            )
+    fn dispatch(&mut self, id: EventId, dst: ComponentId, trace: u64, event: M) {
+        let Some(component) = self.components.get_mut(dst.0) else {
+            panic!("event addressed to unregistered component {dst:?}")
         };
         let timing = self.profiler.as_ref().map(|p| {
             p.fabric_cell.set(0);
@@ -840,14 +840,14 @@ impl<M: 'static> Engine<M> {
         let mut ctx = Ctx {
             queue: &mut self.queue,
             cost: &mut self.cost,
-            self_id: envelope.dst,
+            self_id: dst,
             causal: self.causal.as_mut(),
             current_seq: id.seq(),
-            current_trace: envelope.trace,
+            current_trace: trace,
             pending_blame: &mut self.blame_buf,
             fabric_ns: self.profiler.as_ref().map(|p| &p.fabric_cell),
         };
-        component.on_event(&mut ctx, envelope.event);
+        component.on_event(&mut ctx, event);
         // Blame not drained by a schedule/mark is discarded, as the
         // Ctx contract states; clearing here keeps the shared buffer
         // from leaking one event's segments into the next.
@@ -859,7 +859,7 @@ impl<M: 'static> Engine<M> {
                 .as_mut()
                 .expect("profiler vanished mid-dispatch");
             let fabric = profiler.fabric_cell.get();
-            profiler.charge(envelope.dst.0, total, fabric);
+            profiler.charge(dst.0, total, fabric);
         }
     }
 
