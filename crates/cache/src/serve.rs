@@ -20,10 +20,12 @@
 //! aggregate arrival rate depends on the population), so memory stays
 //! O(nodes + sketch buckets + sampled traces) regardless of run length.
 
-use now_mem::{LruCache, Touch};
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe, QuantileSketch};
-use now_sim::{Component, CostMode, Ctx, EventCast, SimDuration, SimRng, SimTime, ZipfSampler};
+use now_sim::{
+    Component, CostMode, Ctx, DenseIndex, EventCast, LruCache, SimDuration, SimRng, SimTime, Touch,
+    ZipfSampler,
+};
 
 use crate::AccessCosts;
 
@@ -108,7 +110,7 @@ pub enum ServeEvent {
     /// The request reached the server: consult its cache.
     ServerRead {
         /// Requested object.
-        object: u64,
+        object: u32,
         /// Front-end client slot that owns the request.
         client: u32,
         /// Arrival time, for end-to-end latency.
@@ -117,7 +119,7 @@ pub enum ServeEvent {
     /// The server's disk finished reading the object; send the response.
     DiskDone {
         /// Requested object.
-        object: u64,
+        object: u32,
         /// Front-end client slot that owns the request.
         client: u32,
         /// Arrival time, for end-to-end latency.
@@ -137,7 +139,10 @@ enum Served {
 ///
 /// Front-end workstations hold private LRU caches over the object catalog;
 /// misses travel to the server (whose cache fronts its disk) and the
-/// response travels back. Under [`CostMode::Fabric`] both legs reserve
+/// response travels back. Object ids are Zipf ranks, dense in
+/// `0..catalog_objects`, so every cache finds an object's slot in a
+/// [`DenseIndex`] over the catalog (4 bytes per object per cache) instead
+/// of a hash map. Under [`CostMode::Fabric`] both legs reserve
 /// real occupancy on the shared fabric, so the saturation point emerges
 /// from contention; under [`CostMode::Fixed`] the [`AccessCosts`]
 /// constants are charged instead (used by fast unit tests).
@@ -147,8 +152,8 @@ pub struct ServeComponent {
     client_nodes: Vec<u32>,
     /// Fabric node of the server.
     server_node: u32,
-    clients: Vec<LruCache<u64>>,
-    server: LruCache<u64>,
+    clients: Vec<LruCache<u32, DenseIndex>>,
+    server: LruCache<u32, DenseIndex>,
     rng: SimRng,
     zipf: ZipfSampler,
     /// Pure-disk service increment (the constants' disk cost includes a
@@ -181,10 +186,11 @@ impl ServeComponent {
         assert!(config.population > 0, "population must be positive");
         let mut rng = SimRng::new(config.seed);
         let zipf = ZipfSampler::new(config.catalog_objects, config.zipf_theta);
+        let cache = |blocks| LruCache::with_index(blocks, DenseIndex::new(config.catalog_objects));
         let clients = (0..front_ends)
-            .map(|_| LruCache::new(config.client_blocks))
+            .map(|_| cache(config.client_blocks))
             .collect();
-        let server = LruCache::new(config.server_blocks);
+        let server = cache(config.server_blocks);
         let disk_service = config.costs.disk.saturating_sub(config.costs.remote_mem);
         // Burn one draw so the arrival stream differs from the fork chain
         // other components derive from the same master seed.
@@ -270,19 +276,6 @@ impl ServeComponent {
         &self.exact
     }
 
-    /// Approximate footprint of the *workload* state (caches, catalog
-    /// CDF) — reported alongside observation bytes so the two bounds stay
-    /// distinguishable in the serve report.
-    pub fn workload_bytes(&self) -> usize {
-        let caches: usize = self
-            .clients
-            .iter()
-            .chain(std::iter::once(&self.server))
-            .map(LruCache::approx_bytes)
-            .sum();
-        caches + self.zipf.approx_bytes() + std::mem::size_of::<Self>()
-    }
-
     /// Approximate footprint of this component's *observation* state (the
     /// latency sketch; the causal log and recorder account for themselves).
     pub fn observation_bytes(&self) -> usize {
@@ -335,7 +328,9 @@ impl ServeComponent {
             ctx.schedule_root_at(next, M::upcast(ServeEvent::Arrival));
         }
         let client = self.rng.index(self.clients.len()) as u32;
-        let object = self.zipf.sample(&mut self.rng) as u64;
+        // A rank below `catalog_objects`, which `ZipfSampler::new` bounds
+        // by `u32::MAX`.
+        let object = self.zipf.sample(&mut self.rng) as u32;
         self.requests += 1;
         if self.clients[client as usize].touch(object, false) == Touch::Hit {
             let end = now + self.config.costs.local_mem;
@@ -367,7 +362,7 @@ impl ServeComponent {
     fn on_server_read<M: EventCast<ServeEvent>>(
         &mut self,
         ctx: &mut Ctx<'_, M>,
-        object: u64,
+        object: u32,
         client: u32,
         started: SimTime,
     ) {

@@ -90,8 +90,6 @@ pub struct ServeOutcome {
     /// Raw latencies in nanoseconds when the config's test-only
     /// `retain_exact` was set; empty otherwise.
     pub exact_latencies: Vec<u64>,
-    /// Approximate footprint of the workload state (caches, catalog CDF).
-    pub workload_bytes: usize,
     /// Approximate footprint of everything observing the run: sketch +
     /// causal log + flight-recorder series. Also published as the
     /// `probe.observation_bytes` gauge.
@@ -176,7 +174,6 @@ impl Workload for Serve<'_> {
             disk_reads: serve.disk_reads(),
             sketch: serve.sketch().clone(),
             exact_latencies: serve.exact_latencies().to_vec(),
-            workload_bytes: serve.workload_bytes(),
             observation_bytes: acct.publish_observation_bytes(serve.observation_bytes()),
             causal_records: acct.causal_records,
             causal_dropped: acct.causal_dropped,

@@ -102,11 +102,21 @@ impl QuantileSketch {
         self.alpha
     }
 
-    /// The bucket index holding `value` (`value >= 1`).
+    /// The bucket index holding `value` (`value >= 1`):
+    /// `ceil(ln(value) / ln(gamma))`, clamped to the last bucket.
+    ///
+    /// The ceiling is taken with integer operations, not `f64::ceil`,
+    /// which is a libm call on baseline x86-64. `x` is finite and at least
+    /// 0 (a `u64` has `ln` at most 44.4), so truncation rounds it down and
+    /// one compare tells whether it had a fractional part; the result
+    /// equals `x.ceil()` for every such `x` below 2^63.
+    #[inline]
     fn index_of(&self, value: u64) -> usize {
         debug_assert!(value >= 1);
-        let k = ((value as f64).ln() / self.ln_gamma).ceil();
-        (k.max(0.0) as usize).min(self.buckets.len() - 1)
+        let x = (value as f64).ln() / self.ln_gamma;
+        let t = x as usize;
+        let k = if (t as f64) < x { t + 1 } else { t };
+        k.min(self.buckets.len() - 1)
     }
 
     /// The midpoint estimate for bucket `k`: the value minimizing worst-
@@ -236,6 +246,66 @@ mod tests {
             "p{p}: estimate {est} vs exact {exact} exceeds alpha {}",
             sketch.alpha()
         );
+    }
+
+    /// The bucket index as `f64::ceil` takes it: the reference for the
+    /// integer ceiling in `index_of`.
+    fn float_index(s: &QuantileSketch, value: u64) -> usize {
+        let k = ((value as f64).ln() / s.ln_gamma).ceil();
+        (k.max(0.0) as usize).min(s.buckets.len() - 1)
+    }
+
+    /// The least value the float formula puts in bucket `k` or above
+    /// (which is monotone in the value), found by binary search.
+    fn first_at_or_above(s: &QuantileSketch, k: usize) -> u64 {
+        let (mut lo, mut hi) = (1u64, u64::MAX);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if float_index(s, mid) >= k {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    #[test]
+    fn bucket_index_matches_the_float_formula() {
+        for alpha in [DEFAULT_SKETCH_ALPHA, 0.02] {
+            let s = QuantileSketch::with_alpha(alpha);
+            let check = |v: u64| {
+                assert_eq!(
+                    s.index_of(v),
+                    float_index(&s, v),
+                    "alpha {alpha}, value {v}"
+                );
+            };
+            for v in 1..=1_000_000 {
+                check(v);
+            }
+            // Around every bucket boundary, where the float formula
+            // itself moves to the next bucket.
+            for k in 1..s.buckets.len() {
+                let first = first_at_or_above(&s, k);
+                for v in first.saturating_sub(64).max(1)..=first.saturating_add(64) {
+                    check(v);
+                }
+            }
+            // Random values of every magnitude.
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..200_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                check((x >> (x % 64)).max(1));
+            }
+            for v in [2, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, 1 << 63] {
+                check(v);
+            }
+            check(u64::MAX - 1);
+            check(u64::MAX);
+        }
     }
 
     #[test]

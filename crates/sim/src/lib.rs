@@ -19,7 +19,8 @@
 //! * [`IdHasher`] — a fixed multiply-mix hasher for the integer-id maps on
 //!   the paging, cache and batching hot paths.
 //! * [`LruCache`] — the exact `O(1)` LRU behind page frames, file-block
-//!   caches and partial image caches.
+//!   caches and partial image caches; [`DenseIndex`] finds its slots by
+//!   table for keys dense in `0..n`, as the serving caches' object ids are.
 //! * [`SimRng`] — a seeded random source with the distributions the workload
 //!   generators need (uniform, exponential, Zipf, Pareto, normal) implemented
 //!   locally so results do not drift with external crate versions.
@@ -71,7 +72,7 @@ pub use engine::{
     TransferCost, Transport,
 };
 pub use hash::{IdBuildHasher, IdHasher};
-pub use lru::{LruCache, LruIndex, Touch};
+pub use lru::{DenseIndex, LruCache, LruIndex, Touch};
 pub use profile::{ComponentProfile, HostProfile};
 pub use queue::{EventId, EventQueue};
 pub use rng::{SimRng, ZipfSampler};

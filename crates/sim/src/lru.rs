@@ -11,8 +11,8 @@
 //!
 //! The index is a hash map unless the caller supplies another
 //! [`LruIndex`]: a key space that is a dense range of small integers can
-//! index a table directly, as the demand pager of `now-mem` does with
-//! its page table.
+//! index a table directly, as [`DenseIndex`] does for `u32` keys and the
+//! demand pager of `now-mem` does with its page table.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -62,6 +62,73 @@ impl<K: Eq + Hash> LruIndex<K> for HashMap<K, u32, IdBuildHasher> {
     #[inline]
     fn len(&self) -> usize {
         HashMap::len(self)
+    }
+}
+
+/// A table index over the `u32` keys `0..n`: one slot per key, so a
+/// lookup is one array read, never a hash probe.
+///
+/// It fits a key space that is dense by construction, such as the Zipf
+/// ranks `now-cache`'s serving workload requests. The table takes 4 bytes
+/// per key in `0..n`, whether or not the key is ever resident.
+///
+/// # Panics
+///
+/// Every [`LruIndex`] method panics on a key outside `0..n`.
+///
+/// # Example
+///
+/// ```
+/// use now_sim::{DenseIndex, LruCache, Touch};
+///
+/// let mut lru = LruCache::with_index(2, DenseIndex::new(100));
+/// lru.touch(7, false);
+/// lru.touch(42, false);
+/// assert!(matches!(lru.touch(99, false), Touch::MissEvicted { victim: 7, .. }));
+/// ```
+#[derive(Debug, Clone)]
+pub struct DenseIndex {
+    /// `slots[key]`: the key's slot, or `NIL` when it is not resident.
+    slots: Vec<u32>,
+    /// Resident keys.
+    len: usize,
+}
+
+impl DenseIndex {
+    /// An empty index over the keys `0..n`.
+    pub fn new(n: usize) -> Self {
+        DenseIndex {
+            slots: vec![NIL; n],
+            len: 0,
+        }
+    }
+}
+
+impl LruIndex<u32> for DenseIndex {
+    #[inline]
+    fn get(&self, key: &u32) -> Option<u32> {
+        let slot = self.slots[*key as usize];
+        (slot != NIL).then_some(slot)
+    }
+
+    #[inline]
+    fn insert(&mut self, key: u32, slot: u32) {
+        self.slots[key as usize] = slot;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn remove(&mut self, key: &u32) -> Option<u32> {
+        let slot = std::mem::replace(&mut self.slots[*key as usize], NIL);
+        (slot != NIL).then(|| {
+            self.len -= 1;
+            slot
+        })
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len
     }
 }
 
@@ -140,9 +207,8 @@ impl<K: Eq + Hash + Copy> LruCache<K> {
         )
     }
 
-    /// Approximate heap + inline footprint in bytes. Bounded by the
-    /// cache's capacity, so serving reports can contrast (fixed) workload
-    /// memory with (fixed) observation memory.
+    /// Approximate heap + inline footprint in bytes, bounded by the
+    /// cache's capacity.
     pub fn approx_bytes(&self) -> usize {
         // A slab node, plus up to two index buckets (key, slot) with
         // their control bytes: the table keeps spare buckets. A coarse
@@ -418,50 +484,16 @@ mod tests {
         assert_eq!(hits, 0, "cyclic scan defeats LRU entirely");
     }
 
-    /// A dense index over keys `0..n`: a slot per key, `NIL` when absent.
-    struct Dense {
-        slots: Vec<u32>,
-        len: usize,
-    }
-
-    impl LruIndex<u64> for Dense {
-        fn get(&self, key: &u64) -> Option<u32> {
-            let slot = self.slots[*key as usize];
-            (slot != NIL).then_some(slot)
-        }
-
-        fn insert(&mut self, key: u64, slot: u32) {
-            self.slots[key as usize] = slot;
-            self.len += 1;
-        }
-
-        fn remove(&mut self, key: &u64) -> Option<u32> {
-            let slot = std::mem::replace(&mut self.slots[*key as usize], NIL);
-            (slot != NIL).then(|| {
-                self.len -= 1;
-                slot
-            })
-        }
-
-        fn len(&self) -> usize {
-            self.len
-        }
-    }
-
     #[test]
     fn a_dense_index_evicts_like_the_hashed_default() {
-        let dense = Dense {
-            slots: vec![NIL; 64],
-            len: 0,
-        };
-        let mut a = LruCache::with_index(8, dense);
+        let mut a = LruCache::with_index(8, DenseIndex::new(64));
         let mut b = LruCache::new(8);
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for i in 0..2_000 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let key = x % 64;
+            let key = (x % 64) as u32;
             if i % 5 == 0 {
                 assert_eq!(a.remove(&key), b.remove(&key));
             } else {
@@ -470,6 +502,14 @@ mod tests {
             assert_eq!(a.len(), b.len());
         }
         assert!(a.iter().eq(b.iter()), "same recency order");
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_dense_index_rejects_a_key_outside_its_range() {
+        let mut c = LruCache::with_index(4, DenseIndex::new(16));
+        c.touch(15, false);
+        c.touch(16, false);
     }
 
     #[test]

@@ -250,14 +250,6 @@ impl ZipfSampler {
         false
     }
 
-    /// Approximate heap + inline footprint in bytes (the CDF and guide
-    /// tables).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.cdf.capacity() * std::mem::size_of::<f64>()
-            + self.guide.capacity() * std::mem::size_of::<u32>()
-    }
-
     /// Draws a rank in `[0, n)`.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         self.rank(rng.f64())

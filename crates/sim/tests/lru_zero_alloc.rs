@@ -7,7 +7,8 @@
 //! `GlobalAlloc` wrapper (legal here — `#![forbid(unsafe_code)]` guards
 //! the library, not its integration tests) fills a cache and churns it
 //! once, then asserts that a second, armed churn pass performs no
-//! allocations at all.
+//! allocations at all. The same holds for a cache over a `DenseIndex`,
+//! whose table is sized when it is built.
 //!
 //! Only the thread under test is counted: the test harness's own threads
 //! allocate at moments of their choosing, which made a process-wide count
@@ -18,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use now_sim::{LruCache, Touch};
+use now_sim::{DenseIndex, LruCache, LruIndex, Touch};
 
 struct CountingAlloc;
 
@@ -57,7 +58,7 @@ fn armed() -> bool {
     ARMED.try_with(Cell::get).unwrap_or(false)
 }
 
-const CAPACITY: u64 = 1_024;
+const CAPACITY: u32 = 1_024;
 const OPS: u32 = 100_000;
 
 /// Per-path op counts of one churn pass.
@@ -71,7 +72,7 @@ struct Paths {
 
 /// Churns a full cache over four times as many keys as fit: every seventh
 /// op removes, the rest touch, a third of those as writes.
-fn churn(lru: &mut LruCache<u64>) -> Paths {
+fn churn<I: LruIndex<u32>>(lru: &mut LruCache<u32, I>) -> Paths {
     let mut paths = Paths::default();
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
     for i in 0..OPS {
@@ -79,7 +80,7 @@ fn churn(lru: &mut LruCache<u64>) -> Paths {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        let key = x % (4 * CAPACITY);
+        let key = (x % u64::from(4 * CAPACITY)) as u32;
         if i % 7 == 0 {
             paths.removals += u32::from(lru.remove(&key).is_some());
             continue;
@@ -93,18 +94,16 @@ fn churn(lru: &mut LruCache<u64>) -> Paths {
     paths
 }
 
-#[test]
-fn warm_lru_allocates_nothing() {
-    let mut lru = LruCache::new(CAPACITY as usize);
-    // Cold pass: fill the slab to capacity, then churn once. Removals
-    // leave tombstones in the index's hash table, and the first time
-    // they use up its spare room the table doubles; from then on it is
-    // at most a quarter full and clears tombstones in place.
+/// Fills `lru` to capacity and churns it once, then counts the
+/// allocations of a second, armed churn pass.
+fn armed_churn<I: LruIndex<u32>>(mut lru: LruCache<u32, I>, name: &str) {
     for key in 0..CAPACITY {
         lru.touch(key, false);
     }
     churn(&mut lru);
 
+    ALLOCS.store(0, Ordering::SeqCst);
+    REALLOCS.store(0, Ordering::SeqCst);
     ARMED.set(true);
     let paths = churn(&mut lru);
     ARMED.set(false);
@@ -114,10 +113,23 @@ fn warm_lru_allocates_nothing() {
     assert_eq!(
         (allocs, reallocs),
         (0, 0),
-        "warm LRU hit the allocator: {allocs} allocs, {reallocs} reallocs over {OPS} ops"
+        "warm LRU ({name}) hit the allocator: {allocs} allocs, {reallocs} reallocs over {OPS} ops"
     );
     assert!(
         paths.hits > 0 && paths.refills > 0 && paths.evictions > 0 && paths.removals > 0,
         "the pass must exercise every path: {paths:?}"
+    );
+}
+
+#[test]
+fn warm_lru_allocates_nothing() {
+    // In the cold churn, removals leave tombstones in the hashed index's
+    // table, and the first time they use up its spare room the table
+    // doubles; from then on it is at most a quarter full and clears
+    // tombstones in place.
+    armed_churn(LruCache::new(CAPACITY as usize), "hashed index");
+    armed_churn(
+        LruCache::with_index(CAPACITY as usize, DenseIndex::new(4 * CAPACITY as usize)),
+        "dense index",
     );
 }

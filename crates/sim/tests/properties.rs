@@ -3,7 +3,9 @@
 use std::collections::BTreeMap;
 
 use now_sim::stats::{Accumulator, Percentiles};
-use now_sim::{EventId, EventQueue, LruCache, SimDuration, SimRng, SimTime, Touch, ZipfSampler};
+use now_sim::{
+    DenseIndex, EventId, EventQueue, LruCache, SimDuration, SimRng, SimTime, Touch, ZipfSampler,
+};
 use proptest::prelude::*;
 
 /// A delay from one of four kinds, picked by `x`'s low bits: due now,
@@ -383,22 +385,26 @@ proptest! {
     /// The LRU cache behaves identically to a naive reference
     /// implementation (a vector of `(key, dirty)` ordered by recency)
     /// under interleaved touches and removals, which also exercises the
-    /// reuse of removed slots.
+    /// reuse of removed slots. The same ops run against the hashed default
+    /// index and a `DenseIndex` over the key range.
     #[test]
     fn lru_matches_reference_model(
         cap in 1usize..16,
-        ops in prop::collection::vec((0u64..32, 0u8..4), 1..300),
+        ops in prop::collection::vec((0u32..32, 0u8..4), 1..300),
     ) {
         let mut c = LruCache::new(cap);
-        let mut reference: Vec<(u64, bool)> = Vec::new(); // LRU at front, MRU at back
+        let mut d = LruCache::with_index(cap, DenseIndex::new(32));
+        let mut reference: Vec<(u32, bool)> = Vec::new(); // LRU at front, MRU at back
         for &(k, op) in &ops {
             let pos = reference.iter().position(|&(x, _)| x == k);
             if op == 0 {
                 let dirty = pos.map(|p| reference.remove(p).1);
                 prop_assert_eq!(c.remove(&k), dirty);
+                prop_assert_eq!(d.remove(&k), dirty);
             } else {
                 let write = op == 1;
                 let t = c.touch(k, write);
+                prop_assert_eq!(d.touch(k, write), t);
                 match pos {
                     Some(p) => {
                         prop_assert_eq!(t, Touch::Hit);
@@ -416,14 +422,19 @@ proptest! {
                     }
                 }
             }
+            let lru = reference.first().map(|(x, _)| x);
             prop_assert_eq!(c.len(), reference.len());
-            prop_assert_eq!(c.lru(), reference.first().map(|(x, _)| x));
+            prop_assert_eq!(d.len(), reference.len());
+            prop_assert_eq!(c.lru(), lru);
+            prop_assert_eq!(d.lru(), lru);
             for key in 0..32 {
-                prop_assert_eq!(c.contains(&key), reference.iter().any(|&(x, _)| x == key));
+                let resident = reference.iter().any(|&(x, _)| x == key);
+                prop_assert_eq!(c.contains(&key), resident);
+                prop_assert_eq!(d.contains(&key), resident);
             }
-            let got: Vec<u64> = c.iter().copied().collect();
-            let want: Vec<u64> = reference.iter().map(|&(x, _)| x).collect();
-            prop_assert_eq!(got, want);
+            let want: Vec<u32> = reference.iter().map(|&(x, _)| x).collect();
+            prop_assert_eq!(c.iter().copied().collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(d.iter().copied().collect::<Vec<_>>(), want);
         }
     }
 }
