@@ -8,8 +8,8 @@
 //! gentle slowdown. Object popularity is Zipf (a few hot objects dominate),
 //! think times are exponential or Pareto, and each request walks the
 //! client-cache → server-cache → disk hierarchy of [`crate::CacheConfig`]
-//! fame, contending for the engine's shared fabric under
-//! [`CostMode::Fabric`].
+//! fame, contending for the engine's shared fabric
+//! ([`Engine::with_transport`](now_sim::Engine::with_transport)).
 //!
 //! Observation is streaming by construction: every latency lands in a
 //! [`QuantileSketch`] (O(buckets) memory), and causal tracing uses the
@@ -23,7 +23,7 @@
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe, QuantileSketch};
 use now_sim::{
-    Component, CostMode, Ctx, DenseIndex, EventCast, LruCache, SimDuration, SimRng, SimTime, Touch,
+    Component, Ctx, DenseIndex, EventCast, LruCache, SimDuration, SimRng, SimTime, Touch,
     ZipfSampler,
 };
 
@@ -87,9 +87,9 @@ pub struct ServeConfig {
     pub server_blocks: usize,
     /// Size of one served object in bytes.
     pub object_bytes: u64,
-    /// Service-time constants (used directly under [`CostMode::Fixed`];
-    /// under [`CostMode::Fabric`] network legs are priced by the live
-    /// fabric and only the disk increment is taken from here).
+    /// Service-time constants. The fabric prices the network legs, so
+    /// only a local hit's cost and the disk's increment over a remote
+    /// memory read are taken from here.
     pub costs: AccessCosts,
     /// Arrivals stop at this simulated time; in-flight requests drain.
     pub horizon: SimTime,
@@ -142,10 +142,8 @@ enum Served {
 /// response travels back. Object ids are Zipf ranks, dense in
 /// `0..catalog_objects`, so every cache finds an object's slot in a
 /// [`DenseIndex`] over the catalog (4 bytes per object per cache) instead
-/// of a hash map. Under [`CostMode::Fabric`] both legs reserve
-/// real occupancy on the shared fabric, so the saturation point emerges
-/// from contention; under [`CostMode::Fixed`] the [`AccessCosts`]
-/// constants are charged instead (used by fast unit tests).
+/// of a hash map. Both legs reserve real occupancy on the engine's shared
+/// fabric, so the saturation point emerges from contention.
 pub struct ServeComponent {
     config: ServeConfig,
     /// Fabric node of each front-end (identity when unset).
@@ -220,7 +218,8 @@ impl ServeComponent {
     }
 
     /// Places front-end `i` on fabric node `client_nodes[i]` and the
-    /// server on `server_node`. Required for [`CostMode::Fabric`] engines.
+    /// server on `server_node` (front-end `i` on node `i` and the server
+    /// on node 0 otherwise).
     #[must_use]
     pub fn with_placement(mut self, client_nodes: Vec<u32>, server_node: u32) -> Self {
         self.client_nodes = client_nodes;
@@ -344,19 +343,12 @@ impl ServeComponent {
             client,
             started: now,
         };
-        match ctx.cost_mode() {
-            CostMode::Fixed => {
-                ctx.schedule_at(now, M::upcast(read));
-            }
-            CostMode::Fabric => {
-                let (src, dst) = (self.node_of(client), self.server_node);
-                let cost = ctx.transfer(src, dst, REQUEST_BYTES, ctx.now());
-                ctx.blame(category::AM_OVERHEAD, cost.overhead);
-                ctx.blame(category::FABRIC_WAIT, cost.wait);
-                ctx.blame(category::WIRE, cost.wire);
-                ctx.schedule_at(cost.delivered, M::upcast(read));
-            }
-        }
+        let (src, dst) = (self.node_of(client), self.server_node);
+        let cost = ctx.transfer(src, dst, REQUEST_BYTES, now);
+        ctx.blame(category::AM_OVERHEAD, cost.overhead);
+        ctx.blame(category::FABRIC_WAIT, cost.wait);
+        ctx.blame(category::WIRE, cost.wire);
+        ctx.schedule_at(cost.delivered, M::upcast(read));
     }
 
     fn on_server_read<M: EventCast<ServeEvent>>(
@@ -367,36 +359,24 @@ impl ServeComponent {
         started: SimTime,
     ) {
         if self.server.touch(object, false) == Touch::Hit {
-            let end = match ctx.cost_mode() {
-                CostMode::Fixed => started + self.config.costs.remote_mem,
-                CostMode::Fabric => self.respond(ctx, client),
-            };
+            let end = self.respond(ctx, client);
             self.complete(ctx, started, end, Served::ServerMem);
             return;
         }
         // Disk read, then the response.
-        match ctx.cost_mode() {
-            CostMode::Fixed => {
-                let end = started + self.config.costs.disk;
-                self.complete(ctx, started, end, Served::Disk);
-            }
-            CostMode::Fabric => {
-                ctx.blame(category::DISK, self.disk_service);
-                ctx.schedule_at(
-                    ctx.now() + self.disk_service,
-                    M::upcast(ServeEvent::DiskDone {
-                        object,
-                        client,
-                        started,
-                    }),
-                );
-            }
-        }
+        ctx.blame(category::DISK, self.disk_service);
+        ctx.schedule_at(
+            ctx.now() + self.disk_service,
+            M::upcast(ServeEvent::DiskDone {
+                object,
+                client,
+                started,
+            }),
+        );
     }
 
     /// Sends the object back to the requester over the fabric, returning
-    /// the delivery time. Only called under [`CostMode::Fabric`]; the
-    /// fixed-cost paths charge the round trip from their constants.
+    /// the delivery time.
     fn respond<M>(&mut self, ctx: &mut Ctx<'_, M>, client: u32) -> SimTime {
         let (src, dst) = (self.server_node, self.node_of(client));
         let cost = ctx.transfer(src, dst, self.config.object_bytes, ctx.now());
@@ -431,7 +411,9 @@ impl<M: EventCast<ServeEvent> + 'static> Component<M> for ServeComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_sim::Engine;
+    use now_am::FabricTransport;
+    use now_net::presets;
+    use now_sim::{ComponentId, Engine};
 
     fn config(population: u64) -> ServeConfig {
         ServeConfig {
@@ -449,11 +431,20 @@ mod tests {
         }
     }
 
-    fn run_fixed(cfg: ServeConfig) -> (u64, u64, u64, u64, u64) {
-        let mut engine: Engine<ServeEvent> = Engine::new();
-        let id = engine.register(ServeComponent::new(cfg, 4));
+    /// Runs `cfg` to completion on a five-node AM-over-ATM fabric:
+    /// four front-ends on nodes 0..4, the server on node 4.
+    fn run_to_end(cfg: ServeConfig) -> (Engine<ServeEvent>, ComponentId) {
+        let fabric = FabricTransport::new(presets::am_atm(5));
+        let mut engine = Engine::with_transport(Box::new(fabric));
+        let serve = ServeComponent::new(cfg, 4).with_placement((0..4).collect(), 4);
+        let id = engine.register(serve);
         engine.schedule_at(id, SimTime::ZERO, ServeEvent::Arrival);
         engine.run();
+        (engine, id)
+    }
+
+    fn run(cfg: ServeConfig) -> (u64, u64, u64, u64, u64) {
+        let (engine, id) = run_to_end(cfg);
         let c = engine.component::<ServeComponent>(id);
         (
             c.requests(),
@@ -466,7 +457,7 @@ mod tests {
 
     #[test]
     fn every_request_completes_exactly_once() {
-        let (requests, completed, local, server, disk) = run_fixed(config(20_000));
+        let (requests, completed, local, server, disk) = run(config(20_000));
         assert!(requests > 100, "expected real load, got {requests}");
         assert_eq!(completed, requests);
         assert_eq!(local + server + disk, requests);
@@ -474,7 +465,7 @@ mod tests {
 
     #[test]
     fn popular_catalog_mostly_hits_memory() {
-        let (requests, _, local, server, _) = run_fixed(config(50_000));
+        let (requests, _, local, server, _) = run(config(50_000));
         assert!(
             (local + server) as f64 > 0.5 * requests as f64,
             "zipf traffic should mostly hit a cache: {local}+{server} of {requests}"
@@ -483,8 +474,8 @@ mod tests {
 
     #[test]
     fn arrival_rate_scales_with_population() {
-        let (small, ..) = run_fixed(config(10_000));
-        let (big, ..) = run_fixed(config(100_000));
+        let (small, ..) = run(config(10_000));
+        let (big, ..) = run(config(100_000));
         let ratio = big as f64 / small as f64;
         assert!(
             (5.0..20.0).contains(&ratio),
@@ -494,14 +485,11 @@ mod tests {
 
     #[test]
     fn equal_seeds_replay_identically_and_observation_stays_bounded() {
-        let a = run_fixed(config(30_000));
-        let b = run_fixed(config(30_000));
+        let a = run(config(30_000));
+        let b = run(config(30_000));
         assert_eq!(a, b);
 
-        let mut engine: Engine<ServeEvent> = Engine::new();
-        let id = engine.register(ServeComponent::new(config(30_000), 4));
-        engine.schedule_at(id, SimTime::ZERO, ServeEvent::Arrival);
-        engine.run();
+        let (engine, id) = run_to_end(config(30_000));
         let c = engine.component::<ServeComponent>(id);
         assert!(c.observation_bytes() < 64 * 1024);
         assert!(c.exact_latencies().is_empty(), "exact mode is opt-in");
@@ -511,10 +499,7 @@ mod tests {
     fn exhaustive_mode_matches_sketch_within_alpha() {
         let mut cfg = config(50_000);
         cfg.retain_exact = true;
-        let mut engine: Engine<ServeEvent> = Engine::new();
-        let id = engine.register(ServeComponent::new(cfg, 4));
-        engine.schedule_at(id, SimTime::ZERO, ServeEvent::Arrival);
-        engine.run();
+        let (engine, id) = run_to_end(cfg);
         let c = engine.component::<ServeComponent>(id);
         let mut exact = c.exact_latencies().to_vec();
         assert_eq!(exact.len() as u64, c.completed());

@@ -166,13 +166,6 @@ impl PartialCache {
     pub fn stats(&self) -> PartialCacheStats {
         self.stats
     }
-
-    /// Approximate resident footprint: manifest, data, the data map's
-    /// buckets (entry plus control byte) and the recency list.
-    pub fn approx_bytes(&self) -> usize {
-        let buckets = self.blocks.capacity() * (std::mem::size_of::<(BlockHash, Bytes)>() + 1);
-        self.manifest.approx_bytes() + self.used_bytes as usize + buckets + self.lru.approx_bytes()
-    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,10 @@
 //!   base-layer sharing makes the dedup factor tunable and measurable;
 //! * [`PartialCache`] — a per-node cache where the manifest never leaves
 //!   but block data is fetched on demand and evicted LRU under a budget;
-//! * [`RegistryFetch`] / [`CooperativeFetch`] — the two distribution
-//!   strategies as engine components, priced on the shared fabric with
-//!   causal blame split into `cas.registry`, `cas.peer` and `cas.disk`.
+//! * [`FetchCore`] — a cold start by either distribution strategy
+//!   ([`FetchStrategy`]) as an engine component, priced on the shared
+//!   fabric with causal blame split into `cas.registry`, `cas.peer` and
+//!   `cas.disk`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,9 +29,7 @@ mod manifest;
 mod store;
 
 pub use cache::{PartialCache, PartialCacheStats};
-pub use fetch::{
-    CasEvent, CooperativeFetch, FetchConfig, FetchCore, FetchStats, FetchStrategy, RegistryFetch,
-};
+pub use fetch::{CasEvent, FetchConfig, FetchCore, FetchStats, FetchStrategy};
 pub use image::{ImageCatalog, ImageCatalogSpec};
 pub use manifest::{ImageManifest, ManifestEntry};
 pub use store::{BlockHash, BlockStore, DedupStats, DEFAULT_CHUNK_BYTES};

@@ -116,15 +116,6 @@ impl ImageManifest {
             })
             .collect()
     }
-
-    /// Approximate resident footprint of the manifest itself — what a
-    /// [`PartialCache`](crate::PartialCache) keeps always-resident.
-    pub fn approx_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.path.len() + 16 + e.blocks.len() * 8)
-            .sum()
-    }
 }
 
 /// FNV-1a fold of a byte slice into an accumulator.

@@ -368,11 +368,6 @@ impl BlockStore {
     pub fn dedup_factor(&self) -> f64 {
         self.stats.dedup_factor()
     }
-
-    /// Approximate resident footprint: unique bytes plus index overhead.
-    pub fn approx_bytes(&self) -> usize {
-        self.stats.unique_bytes as usize + self.blocks.len() * 48
-    }
 }
 
 #[cfg(test)]

@@ -2,39 +2,29 @@
 //! cache, and the distribution strategies must hold for every input.
 
 use bytes::Bytes;
+use now_am::FabricTransport;
 use now_cas::{
-    BlockHash, BlockStore, CasEvent, CooperativeFetch, FetchConfig, FetchStrategy, ImageCatalog,
-    ImageCatalogSpec, ImageManifest, PartialCache, RegistryFetch,
+    BlockHash, BlockStore, CasEvent, FetchConfig, FetchCore, FetchStrategy, ImageCatalog,
+    ImageCatalogSpec, ImageManifest, PartialCache,
 };
+use now_net::presets;
 use now_sim::{Engine, SimTime};
 use proptest::prelude::*;
 
-/// Runs one distribution to completion in fixed-cost mode and returns
-/// the delivered-content digest.
+/// Runs one distribution to completion on the AM-over-ATM fabric and
+/// returns the delivered-content digest.
 fn distribute_digest(strategy: FetchStrategy, fetchers: u32, budget: u64, seed: u64) -> u64 {
     let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(seed));
     let config = FetchConfig::new(fetchers, 2, budget, seed ^ 0x9e37_79b9);
-    let mut engine: Engine<CasEvent> = Engine::new();
-    let id = match strategy {
-        FetchStrategy::Registry => engine.register(RegistryFetch::new(catalog, config)),
-        FetchStrategy::Cooperative => engine.register(CooperativeFetch::new(catalog, config)),
-    };
+    let fabric = FabricTransport::new(presets::am_atm(fetchers + 2));
+    let mut engine: Engine<CasEvent> = Engine::with_transport(Box::new(fabric));
+    let id = engine.register(FetchCore::new(catalog, strategy, config));
     engine.schedule_at(id, SimTime::ZERO, CasEvent::Start);
     engine.run();
-    match strategy {
-        FetchStrategy::Registry => {
-            let core = engine.component::<RegistryFetch>(id).core();
-            assert!(core.complete(), "every fetcher must drain its plan");
-            assert_eq!(core.stats().verify_failures, 0, "no corrupt deliveries");
-            core.content_digest()
-        }
-        FetchStrategy::Cooperative => {
-            let core = engine.component::<CooperativeFetch>(id).core();
-            assert!(core.complete(), "every fetcher must drain its plan");
-            assert_eq!(core.stats().verify_failures, 0, "no corrupt deliveries");
-            core.content_digest()
-        }
-    }
+    let core = engine.component::<FetchCore>(id);
+    assert!(core.complete(), "every fetcher must drain its plan");
+    assert_eq!(core.stats().verify_failures, 0, "no corrupt deliveries");
+    core.content_digest()
 }
 
 /// A manifest over one synthetic file, for cache tests.

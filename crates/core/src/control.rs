@@ -24,7 +24,7 @@ use now_glunix::membership::MembershipConfig;
 use now_mem::PageEvent;
 use now_probe::causal::category;
 use now_probe::Probe;
-use now_sim::{Component, ComponentId, CostMode, Ctx, EventCast, SimDuration, SimTime};
+use now_sim::{Component, ComponentId, Ctx, EventCast, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::JobEvent;
@@ -373,31 +373,26 @@ impl ClusterControl {
             return; // the disk re-failed mid-rebuild
         };
         let chunk = REBUILD_CHUNK_BYTES.min(remaining);
-        let done_at = match ctx.cost_mode() {
-            CostMode::Fixed => ctx.now(),
-            CostMode::Fabric => {
-                // Reconstruction reads stripe data from the surviving
-                // disks' nodes (rotating) and writes to the replacement.
-                let dst = self.wiring.storage[disk as usize % self.wiring.storage.len()];
-                let peers: Vec<u32> = self
-                    .wiring
-                    .storage
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != dst)
-                    .collect();
-                let src = if peers.is_empty() {
-                    dst
-                } else {
-                    peers[(self.rebuild_seq % peers.len() as u64) as usize]
-                };
-                self.rebuild_seq += 1;
-                if src == dst {
-                    ctx.now()
-                } else {
-                    ctx.transfer(src, dst, chunk, ctx.now()).delivered
-                }
-            }
+        // Reconstruction reads stripe data from the surviving disks'
+        // nodes (rotating) and writes to the replacement.
+        let dst = self.wiring.storage[disk as usize % self.wiring.storage.len()];
+        let peers: Vec<u32> = self
+            .wiring
+            .storage
+            .iter()
+            .copied()
+            .filter(|&n| n != dst)
+            .collect();
+        let src = if peers.is_empty() {
+            dst
+        } else {
+            peers[(self.rebuild_seq % peers.len() as u64) as usize]
+        };
+        self.rebuild_seq += 1;
+        let done_at = if src == dst {
+            ctx.now()
+        } else {
+            ctx.transfer(src, dst, chunk, ctx.now()).delivered
         };
         self.rebuilt_bytes += chunk;
         self.probe.count("fault.rebuild_chunks", 1);

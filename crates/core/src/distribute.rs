@@ -18,10 +18,7 @@
 //! scenarios use.
 
 use now_am::BatchConfig;
-use now_cas::{
-    CasEvent, CooperativeFetch, FetchConfig, FetchCore, FetchStrategy, ImageCatalog,
-    ImageCatalogSpec, RegistryFetch,
-};
+use now_cas::{CasEvent, FetchConfig, FetchCore, FetchStrategy, ImageCatalog, ImageCatalogSpec};
 use now_probe::Probe;
 use now_sim::{ComponentId, Engine, SimTime};
 
@@ -35,7 +32,7 @@ use crate::harness::{
 /// flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistributeScenarioEvent {
-    /// A distribution event ([`RegistryFetch`] / [`CooperativeFetch`]).
+    /// A distribution event ([`FetchCore`]).
     Cas(CasEvent),
     /// A flight-recorder sampling tick (observed runs only).
     Record(RecorderEvent),
@@ -127,8 +124,6 @@ pub struct DistributeOutcome {
     /// Digest over the bytes every node received, in manifest order —
     /// strategy- and schedule-independent, content-dependent.
     pub content_digest: u64,
-    /// Approximate footprint of the workload state (store, caches).
-    pub workload_bytes: usize,
     /// Approximate footprint of everything observing the run.
     pub observation_bytes: usize,
     /// Causal records retained (0 without a causal log).
@@ -171,18 +166,9 @@ impl Workload for Distribute<'_> {
             spec.cache_budget,
             spec.seed,
         );
-        let id = match spec.strategy {
-            FetchStrategy::Registry => {
-                let mut fetch = RegistryFetch::new(catalog, config);
-                fetch.set_probe(probe);
-                engine.register(fetch)
-            }
-            FetchStrategy::Cooperative => {
-                let mut fetch = CooperativeFetch::new(catalog, config);
-                fetch.set_probe(probe);
-                engine.register(fetch)
-            }
-        };
+        let mut fetch = FetchCore::new(catalog, spec.strategy, config);
+        fetch.set_probe(probe);
+        let id = engine.register(fetch);
         engine.schedule_at(
             id,
             SimTime::ZERO,
@@ -214,10 +200,7 @@ impl Workload for Distribute<'_> {
         id: ComponentId,
         acct: &Accounting<'_>,
     ) -> DistributeOutcome {
-        let core: &FetchCore = match self.spec.strategy {
-            FetchStrategy::Registry => engine.component::<RegistryFetch>(id).core(),
-            FetchStrategy::Cooperative => engine.component::<CooperativeFetch>(id).core(),
-        };
+        let core = engine.component::<FetchCore>(id);
         assert!(core.complete(), "every fetcher must finish its plan");
         let stats = core.stats();
         let store_stats = core.store().stats();
@@ -239,7 +222,6 @@ impl Workload for Distribute<'_> {
             evictions: stats.evictions,
             verify_failures: stats.verify_failures,
             content_digest: core.content_digest(),
-            workload_bytes: core.approx_bytes(),
             observation_bytes: acct.publish_observation_bytes(0),
             causal_records: acct.causal_records,
             causal_dropped: acct.causal_dropped,

@@ -28,9 +28,7 @@ use now_mem::{MultigridComponent, PageEvent, RemoteAccessCost};
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
 use now_sim::parallel::default_jobs;
-use now_sim::{
-    Component, ComponentId, CostMode, Ctx, Engine, EventCast, SimDuration, SimTime, TransferCost,
-};
+use now_sim::{Component, ComponentId, Ctx, Engine, EventCast, SimDuration, SimTime, TransferCost};
 use now_trace::fs::{FsTrace, FsTraceConfig};
 use serde::{Deserialize, Serialize};
 
@@ -111,8 +109,7 @@ pub enum JobEvent {
 /// Each round every worker computes for the configured time, then sends
 /// its boundary data to its ring neighbour over the shared fabric; the
 /// barrier closes when the slowest message is delivered, and the next
-/// round starts there. Under [`CostMode::Fixed`] there is no fabric, so
-/// rounds cost only compute.
+/// round starts there.
 #[derive(Debug)]
 pub struct BspJobComponent {
     worker_nodes: Vec<u32>,
@@ -228,23 +225,17 @@ impl<M: EventCast<JobEvent> + 'static> Component<M> for BspJobComponent {
         // The barrier closes when the slowest exchange lands; that
         // critical transfer's breakdown explains the round's fabric share.
         let mut critical: Option<TransferCost> = None;
-        let barrier = match ctx.cost_mode() {
-            CostMode::Fixed => compute_done,
-            CostMode::Fabric => {
-                let k = self.worker_nodes.len();
-                let mut barrier = compute_done;
-                for w in 0..k {
-                    let src = self.worker_nodes[w];
-                    let dst = self.worker_nodes[(w + 1) % k];
-                    let cost = ctx.transfer(src, dst, self.message_bytes, compute_done);
-                    if cost.delivered > barrier {
-                        barrier = cost.delivered;
-                        critical = Some(cost);
-                    }
-                }
-                barrier
+        let mut barrier = compute_done;
+        let k = self.worker_nodes.len();
+        for w in 0..k {
+            let src = self.worker_nodes[w];
+            let dst = self.worker_nodes[(w + 1) % k];
+            let cost = ctx.transfer(src, dst, self.message_bytes, compute_done);
+            if cost.delivered > barrier {
+                barrier = cost.delivered;
+                critical = Some(cost);
             }
-        };
+        }
         self.done_rounds += 1;
         self.rounds_gauge.set(f64::from(self.done_rounds));
         ctx.blame(category::COMPUTE, self.compute);
@@ -274,8 +265,7 @@ pub enum TrafficEvent {
 ///
 /// Deliberately *not* completion-chained — the offered load stays constant
 /// no matter how congested the fabric gets, which is what makes the
-/// contention sweep monotone. Under [`CostMode::Fixed`] the ticks fire but
-/// send nothing (there is no fabric to occupy).
+/// contention sweep monotone.
 #[derive(Debug)]
 pub struct TrafficComponent {
     flows: Vec<(u32, u32)>,
@@ -336,14 +326,12 @@ impl<M: EventCast<TrafficEvent> + 'static> Component<M> for TrafficComponent {
     fn on_event(&mut self, ctx: &mut Ctx<'_, M>, event: M) {
         let TrafficEvent::Tick = event.downcast();
         let now = ctx.now();
-        if ctx.cost_mode() == CostMode::Fabric {
-            for &(src, dst) in &self.flows {
-                let delivered = ctx.transfer(src, dst, self.frame_bytes, now).delivered;
-                self.latency_sum += delivered.saturating_since(now);
-                self.frames += 1;
-            }
-            self.frames_gauge.set(self.frames as f64);
+        for &(src, dst) in &self.flows {
+            let delivered = ctx.transfer(src, dst, self.frame_bytes, now).delivered;
+            self.latency_sum += delivered.saturating_since(now);
+            self.frames += 1;
         }
+        self.frames_gauge.set(self.frames as f64);
         let next = now + self.interval;
         if next <= self.horizon {
             ctx.schedule_at(next, M::upcast(TrafficEvent::Tick));

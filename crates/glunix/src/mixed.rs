@@ -15,11 +15,8 @@
 
 use std::collections::VecDeque;
 
-use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
-use now_sim::{
-    Component, ComponentId, CostMode, Ctx, Engine, EventCast, EventId, SimDuration, SimTime,
-};
+use now_sim::{Component, ComponentId, Ctx, Engine, EventCast, EventId, SimDuration, SimTime};
 use now_trace::lanl::{JobTrace, ParallelJob};
 use now_trace::usage::UsageTrace;
 use serde::{Deserialize, Serialize};
@@ -235,9 +232,6 @@ enum JobState {
     Paused {
         machines: Vec<u32>,
         remaining: SimDuration,
-        /// The machine the evicted process's memory still lives on — the
-        /// source node of the pending (or awaited) migration transfer.
-        from: u32,
         /// A machine index that still needs replacing (false while only
         /// the migration delay is pending).
         needs_machine: bool,
@@ -249,16 +243,11 @@ enum JobState {
 /// workstations, lose them when users return (pausing for a migration),
 /// and wait when the building is busy.
 ///
-/// Under [`CostMode::Fixed`] the migration charges the constant
-/// [`MigrationModel::migration_time`] (the legacy behaviour, bit-for-bit).
-/// Under [`CostMode::Fabric`] the evicted process's memory image travels
-/// the shared fabric from the reclaimed machine to its replacement —
-/// machine index `m` is fabric node `m` — so migrations contend with
-/// whatever else the cluster is doing to the wires.
+/// A migration takes the constant [`MigrationModel::migration_time`] of
+/// the process's memory image.
 #[derive(Debug)]
 pub struct MixedComponent {
     jobs: Vec<ParallelJob>,
-    config: MixedConfig,
     machines: u32,
     // Counted, not boolean: with the one-minute linger a new session can
     // begin before the previous session's delayed departure fires.
@@ -288,7 +277,6 @@ impl MixedComponent {
         );
         MixedComponent {
             jobs: jobs.jobs.clone(),
-            config: *config,
             machines,
             active_count: vec![0; machines as usize],
             occupant: vec![None; machines as usize],
@@ -370,22 +358,6 @@ impl MixedComponent {
         (0..self.machines)
             .filter(|&m| self.active_count[m as usize] == 0 && self.occupant[m as usize].is_none())
             .collect()
-    }
-
-    /// When the migration of a `process_mem_mb`-MB image from machine
-    /// `from` to machine `to` completes, per the engine's cost model.
-    fn migration_done_at<M>(&self, ctx: &mut Ctx<'_, M>, from: u32, to: u32) -> SimTime {
-        match ctx.cost_mode() {
-            CostMode::Fixed => ctx.now() + self.migration_delay,
-            CostMode::Fabric => {
-                let bytes = self.config.process_mem_mb * 1024 * 1024;
-                let cost = ctx.transfer(from, to, bytes, ctx.now());
-                ctx.blame(category::AM_OVERHEAD, cost.overhead);
-                ctx.blame(category::FABRIC_WAIT, cost.wait);
-                ctx.blame(category::WIRE, cost.wire);
-                cost.delivered
-            }
-        }
     }
 }
 
@@ -473,11 +445,10 @@ impl<M: EventCast<MixedEvent> + 'static> Component<M> for MixedComponent {
                     self.states[i] = JobState::Paused {
                         machines: ms,
                         remaining,
-                        from: m,
                         needs_machine,
                     };
-                    if let Some(r) = replacement {
-                        let done_at = self.migration_done_at(ctx, m, r);
+                    if replacement.is_some() {
+                        let done_at = now + self.migration_delay;
                         ctx.schedule_at(done_at, M::upcast(MixedEvent::MigrationDone(i)));
                     }
                 }
@@ -494,21 +465,19 @@ impl<M: EventCast<MixedEvent> + 'static> Component<M> for MixedComponent {
             if let JobState::Paused {
                 machines,
                 remaining,
-                from,
                 needs_machine: true,
             } = &self.states[i]
             {
-                let (mut ms, remaining, from) = (machines.clone(), *remaining, *from);
+                let (mut ms, remaining) = (machines.clone(), *remaining);
                 let r = free.pop().expect("checked non-empty");
                 self.occupant[r as usize] = Some(i);
                 ms.push(r);
                 self.states[i] = JobState::Paused {
                     machines: ms,
                     remaining,
-                    from,
                     needs_machine: false,
                 };
-                let done_at = self.migration_done_at(ctx, from, r);
+                let done_at = now + self.migration_delay;
                 ctx.schedule_at(done_at, M::upcast(MixedEvent::MigrationDone(i)));
             }
         }

@@ -206,16 +206,6 @@ impl<K: Eq + Hash + Copy> LruCache<K> {
             HashMap::with_capacity_and_hasher(capacity, IdBuildHasher::default()),
         )
     }
-
-    /// Approximate heap + inline footprint in bytes, bounded by the
-    /// cache's capacity.
-    pub fn approx_bytes(&self) -> usize {
-        // A slab node, plus up to two index buckets (key, slot) with
-        // their control bytes: the table keeps spare buckets. A coarse
-        // per-entry estimate is enough for self-accounting.
-        let per_entry = std::mem::size_of::<Node<K>>() + std::mem::size_of::<(K, u32)>() * 2 + 2;
-        std::mem::size_of::<Self>() + self.capacity.max(self.index.len()) * per_entry
-    }
 }
 
 impl<K: Copy, I: LruIndex<K>> LruCache<K, I> {
