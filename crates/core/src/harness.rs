@@ -294,7 +294,9 @@ fn run_cell<W: Workload>(
             plan.horizon,
             observer.window_budget,
         ));
-        engine.schedule_at(id, SimTime::ZERO, W::Event::upcast(RecorderEvent::Sample));
+        // Outside every trace, so the workload's chains keep their trace
+        // ids and the causal sampler picks the same ones with or without it.
+        engine.schedule_untraced_at(id, SimTime::ZERO, W::Event::upcast(RecorderEvent::Sample));
         id
     });
 

@@ -357,6 +357,27 @@ mod tests {
     }
 
     #[test]
+    fn the_recorder_never_moves_which_chains_are_sampled() {
+        let blame = |sample_every: Option<SimDuration>| {
+            let observer = ScenarioObserver {
+                probe: Registry::new().probe(),
+                causal: Some(Arc::new(CausalLog::with_capacity(4_096))),
+                sample_every,
+                trace_sample_every: 32,
+                window_budget: None,
+                profile: false,
+            };
+            cluster()
+                .run_serve_observed(&spec(30_000), &observer)
+                .1
+                .blame
+        };
+        let recorded = blame(Some(SimDuration::from_millis(1)));
+        assert!(!recorded.is_empty(), "a sampled chain must be blamed");
+        assert_eq!(recorded, blame(None));
+    }
+
+    #[test]
     fn parallel_fanout_matches_serial() {
         let populations = [20_000u64, 40_000, 80_000].map(spec);
         assert_fanout_matches_serial(populations.to_vec(), NowCluster::run_serve_observed);
