@@ -23,6 +23,11 @@
 /// Default relative-error bound: quantile estimates within 1%.
 pub const DEFAULT_SKETCH_ALPHA: f64 = 0.01;
 
+/// Smallest relative-error bound a sketch takes: about 222k buckets
+/// (1.8 MB) cover the `u64` range at 1e-4, and the count grows as
+/// `1 / alpha` below it.
+const MIN_SKETCH_ALPHA: f64 = 1e-4;
+
 /// A streaming quantile sketch over `u64` values (typically latency
 /// nanoseconds) with bounded relative error and O(buckets) memory.
 ///
@@ -74,11 +79,13 @@ impl QuantileSketch {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < alpha < 1`.
+    /// Panics unless `1e-4 <= alpha < 1`: the buckets cover the whole
+    /// `u64` range, so a smaller alpha asks for millions of them, and near
+    /// 1e-17 their growth factor rounds to 1.
     pub fn with_alpha(alpha: f64) -> Self {
         assert!(
-            alpha > 0.0 && alpha < 1.0,
-            "sketch alpha must be in (0, 1), got {alpha}"
+            (MIN_SKETCH_ALPHA..1.0).contains(&alpha),
+            "sketch alpha must be in [1e-4, 1), got {alpha}"
         );
         let gamma = (1.0 + alpha) / (1.0 - alpha);
         let ln_gamma = gamma.ln();
@@ -398,6 +405,34 @@ mod tests {
         let mut a = QuantileSketch::with_alpha(0.01);
         let b = QuantileSketch::with_alpha(0.02);
         a.merge(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "sketch alpha must be in [1e-4, 1)")]
+    fn an_alpha_too_small_to_size_is_rejected() {
+        QuantileSketch::with_alpha(1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "sketch alpha must be in [1e-4, 1)")]
+    fn an_alpha_whose_growth_factor_rounds_to_one_is_rejected() {
+        QuantileSketch::with_alpha(1e-17);
+    }
+
+    #[test]
+    fn the_smallest_alpha_builds_and_records() {
+        let mut s = QuantileSketch::with_alpha(MIN_SKETCH_ALPHA);
+        assert!(s.approx_bytes() < 2 * 1024 * 1024, "{} B", s.approx_bytes());
+        for v in [0, 1_000, u64::MAX] {
+            s.record(v);
+        }
+        assert_eq!(s.count(), 3);
+        let p50 = s.quantile(0.5).unwrap();
+        assert!(
+            (p50 - 1_000.0).abs() <= MIN_SKETCH_ALPHA * 1_000.0,
+            "p50 {p50}"
+        );
+        assert_eq!(s.quantile(1.0), Some(u64::MAX as f64));
     }
 
     #[test]
