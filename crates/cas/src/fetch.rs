@@ -65,6 +65,18 @@ impl FetchStrategy {
     }
 }
 
+/// Size of a block request message.
+const REQUEST_BYTES: u64 = 128;
+/// Size of a tracker lookup request (cooperative only).
+const LOOKUP_BYTES: u64 = 96;
+/// Size of a tracker lookup reply (cooperative only).
+const LOOKUP_REPLY_BYTES: u64 = 32;
+/// Registry disk service per cold (first-touch) block; later touches hit
+/// the registry's page cache.
+const DISK_READ: SimDuration = SimDuration::from_millis(2);
+/// CPU time a peer spends serving one block from its cache.
+const PEER_SERVICE: SimDuration = SimDuration::from_micros(50);
+
 /// Shape of one distribution run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FetchConfig {
@@ -75,25 +87,15 @@ pub struct FetchConfig {
     pub registry_nics: u32,
     /// Per-node block-data budget in bytes (the partial cache's limit).
     pub cache_budget: u64,
-    /// Size of a block request message.
-    pub request_bytes: u64,
-    /// Size of a tracker lookup request (cooperative only).
-    pub lookup_bytes: u64,
-    /// Size of a tracker lookup reply (cooperative only).
-    pub lookup_reply_bytes: u64,
-    /// Registry disk service per cold (first-touch) block; later touches
-    /// hit the registry's page cache.
-    pub disk_read: SimDuration,
-    /// CPU time a peer spends serving one block from its cache.
-    pub peer_service: SimDuration,
     /// Seed for the per-node download-order shuffle.
     pub seed: u64,
 }
 
 impl FetchConfig {
-    /// A config with the workload knobs set and the cost constants at
-    /// their defaults (128 B requests, 96/32 B lookups, 2 ms cold disk
-    /// reads, 50 µs peer service).
+    /// A config of `fetchers` fetchers, `registry_nics` registry NICs, a
+    /// `cache_budget`-byte partial cache per node and a shuffle `seed`.
+    /// Every run prices 128 B requests, 96/32 B lookups, 2 ms cold disk
+    /// reads and 50 µs peer service.
     pub fn new(fetchers: u32, registry_nics: u32, cache_budget: u64, seed: u64) -> Self {
         assert!(fetchers > 0, "need at least one fetcher");
         assert!(registry_nics > 0, "the registry needs at least one NIC");
@@ -101,11 +103,6 @@ impl FetchConfig {
             fetchers,
             registry_nics,
             cache_budget,
-            request_bytes: 128,
-            lookup_bytes: 96,
-            lookup_reply_bytes: 32,
-            disk_read: SimDuration::from_millis(2),
-            peer_service: SimDuration::from_micros(50),
             seed,
         }
     }
@@ -307,16 +304,6 @@ impl FetchCore {
         self.probe = probe.clone();
     }
 
-    /// The strategy this core runs.
-    pub fn strategy(&self) -> FetchStrategy {
-        self.strategy
-    }
-
-    /// The run's configuration.
-    pub fn config(&self) -> &FetchConfig {
-        &self.config
-    }
-
     /// The registry's block store (dedup stats live here).
     pub fn store(&self) -> &BlockStore {
         &self.store
@@ -325,11 +312,6 @@ impl FetchCore {
     /// The image manifests being distributed.
     pub fn manifests(&self) -> &[ImageManifest] {
         &self.manifests
-    }
-
-    /// The partial caches, one per fetcher.
-    pub fn caches(&self) -> &[PartialCache] {
-        &self.caches
     }
 
     /// Counters so far.
@@ -511,8 +493,8 @@ impl FetchCore {
         let cold = self.warmed.insert(hash);
         let disk = if cold {
             self.stats.disk_reads += 1;
-            ctx.blame(category::CAS_DISK, self.config.disk_read);
-            self.config.disk_read
+            ctx.blame(category::CAS_DISK, DISK_READ);
+            DISK_READ
         } else {
             SimDuration::ZERO
         };
@@ -521,7 +503,7 @@ impl FetchCore {
         let disk_starts = if looked_up {
             ctx.now()
         } else {
-            let req = ctx.transfer(src, nic, self.config.request_bytes, ctx.now());
+            let req = ctx.transfer(src, nic, REQUEST_BYTES, ctx.now());
             ctx.blame(category::CAS_REGISTRY, req.total());
             req.delivered
         };
@@ -552,12 +534,7 @@ impl FetchCore {
         // The lookup travels to a registry NIC in both outcomes; on a
         // miss it doubles as the block request.
         let nic = self.next_nic();
-        let lookup = ctx.rpc(
-            src,
-            nic,
-            self.config.lookup_bytes,
-            self.config.lookup_reply_bytes,
-        );
+        let lookup = ctx.rpc(src, nic, LOOKUP_BYTES, LOOKUP_REPLY_BYTES);
         ctx.blame(category::CAS_REGISTRY, lookup.total());
         match self.pick_peer(node, hash) {
             Some(peer) => {
@@ -566,9 +543,9 @@ impl FetchCore {
                     .get(hash)
                     .expect("tracker only lists resident holders");
                 let len = bytes.len() as u64;
-                let departs = lookup.delivered + self.config.peer_service;
+                let departs = lookup.delivered + PEER_SERVICE;
                 let data = ctx.transfer(self.fetcher_fabric(peer), src, len, departs);
-                ctx.blame(category::CAS_PEER, self.config.peer_service + data.total());
+                ctx.blame(category::CAS_PEER, PEER_SERVICE + data.total());
                 self.stats.peer_blocks += 1;
                 self.stats.peer_bytes += len;
                 self.accept(node, hash, bytes);

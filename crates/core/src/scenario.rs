@@ -12,10 +12,10 @@
 //! background flows saturate a link, netram page fetches queue behind them
 //! and the job's barriers slip — the contention curve `now-bench` reports.
 //!
-//! Node allocation on an `n`-node cluster running `k` job workers and `h`
-//! netram hosts: workers (and cache clients) on nodes `0..k`, the paging
-//! process on node `k`, the netram hosts on `k+1..=k+h`, and the file
-//! server on node `n-1`.
+//! Node allocation on an `n`-node cluster running `k = 8` job workers and
+//! `h = 8` netram hosts: workers (and cache clients) on nodes `0..k`, the
+//! paging process on node `k`, the netram hosts on `k+1..=k+h`, and the
+//! file server on node `n-1`.
 
 use std::collections::BTreeSet;
 
@@ -41,6 +41,29 @@ use crate::harness::{
 
 /// Spare workstations reserved as replacements for dead workers.
 const SPARE_NODES: usize = 2;
+
+/// BSP job workers, on nodes `0..JOB_WORKERS`.
+const JOB_WORKERS: u32 = 8;
+/// Per-round compute per worker.
+const JOB_COMPUTE: SimDuration = SimDuration::from_micros(200);
+/// Bytes each worker ships to its ring neighbour per round.
+const JOB_MESSAGE_BYTES: u64 = 8_192;
+/// Smoothing sweeps the paging process performs. Two: the first spills
+/// the overflow to the pool, the second streams it back — the fetches the
+/// metric measures.
+const PAGING_SWEEPS: u32 = 2;
+/// Idle machines donating DRAM to network RAM.
+const NETRAM_HOSTS: u32 = 8;
+/// Bytes per background frame.
+const BACKGROUND_BYTES: u64 = 8_192;
+/// Cadence of the background flows.
+const BACKGROUND_INTERVAL: SimDuration = SimDuration::from_micros(500);
+/// Heartbeat interval of the failure detector.
+const FAULT_HEARTBEAT: SimDuration = SimDuration::from_millis(50);
+/// Delay between detecting a dead worker and its spare taking over.
+const FAULT_RESTART_DELAY: SimDuration = SimDuration::from_millis(100);
+/// Reconstruction data streamed per replaced disk, MB.
+const RAID_REBUILD_MB: u64 = 8;
 
 /// Events of the coupled scenario's engine: one variant per subsystem,
 /// so each component keeps its own event type and [`EventCast`] routes.
@@ -352,34 +375,25 @@ const RECORDED_GAUGES: [&str; 6] = [
 ];
 
 /// Parameters of the coupled scenario (see [`NowCluster::run_scenario`]).
+///
+/// The cell's shape is fixed: 8 job workers exchanging 8-KB ring messages
+/// after 200 µs of compute, a two-sweep paging process over 8 netram
+/// hosts, 8-KB background frames every 500 µs, and a 50-ms heartbeat,
+/// 100-ms restart delay and 8-MB rebuild for faults.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
-    /// BSP job workers (nodes `0..job_workers`).
-    pub job_workers: u32,
     /// BSP rounds the job runs.
     pub job_rounds: u32,
-    /// Per-round compute per worker.
-    pub job_compute: SimDuration,
-    /// Bytes each worker ships to its ring neighbour per round.
-    pub job_message_bytes: u64,
     /// Out-of-core problem size for the paging process, MB.
     pub paging_problem_mb: u64,
     /// Local DRAM of the paging process's workstation, MB.
     pub paging_local_mb: u64,
-    /// Smoothing sweeps the paging process performs.
-    pub paging_sweeps: u32,
-    /// Idle machines donating DRAM to network RAM.
-    pub netram_hosts: u32,
     /// Donated DRAM per idle machine, MB.
     pub netram_mb_per_host: u64,
     /// File-cache accesses per second across the cache clients.
     pub cache_accesses_per_sec: f64,
     /// Background flows (0 = an unloaded fabric).
     pub background_flows: u32,
-    /// Bytes per background frame.
-    pub background_bytes: u64,
-    /// Cadence of the background flows.
-    pub background_interval: SimDuration,
     /// When the open-loop sources (traffic, cache trace) stop.
     pub horizon: SimDuration,
     /// Master seed for the generated traces.
@@ -390,12 +404,6 @@ pub struct ScenarioSpec {
     /// Mirror every network-RAM page on a second host, halving pool
     /// capacity but surviving a single host crash without page loss.
     pub netram_mirrored: bool,
-    /// Heartbeat interval of the failure detector.
-    pub fault_heartbeat: SimDuration,
-    /// Delay between detecting a dead worker and its spare taking over.
-    pub fault_restart_delay: SimDuration,
-    /// Reconstruction data streamed per replaced disk, MB.
-    pub raid_rebuild_mb: u64,
     /// Independent copies of the scenario run side by side: cell `c` is
     /// the single-cell run at seed `seed + c`, on its own engine and its
     /// own replica of the cluster's fabric. `1` is the classic single-cell
@@ -422,28 +430,16 @@ impl ScenarioSpec {
     /// load the shared links.
     pub fn contention_default() -> Self {
         ScenarioSpec {
-            job_workers: 8,
             job_rounds: 400,
-            job_compute: SimDuration::from_micros(200),
-            job_message_bytes: 8_192,
             paging_problem_mb: 64,
             paging_local_mb: 32,
-            // Two sweeps: the first spills the overflow to the pool, the
-            // second streams it back — the fetches the metric measures.
-            paging_sweeps: 2,
-            netram_hosts: 8,
             netram_mb_per_host: 8,
             cache_accesses_per_sec: 40.0,
             background_flows: 0,
-            background_bytes: 8_192,
-            background_interval: SimDuration::from_micros(500),
             horizon: SimDuration::from_secs(4),
             seed: 42,
             faults: FaultPlan::new(),
             netram_mirrored: false,
-            fault_heartbeat: SimDuration::from_millis(50),
-            fault_restart_delay: SimDuration::from_millis(100),
-            raid_rebuild_mb: 8,
             cells: 1,
             partitions: 1,
             am_batch: BatchConfig::disabled(),
@@ -507,7 +503,7 @@ fn build_cell(
     n: u32,
     probe: &Probe,
 ) -> CellIds {
-    let (k, h) = (spec.job_workers, spec.netram_hosts);
+    let (k, h) = (JOB_WORKERS, NETRAM_HOSTS);
     let worker_nodes: Vec<u32> = (0..k).collect();
     let pager_node = k;
     let host_nodes: Vec<u32> = (k + 1..=k + h).collect();
@@ -517,8 +513,8 @@ fn build_cell(
     let mut job = BspJobComponent::new(
         worker_nodes.clone(),
         spec.job_rounds,
-        spec.job_compute,
-        spec.job_message_bytes,
+        JOB_COMPUTE,
+        JOB_MESSAGE_BYTES,
     );
     job.set_probe(probe);
     let job_id = engine.register(job);
@@ -533,7 +529,7 @@ fn build_cell(
         cost: RemoteAccessCost::table2_atm(),
     };
     let app = MultigridConfig {
-        sweeps: spec.paging_sweeps,
+        sweeps: PAGING_SWEEPS,
         ..MultigridConfig::paper_defaults()
     };
     let pages = spec.paging_problem_mb * 1024 * 1024 / PAGE_BYTES;
@@ -574,8 +570,8 @@ fn build_cell(
         .collect();
     let mut traffic = TrafficComponent::new(
         flows,
-        spec.background_bytes,
-        spec.background_interval,
+        BACKGROUND_BYTES,
+        BACKGROUND_INTERVAL,
         SimTime::ZERO + spec.horizon,
     );
     traffic.set_probe(probe);
@@ -593,19 +589,19 @@ fn build_cell(
         storage.push(server_node);
     }
     let membership = MembershipConfig {
-        heartbeat: spec.fault_heartbeat,
+        heartbeat: FAULT_HEARTBEAT,
         ..MembershipConfig::default()
     };
-    let detection_window = spec.fault_heartbeat * u64::from(membership.miss_limit + 1);
+    let detection_window = FAULT_HEARTBEAT * u64::from(membership.miss_limit + 1);
     let tick_until = spec.faults.last_time().unwrap_or(SimTime::ZERO)
         + detection_window
-        + spec.fault_restart_delay
-        + spec.fault_heartbeat * 2;
+        + FAULT_RESTART_DELAY
+        + FAULT_HEARTBEAT * 2;
     let mut control = ClusterControl::new(
         n,
         membership,
-        spec.fault_restart_delay,
-        spec.raid_rebuild_mb * 1024 * 1024,
+        FAULT_RESTART_DELAY,
+        RAID_REBUILD_MB * 1024 * 1024,
         ControlWiring {
             job_id,
             solver_id,
@@ -652,7 +648,7 @@ fn build_cell(
         );
         engine.schedule_at(
             control_id,
-            SimTime::ZERO + spec.fault_heartbeat,
+            SimTime::ZERO + FAULT_HEARTBEAT,
             ScenarioEvent::Control(ControlEvent::Tick),
         );
     }
@@ -753,8 +749,9 @@ impl NowCluster {
     ///
     /// # Panics
     ///
-    /// Panics if the node allocation does not fit: the cluster needs
-    /// `job_workers + netram_hosts + 2` nodes or more.
+    /// Panics if the node allocation does not fit: the cluster needs 18
+    /// nodes or more (8 job workers, 8 netram hosts, the pager and the
+    /// file server).
     pub fn run_scenario(&self, spec: &ScenarioSpec) -> ScenarioOutcome {
         self.run_scenario_observed(spec, &ScenarioObserver::disabled())
             .0
@@ -785,7 +782,7 @@ impl NowCluster {
         spec: &ScenarioSpec,
         observer: &ScenarioObserver,
     ) -> (ScenarioOutcome, ScenarioObservations) {
-        let (n, k, h) = (self.nodes(), spec.job_workers, spec.netram_hosts);
+        let (n, k, h) = (self.nodes(), JOB_WORKERS, NETRAM_HOSTS);
         assert!(
             k + h + 2 <= n,
             "scenario needs {k} workers + {h} netram hosts + pager + server; \
@@ -1068,7 +1065,7 @@ pub(crate) mod tests {
         );
         assert_eq!(
             out.faults.rebuilt_bytes,
-            spec.raid_rebuild_mb * 1024 * 1024,
+            RAID_REBUILD_MB * 1024 * 1024,
             "the full reconstruction must stream"
         );
         let clean = cluster().run_scenario(&ScenarioSpec {

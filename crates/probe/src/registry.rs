@@ -8,9 +8,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default trace-ring capacity: generous for span-level tracing, bounded
-/// against per-event tracing of million-access workloads.
-const DEFAULT_TRACE_CAPACITY: usize = 65_536;
+/// Trace-ring capacity: generous for span-level tracing, bounded against
+/// per-event tracing of million-access workloads.
+const TRACE_CAPACITY: usize = 65_536;
 
 #[derive(Debug)]
 pub(crate) struct RegistryInner {
@@ -56,13 +56,8 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A fresh registry with the default trace capacity.
+    /// A fresh registry whose trace ring holds at most 65,536 events.
     pub fn new() -> Self {
-        Registry::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A fresh registry whose trace ring holds at most `capacity` events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
         Registry {
             inner: Arc::new(RegistryInner {
                 counters: Mutex::new(BTreeMap::new()),
@@ -70,7 +65,7 @@ impl Registry {
                 histograms: Mutex::new(BTreeMap::new()),
                 utils: Mutex::new(BTreeMap::new()),
                 util_epoch: Arc::new(AtomicU64::new(1)),
-                trace: TraceRing::new(capacity),
+                trace: TraceRing::new(TRACE_CAPACITY),
                 last_seen: AtomicU64::new(0),
             }),
         }
