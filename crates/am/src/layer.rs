@@ -98,97 +98,6 @@ impl Default for BatchConfig {
     }
 }
 
-/// A registered handler label: batch headers carry this two-byte id on
-/// the wire instead of the `&'static str` it interns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct HandlerId(pub u16);
-
-/// The registered handler-id table: interns the `&'static str` handler
-/// and blame labels this crate puts on the wire or into causal records,
-/// so protocol headers ship a [`HandlerId`] instead of a string.
-///
-/// Registration order is fixed at construction (the protocol labels are
-/// interned first), so ids are stable across runs and across peers built
-/// from the same binary — the property that lets a header id be decoded
-/// without negotiation.
-#[derive(Debug, Clone, Default)]
-pub struct HandlerTable {
-    names: Vec<&'static str>,
-}
-
-/// The request handler every [`ActiveMessages::request_at`] message runs.
-pub const HANDLER_REQUEST: &str = "am.request";
-/// The reply handler that returns the sender's credit.
-pub const HANDLER_REPLY: &str = "am.reply";
-/// The batch-header handler: unpacks members and runs each in FIFO order.
-pub const HANDLER_BATCH: &str = "am.batch";
-
-/// Every label the protocol engine and the fabric transports attach to
-/// wire headers or blame records, in interning order.
-const PROTOCOL_LABELS: [&str; 6] = [
-    HANDLER_REQUEST,
-    HANDLER_REPLY,
-    HANDLER_BATCH,
-    "net.overhead",
-    "net.wait",
-    "net.wire",
-];
-
-impl HandlerTable {
-    /// A table pre-loaded with the protocol's own labels.
-    pub fn with_protocol_labels() -> Self {
-        let mut table = HandlerTable::default();
-        for label in PROTOCOL_LABELS {
-            table.register(label);
-        }
-        table
-    }
-
-    /// Interns `name`, returning its id (existing id if already interned).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the table outgrows the two-byte id space.
-    pub fn register(&mut self, name: &'static str) -> HandlerId {
-        if let Some(i) = self.names.iter().position(|&n| n == name) {
-            return HandlerId(i as u16);
-        }
-        assert!(
-            self.names.len() < usize::from(u16::MAX),
-            "handler-id space exhausted"
-        );
-        self.names.push(name);
-        HandlerId((self.names.len() - 1) as u16)
-    }
-
-    /// The label an id was registered under.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unregistered id.
-    pub fn name(&self, id: HandlerId) -> &'static str {
-        self.names[usize::from(id.0)]
-    }
-
-    /// The id a label was registered under, if any.
-    pub fn lookup(&self, name: &str) -> Option<HandlerId> {
-        self.names
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| HandlerId(i as u16))
-    }
-
-    /// Registered labels.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
 /// What the protocol engine reports back as simulation advances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Notification {
@@ -295,16 +204,6 @@ struct Aggregation {
     flush_event: Option<EventId>,
 }
 
-/// An in-flight batch: the wire-level unit the credit/timeout/retry
-/// machinery sees, with the member list its notifications fan out from.
-#[derive(Debug)]
-struct Batch {
-    /// The handler id the batch header carries on the wire.
-    handler: HandlerId,
-    /// `(member id, payload bytes)` in FIFO order.
-    members: Vec<(MsgId, u64)>,
-}
-
 #[derive(Debug, Clone)]
 struct OutstandingReq {
     src: NodeId,
@@ -348,8 +247,10 @@ pub struct ActiveMessages {
     pending_params: HashMap<MsgId, (NodeId, NodeId, u64)>,
     /// Open aggregation queues, one per `(src, dst)` with batching on.
     agg: HashMap<(NodeId, NodeId), Aggregation>,
-    /// In-flight batches keyed by their wire-level [`MsgId`].
-    batches: HashMap<MsgId, Batch>,
+    /// In-flight batches keyed by their wire-level [`MsgId`]: the unit the
+    /// credit/timeout/retry machinery sees. Each holds its `(member id,
+    /// payload bytes)` in FIFO order, the order its notifications fan out.
+    batches: HashMap<MsgId, Vec<(MsgId, u64)>>,
     /// Free list of member buffers recycled across batches, so the
     /// steady-state batching path allocates nothing once warm.
     batch_pool: Vec<Vec<(MsgId, u64)>>,
@@ -357,10 +258,6 @@ pub struct ActiveMessages {
     /// [`ActiveMessages::advance`] before the event queue is popped so
     /// per-member notifications come out in FIFO order.
     pending_notes: VecDeque<Notification>,
-    /// The registered handler-id table batch headers index into.
-    handlers: HandlerTable,
-    /// The id batch headers carry (the request handler's).
-    request_handler: HandlerId,
     next_id: u64,
     stats: AmStats,
     probe: Probe,
@@ -377,8 +274,6 @@ impl ActiveMessages {
                 ..Default::default()
             });
         }
-        let mut handlers = HandlerTable::with_protocol_labels();
-        let request_handler = handlers.register(HANDLER_BATCH);
         ActiveMessages {
             net,
             config,
@@ -393,17 +288,10 @@ impl ActiveMessages {
             batches: HashMap::new(),
             batch_pool: Vec::new(),
             pending_notes: VecDeque::new(),
-            handlers,
-            request_handler,
             next_id: 0,
             stats: AmStats::default(),
             probe: Probe::disabled(),
         }
-    }
-
-    /// The registered handler-id table (batch headers carry its ids).
-    pub fn handlers(&self) -> &HandlerTable {
-        &self.handlers
     }
 
     /// Attaches a telemetry probe. Counters mirror [`AmStats`] under
@@ -557,14 +445,13 @@ impl ActiveMessages {
                     self.outstanding.remove(&id);
                     // Release the credit so the pair does not deadlock.
                     self.return_credit(req.src, req.dst, now);
-                    if let Some(batch) = self.batches.remove(&id) {
+                    if let Some(mut members) = self.batches.remove(&id) {
                         // The whole batch fails: one RequestFailed per
                         // member, FIFO, the first returned directly.
                         self.pending_params.remove(&id);
-                        let n = batch.members.len() as u64;
+                        let n = members.len() as u64;
                         self.stats.failed += n;
                         self.probe.count("am.failed", n);
-                        let mut members = batch.members;
                         let mut it = members.drain(..);
                         let (first, _) = it.next().expect("a batch is never empty");
                         for (m, _) in it {
@@ -707,13 +594,7 @@ impl ActiveMessages {
         let batch_id = MsgId(self.next_id);
         self.next_id += 1;
         self.pending_params.insert(batch_id, (src, dst, agg.bytes));
-        self.batches.insert(
-            batch_id,
-            Batch {
-                handler: self.request_handler,
-                members: agg.members,
-            },
-        );
+        self.batches.insert(batch_id, agg.members);
         if *self.credits_mut(src, dst) > 0 {
             self.launch(batch_id, now, 0, now);
         } else {
@@ -771,13 +652,11 @@ impl ActiveMessages {
         if self.batches.contains_key(&id) {
             // A batch header: the unpacking handler runs each member in
             // FIFO order. One reply acknowledges the whole batch.
-            let n = self.batches[&id].members.len() as u64;
+            let n = self.batches[&id].len() as u64;
             self.stats.delivered += n;
             self.probe.count("am.delivered", n);
             self.send_reply(id, dst, src, now);
-            let batch = &self.batches[&id];
-            debug_assert_eq!(self.handlers.name(batch.handler), HANDLER_BATCH);
-            let mut it = batch.members.iter();
+            let mut it = self.batches[&id].iter();
             let &(first, _) = it.next().expect("a batch is never empty");
             for &(m, _) in it {
                 self.pending_notes
@@ -825,17 +704,16 @@ impl ActiveMessages {
         };
         debug_assert_eq!(req.src, at, "reply must return to the sender");
         self.queue.cancel(req.timeout_event);
-        if let Some(batch) = self.batches.remove(&id) {
+        if let Some(mut members) = self.batches.remove(&id) {
             // The batch acknowledgment completes every member; the RTT
             // histogram records the batch round trip once.
-            let n = batch.members.len() as u64;
+            let n = members.len() as u64;
             self.stats.replies += n;
             self.probe.count("am.replies", n);
             self.probe
                 .record("am.rtt.ns", now.saturating_since(req.issued));
             self.pending_params.remove(&id);
             self.return_credit(req.src, req.dst, now);
-            let mut members = batch.members;
             let mut it = members.drain(..);
             let (first, _) = it.next().expect("a batch is never empty");
             for (m, _) in it {

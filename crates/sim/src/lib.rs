@@ -24,8 +24,6 @@
 //! * [`SimRng`] — a seeded random source with the distributions the workload
 //!   generators need (uniform, exponential, Zipf, Pareto, normal) implemented
 //!   locally so results do not drift with external crate versions.
-//! * [`stats`] — online accumulators (mean/variance, percentiles, histograms,
-//!   time-weighted utilization) used to summarise simulation output.
 //! * [`report`] — plain-text table formatting used by the experiment harness
 //!   to print paper-style tables and figure series.
 //!
@@ -65,7 +63,6 @@ mod time;
 
 pub mod parallel;
 pub mod report;
-pub mod stats;
 
 pub use engine::{
     CausalRecord, CausalSink, Component, ComponentId, CostMode, Ctx, Engine, EventCast,

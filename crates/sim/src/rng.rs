@@ -181,8 +181,7 @@ impl SimRng {
 /// # Example
 ///
 /// ```
-/// use now_sim::{SimRng, stats::Accumulator};
-/// use now_sim::ZipfSampler;
+/// use now_sim::{SimRng, ZipfSampler};
 ///
 /// let mut rng = SimRng::new(7);
 /// let zipf = ZipfSampler::new(1_000, 0.8);

@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use now_sim::stats::{Accumulator, Percentiles};
 use now_sim::{
     DenseIndex, EventId, EventQueue, LruCache, SimDuration, SimRng, SimTime, Touch, ZipfSampler,
 };
@@ -150,53 +149,6 @@ proptest! {
             );
         }
         prop_assert_eq!(q.len(), keepers);
-    }
-
-    /// Welford accumulator agrees with the two-pass computation.
-    #[test]
-    fn accumulator_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 1..500)) {
-        let mut acc = Accumulator::new();
-        for &x in &xs {
-            acc.add(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        prop_assert!((acc.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((acc.population_variance() - var).abs() <= 1e-4 * (1.0 + var));
-    }
-
-    /// Merging accumulators over any split equals accumulating the whole.
-    #[test]
-    fn accumulator_merge_any_split(
-        xs in prop::collection::vec(-1e3f64..1e3, 2..200),
-        split_frac in 0.0f64..1.0,
-    ) {
-        let split = ((xs.len() as f64 * split_frac) as usize).min(xs.len());
-        let mut whole = Accumulator::new();
-        for &x in &xs { whole.add(x); }
-        let mut a = Accumulator::new();
-        let mut b = Accumulator::new();
-        for &x in &xs[..split] { a.add(x); }
-        for &x in &xs[split..] { b.add(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-8);
-        prop_assert!((a.population_variance() - whole.population_variance()).abs() < 1e-6);
-    }
-
-    /// Quantiles are members of the sample and are monotone in q.
-    #[test]
-    fn quantiles_monotone_and_members(xs in prop::collection::vec(-1e6f64..1e6, 1..300)) {
-        let mut p = Percentiles::new();
-        for &x in &xs { p.add(x); }
-        let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0];
-        let mut last = f64::NEG_INFINITY;
-        for &q in &qs {
-            let v = p.quantile(q).unwrap();
-            prop_assert!(xs.contains(&v), "quantile must be an observed sample");
-            prop_assert!(v >= last);
-            last = v;
-        }
     }
 
     /// Zipf samples are always in range and the rank-frequency curve is
