@@ -146,7 +146,7 @@ enum Served {
 /// fabric, so the saturation point emerges from contention.
 pub struct ServeComponent {
     config: ServeConfig,
-    /// Fabric node of each front-end (identity when unset).
+    /// Fabric node of each front-end.
     client_nodes: Vec<u32>,
     /// Fabric node of the server.
     server_node: u32,
@@ -172,20 +172,24 @@ pub struct ServeComponent {
 }
 
 impl ServeComponent {
-    /// Builds the serving cluster with `front_ends` client workstations.
+    /// Builds the serving cluster: front-end `i` on fabric node
+    /// `client_nodes[i]` and the server on `server_node`.
     ///
     /// # Panics
     ///
-    /// Panics if `front_ends` is zero, the catalog is empty, or the
+    /// Panics if `client_nodes` is empty, the catalog is empty, or the
     /// population is zero.
-    pub fn new(config: ServeConfig, front_ends: usize) -> Self {
-        assert!(front_ends > 0, "need at least one front-end workstation");
+    pub fn new(config: ServeConfig, client_nodes: Vec<u32>, server_node: u32) -> Self {
+        assert!(
+            !client_nodes.is_empty(),
+            "need at least one front-end workstation"
+        );
         assert!(config.catalog_objects > 0, "catalog must be non-empty");
         assert!(config.population > 0, "population must be positive");
         let mut rng = SimRng::new(config.seed);
         let zipf = ZipfSampler::new(config.catalog_objects, config.zipf_theta);
         let cache = |blocks| LruCache::with_index(blocks, DenseIndex::new(config.catalog_objects));
-        let clients = (0..front_ends)
+        let clients = (0..client_nodes.len())
             .map(|_| cache(config.client_blocks))
             .collect();
         let server = cache(config.server_blocks);
@@ -195,8 +199,8 @@ impl ServeComponent {
         let _ = rng.f64();
         ServeComponent {
             config,
-            client_nodes: Vec::new(),
-            server_node: 0,
+            client_nodes,
+            server_node,
             clients,
             server,
             rng,
@@ -215,16 +219,6 @@ impl ServeComponent {
             server_gauge: Gauge::default(),
             disk_gauge: Gauge::default(),
         }
-    }
-
-    /// Places front-end `i` on fabric node `client_nodes[i]` and the
-    /// server on `server_node` (front-end `i` on node `i` and the server
-    /// on node 0 otherwise).
-    #[must_use]
-    pub fn with_placement(mut self, client_nodes: Vec<u32>, server_node: u32) -> Self {
-        self.client_nodes = client_nodes;
-        self.server_node = server_node;
-        self
     }
 
     /// Attaches a telemetry probe publishing the `serve.*` gauges the
@@ -282,10 +276,7 @@ impl ServeComponent {
     }
 
     fn node_of(&self, client: u32) -> u32 {
-        self.client_nodes
-            .get(client as usize)
-            .copied()
-            .unwrap_or(client)
+        self.client_nodes[client as usize]
     }
 
     /// Mean interarrival of the aggregate open-loop stream: one user's
@@ -436,7 +427,7 @@ mod tests {
     fn run_to_end(cfg: ServeConfig) -> (Engine<ServeEvent>, ComponentId) {
         let fabric = FabricTransport::new(presets::am_atm(5));
         let mut engine = Engine::with_transport(Box::new(fabric));
-        let serve = ServeComponent::new(cfg, 4).with_placement((0..4).collect(), 4);
+        let serve = ServeComponent::new(cfg, (0..4).collect(), 4);
         let id = engine.register(serve);
         engine.schedule_at(id, SimTime::ZERO, ServeEvent::Arrival);
         engine.run();

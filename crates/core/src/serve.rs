@@ -129,9 +129,11 @@ impl Workload for Serve<'_> {
     }
 
     fn register(&self, engine: &mut Engine<ServeScenarioEvent>, probe: &Probe) -> ComponentId {
-        let front_ends = self.spec.front_ends;
-        let mut serve = ServeComponent::new(self.spec.config.clone(), front_ends)
-            .with_placement((0..front_ends as u32).collect(), self.cluster.nodes() - 1);
+        let mut serve = ServeComponent::new(
+            self.spec.config.clone(),
+            (0..self.spec.front_ends as u32).collect(),
+            self.cluster.nodes() - 1,
+        );
         serve.set_probe(probe);
         let id = engine.register(serve);
         engine.schedule_at(
