@@ -1,6 +1,7 @@
 //! End-to-end checks on the observatory surface: the Chrome trace export
-//! parses as JSON with monotone timestamps, and the `repro diff`
-//! regression gate catches an injected regression with a nonzero exit.
+//! parses as JSON with monotone timestamps, the `repro diff` regression
+//! gate catches an injected regression with a nonzero exit, and bad
+//! `repro` arguments exit 2.
 
 use std::process::Command;
 
@@ -133,4 +134,26 @@ fn repro_diff_usage_errors_exit_two() {
         .output()
         .expect("repro diff runs");
     assert_eq!(out.status.code(), Some(2), "unknown flags are usage errors");
+
+    // Bad report flags and scenario names are usage errors too: exit 2
+    // with a message, never a panic.
+    for argv in [
+        &["--nodes", "0"][..],
+        &["--nodes", "33"],
+        &["--nodes"],
+        &["--jobs", "0"],
+        &["--partitions", "x"],
+        &["--am-batch", "-1"],
+        &["--metrics=xml"],
+        &["--bogus"],
+        &["tabel3"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(argv)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
 }
