@@ -59,4 +59,4 @@ pub use bench::{
 };
 pub use bulk::{barrier, broadcast, bulk_put, bulk_put_probed, BulkOutcome, FRAGMENT_BYTES};
 pub use layer::{ActiveMessages, AmConfig, AmStats, BatchConfig, MsgId, Notification};
-pub use transport::{BatchingTransport, FabricTransport};
+pub use transport::BatchingTransport;

@@ -1,69 +1,18 @@
-//! Engine transports backed by the live `now-net` fabric models.
+//! Active-message batching at the engine's transport seam.
 //!
 //! The simulation engine ([`now_sim::Engine`]) charges remote traffic
-//! through the [`Transport`] trait. [`FabricTransport`] closes the loop
-//! with the `now-net` crate: every transfer runs through a real fabric
-//! model — occupancy and queue wait — so components that share one
-//! transport contend with each other exactly as the paper argues NOW
-//! subsystems must. [`BatchingTransport`] amortizes per-message overhead
-//! over any transport.
+//! through the [`Transport`] trait, which a [`now_net::Network`]
+//! implements itself. [`BatchingTransport`] wraps any transport — in the
+//! scenarios, the network — and amortizes per-message overhead over the
+//! messages of one aggregation window.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use now_net::{Network, NodeId};
 use now_probe::Probe;
 use now_sim::{IdBuildHasher, SimDuration, SimTime, TransferCost, Transport};
 
 use crate::layer::BatchConfig;
-
-/// A [`Transport`] that charges every transfer against one shared
-/// [`Network`] — fabric occupancy, software stack, and NIC overhead
-/// included.
-///
-/// The transport owns its network: every component of the engine that
-/// holds it contends for the same occupancy state, and nothing outside
-/// the engine touches it. Observe the fabric through the network's probe.
-///
-/// # Example
-///
-/// ```
-/// use now_am::FabricTransport;
-/// use now_net::presets;
-/// use now_sim::{SimTime, Transport};
-///
-/// let mut t = FabricTransport::new(presets::am_atm(8));
-/// let cost = t.transfer(0, 5, 8_192, SimTime::ZERO);
-/// assert!(cost.delivered > SimTime::ZERO);
-/// // Local copies are free: no fabric involved.
-/// assert_eq!(t.transfer(3, 3, 8_192, SimTime::ZERO).delivered, SimTime::ZERO);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FabricTransport {
-    net: Network,
-}
-
-impl FabricTransport {
-    /// Wraps a network in a transport, taking ownership.
-    pub fn new(net: Network) -> Self {
-        FabricTransport { net }
-    }
-}
-
-impl Transport for FabricTransport {
-    fn transfer(&mut self, src: u32, dst: u32, bytes: u64, now: SimTime) -> TransferCost {
-        if src == dst {
-            return TransferCost::free(now); // local copy: the fabric is not involved
-        }
-        let out = self.net.transfer(NodeId(src), NodeId(dst), bytes, now);
-        TransferCost {
-            delivered: out.delivered_at,
-            overhead: out.send_cpu + out.recv_cpu,
-            wait: out.wire_start.saturating_since(now + out.send_cpu),
-            wire: out.wire_done_at.saturating_since(out.wire_start),
-        }
-    }
-}
 
 /// One open aggregation window on a `(src, dst)` pair.
 #[derive(Debug, Clone, Copy)]
@@ -185,45 +134,6 @@ impl<T: Transport> Transport for BatchingTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_net::presets;
-    use now_sim::SimDuration;
-
-    #[test]
-    fn fabric_transport_matches_network_arithmetic() {
-        let mut net = presets::am_atm(8);
-        let expect = net
-            .transfer(NodeId(1), NodeId(2), 4_096, SimTime::ZERO)
-            .delivered_at;
-        let mut t = FabricTransport::new(presets::am_atm(8));
-        assert_eq!(t.transfer(1, 2, 4_096, SimTime::ZERO).delivered, expect);
-    }
-
-    #[test]
-    fn local_transfers_are_free_on_both_transports() {
-        let mut f = FabricTransport::new(presets::am_atm(4));
-        let now = SimTime::from_micros(7);
-        assert_eq!(f.transfer(2, 2, 1 << 20, now), TransferCost::free(now));
-    }
-
-    #[test]
-    fn detailed_breakdown_partitions_delivery_time() {
-        let mut t = FabricTransport::new(presets::am_atm(8));
-        // Uncontended reference cost first.
-        let quiet = t.transfer(4, 5, 8_192, SimTime::ZERO);
-        assert_eq!(SimTime::ZERO + quiet.total(), quiet.delivered);
-        // Load the path to node 1 so a follow-up transfer contends.
-        t.transfer(0, 1, 1 << 20, SimTime::ZERO);
-        let now = SimTime::from_micros(1);
-        let cost = t.transfer(0, 1, 8_192, now);
-        assert_eq!(now + cost.total(), cost.delivered, "pieces partition");
-        assert!(cost.overhead > SimDuration::ZERO);
-        assert!(cost.wire > SimDuration::ZERO);
-        assert!(
-            cost.wait + cost.wire > quiet.wait + quiet.wire,
-            "contention must show up in the wait/wire terms, \
-             not vanish from the breakdown"
-        );
-    }
 
     /// An inner transport whose every remote transfer costs the same
     /// overhead, wait and wire, so batching's effect on the reported cost

@@ -402,7 +402,6 @@ impl<M: EventCast<ServeEvent> + 'static> Component<M> for ServeComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_am::FabricTransport;
     use now_net::presets;
     use now_sim::{ComponentId, Engine};
 
@@ -425,8 +424,7 @@ mod tests {
     /// Runs `cfg` to completion on a five-node AM-over-ATM fabric:
     /// four front-ends on nodes 0..4, the server on node 4.
     fn run_to_end(cfg: ServeConfig) -> (Engine<ServeEvent>, ComponentId) {
-        let fabric = FabricTransport::new(presets::am_atm(5));
-        let mut engine = Engine::with_transport(Box::new(fabric));
+        let mut engine = Engine::with_transport(Box::new(presets::am_atm(5)));
         let serve = ServeComponent::new(cfg, (0..4).collect(), 4);
         let id = engine.register(serve);
         engine.schedule_at(id, SimTime::ZERO, ServeEvent::Arrival);

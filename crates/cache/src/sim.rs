@@ -6,9 +6,7 @@ use std::collections::{BTreeSet, HashMap};
 use now_mem::{LruCache, Touch};
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
-use now_sim::{
-    Component, CostMode, Ctx, Engine, EventCast, IdBuildHasher, SimDuration, SimRng, SimTime,
-};
+use now_sim::{Component, Ctx, Engine, EventCast, IdBuildHasher, SimDuration, SimRng, SimTime};
 use now_trace::fs::{AccessKind, BlockId, FsTrace};
 use serde::{Deserialize, Serialize};
 
@@ -349,26 +347,40 @@ enum RemoteSource {
     },
 }
 
+/// Where a placed [`CacheComponent`]'s clients and server sit on the
+/// fabric.
+struct Placement {
+    /// Fabric node of each client, by client id.
+    client_nodes: Vec<u32>,
+    /// Fabric node of the file server.
+    server_node: u32,
+}
+
+impl Placement {
+    fn node_of(&self, client: u32) -> u32 {
+        self.client_nodes[client as usize]
+    }
+}
+
 /// The cooperative-caching simulator as an engine [`Component`]: one trace
 /// access per event, replayed in trace order at trace timestamps.
 ///
-/// Under [`CostMode::Fixed`] reads are charged the [`AccessCosts`]
-/// constants — identical to the legacy loop, byte-for-byte. Under
-/// [`CostMode::Fabric`] every remote read moves real messages over the
-/// engine's shared transport: a request/response through the server for
-/// server (and pool) hits, a three-hop forward for peer hits, and the
-/// network leg of a disk read — so file traffic both suffers and causes
-/// fabric contention.
+/// An unplaced component charges reads the [`AccessCosts`] constants —
+/// identical to the legacy loop, byte-for-byte — and needs no transport.
+/// A component placed on the fabric ([`CacheComponent::with_placement`])
+/// moves every remote read as real messages over the engine's shared
+/// transport: a request/response through the server for server (and pool)
+/// hits, a three-hop forward for peer hits, and the network leg of a disk
+/// read — so file traffic both suffers and causes fabric contention.
 pub struct CacheComponent {
     trace: FsTrace,
     config: CacheConfig,
     cluster: Cluster,
     result: SimResult,
     forwarding: bool,
-    /// Fabric node of each client (identity when unset).
-    client_nodes: Vec<u32>,
-    /// Fabric node of the file server.
-    server_node: u32,
+    /// Where the clients and the server sit on the fabric; `None` prices
+    /// every read at the constants.
+    placement: Option<Placement>,
     /// Clients currently dead (ordered, for deterministic iteration).
     dead_clients: BTreeSet<u32>,
     /// Whether the server's storage array is running degraded.
@@ -429,8 +441,7 @@ impl CacheComponent {
                 degraded_reads: 0,
             },
             forwarding,
-            client_nodes: Vec::new(),
-            server_node: 0,
+            placement: None,
             dead_clients: BTreeSet::new(),
             degraded: false,
             hit_rate_gauge: Gauge::default(),
@@ -446,13 +457,17 @@ impl CacheComponent {
         self.read_ms_gauge = probe.gauge("cache.read_ms");
     }
 
-    /// Places client `i` on fabric node `client_nodes[i]` and the server
-    /// on `server_node`. Required for [`CostMode::Fabric`] engines;
-    /// ignored under [`CostMode::Fixed`].
+    /// Places client `i` on fabric node `client_nodes[i]` (one for every
+    /// trace client) and the server on `server_node`, so every read is
+    /// priced over the engine's transport
+    /// ([`now_sim::Engine::with_transport`]) instead of at the
+    /// [`AccessCosts`] constants.
     #[must_use]
     pub fn with_placement(mut self, client_nodes: Vec<u32>, server_node: u32) -> Self {
-        self.client_nodes = client_nodes;
-        self.server_node = server_node;
+        self.placement = Some(Placement {
+            client_nodes,
+            server_node,
+        });
         self
     }
 
@@ -467,13 +482,6 @@ impl CacheComponent {
         self.result
     }
 
-    fn node_of(&self, client: u32) -> u32 {
-        self.client_nodes
-            .get(client as usize)
-            .copied()
-            .unwrap_or(client)
-    }
-
     /// The service time of a remotely served read. One code path prices
     /// all three sources; only the hop pattern differs.
     fn remote_cost<M>(
@@ -482,37 +490,35 @@ impl CacheComponent {
         client: u32,
         source: RemoteSource,
     ) -> SimDuration {
-        match ctx.cost_mode() {
-            CostMode::Fixed => self.config.costs.remote_mem,
-            CostMode::Fabric => {
-                let now = ctx.now();
-                let c = self.node_of(client);
-                let delivered = match source {
-                    // One round trip through the manager/server.
-                    RemoteSource::Pool | RemoteSource::Server => {
-                        let cost = ctx.rpc(c, self.server_node, REQUEST_BYTES, BLOCK_BYTES);
-                        ctx.blame(category::AM_OVERHEAD, cost.overhead);
-                        ctx.blame(category::FABRIC_WAIT, cost.wait);
-                        ctx.blame(category::WIRE, cost.wire);
-                        cost.delivered
-                    }
-                    // Request to the server, forward to the holder, block
-                    // back to the requester.
-                    RemoteSource::Peer { holder } => {
-                        let h = self.node_of(holder);
-                        let server = self.server_node;
-                        let at_server = ctx.transfer(c, server, REQUEST_BYTES, now).delivered;
-                        let at_holder = ctx.transfer(server, h, REQUEST_BYTES, at_server).delivered;
-                        let delivered = ctx.transfer(h, c, BLOCK_BYTES, at_holder).delivered;
-                        // The whole three-hop detour is the price of
-                        // forwarding; charge it as one term.
-                        ctx.blame(category::CACHE_FORWARD, delivered.saturating_since(now));
-                        delivered
-                    }
-                };
-                delivered.saturating_since(now)
+        let Some(place) = &self.placement else {
+            return self.config.costs.remote_mem;
+        };
+        let now = ctx.now();
+        let c = place.node_of(client);
+        let server = place.server_node;
+        let delivered = match source {
+            // One round trip through the manager/server.
+            RemoteSource::Pool | RemoteSource::Server => {
+                let cost = ctx.rpc(c, server, REQUEST_BYTES, BLOCK_BYTES);
+                ctx.blame(category::AM_OVERHEAD, cost.overhead);
+                ctx.blame(category::FABRIC_WAIT, cost.wait);
+                ctx.blame(category::WIRE, cost.wire);
+                cost.delivered
             }
-        }
+            // Request to the server, forward to the holder, block back to
+            // the requester.
+            RemoteSource::Peer { holder } => {
+                let h = place.node_of(holder);
+                let at_server = ctx.transfer(c, server, REQUEST_BYTES, now).delivered;
+                let at_holder = ctx.transfer(server, h, REQUEST_BYTES, at_server).delivered;
+                let delivered = ctx.transfer(h, c, BLOCK_BYTES, at_holder).delivered;
+                // The whole three-hop detour is the price of forwarding;
+                // charge it as one term.
+                ctx.blame(category::CACHE_FORWARD, delivered.saturating_since(now));
+                delivered
+            }
+        };
+        delivered.saturating_since(now)
     }
 
     /// A read served from somewhere remote: bump the right counters,
@@ -539,22 +545,22 @@ impl CacheComponent {
             .insert_into_client(client, block, false, self.config.policy);
     }
 
-    /// The service time of a disk read: under a fabric, the network leg is
-    /// live and only the disk residue stays constant. While the storage
-    /// array runs degraded, the disk residue doubles — a read of a lost
-    /// block reconstructs from the surviving disks on the fly.
+    /// The service time of a disk read: placed on the fabric, the network
+    /// leg is live and only the disk residue stays constant. While the
+    /// storage array runs degraded, the disk residue doubles — a read of a
+    /// lost block reconstructs from the surviving disks on the fly.
     fn disk_cost<M>(&self, ctx: &mut Ctx<'_, M>, client: u32) -> SimDuration {
         let residue = self
             .config
             .costs
             .disk
             .saturating_sub(self.config.costs.remote_mem);
-        let base = match ctx.cost_mode() {
-            CostMode::Fixed => self.config.costs.disk,
-            CostMode::Fabric => {
+        let base = match &self.placement {
+            None => self.config.costs.disk,
+            Some(place) => {
                 let now = ctx.now();
-                let c = self.node_of(client);
-                let cost = ctx.rpc(c, self.server_node, REQUEST_BYTES, BLOCK_BYTES);
+                let c = place.node_of(client);
+                let cost = ctx.rpc(c, place.server_node, REQUEST_BYTES, BLOCK_BYTES);
                 ctx.blame(category::AM_OVERHEAD, cost.overhead);
                 ctx.blame(category::FABRIC_WAIT, cost.wait);
                 ctx.blame(category::WIRE, cost.wire);
@@ -602,8 +608,8 @@ impl CacheComponent {
     /// over — cold.
     fn recover_client(&mut self, client: u32, node: u32) {
         self.dead_clients.remove(&client);
-        if let Some(slot) = self.client_nodes.get_mut(client as usize) {
-            *slot = node;
+        if let Some(place) = &mut self.placement {
+            place.client_nodes[client as usize] = node;
         }
     }
 
@@ -1191,6 +1197,64 @@ mod tests {
                 "{policy:?}"
             );
         }
+    }
+
+    use now_sim::{TransferCost, Transport};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// A transport that counts its calls through a shared counter and
+    /// charges every remote transfer one microsecond of wire.
+    struct Counting(Arc<AtomicU64>);
+
+    impl Transport for Counting {
+        fn transfer(&mut self, src: u32, dst: u32, _: u64, now: SimTime) -> TransferCost {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            if src == dst {
+                return TransferCost::free(now);
+            }
+            let wire = SimDuration::from_micros(1);
+            TransferCost {
+                delivered: now + wire,
+                overhead: SimDuration::ZERO,
+                wait: SimDuration::ZERO,
+                wire,
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_placed_component_prices_on_the_transport() {
+        let t = trace();
+        let config = CacheConfig::small(Policy::NChance { n: 2 });
+        let run = |placed: bool| {
+            let calls = Arc::default();
+            let mut engine = Engine::with_transport(Box::new(Counting(Arc::clone(&calls))));
+            let mut component = CacheComponent::new(t.clone(), config.clone());
+            if placed {
+                component = component.with_placement((0..t.clients).collect(), t.clients);
+            }
+            let start = component
+                .first_access_time()
+                .expect("the trace is not empty");
+            let id = engine.register(component);
+            engine.schedule_at(id, start, CacheEvent::Access(0));
+            engine.run();
+            let result = engine.component::<CacheComponent>(id).result();
+            (result, calls.load(Ordering::Relaxed))
+        };
+        let (unplaced, calls) = run(false);
+        assert_eq!(
+            unplaced,
+            simulate(&t, &config),
+            "unplaced reads cost the constants"
+        );
+        assert_eq!(calls, 0, "an unplaced component never calls the transport");
+        let (_, calls) = run(true);
+        assert!(
+            calls > 0,
+            "a placed component prices its reads on the transport"
+        );
     }
 
     #[test]

@@ -581,7 +581,6 @@ impl std::fmt::Debug for FetchCore {
 mod tests {
     use super::*;
     use crate::image::ImageCatalogSpec;
-    use now_am::FabricTransport;
     use now_net::presets;
     use now_sim::Engine;
     use proptest::prelude::*;
@@ -590,9 +589,7 @@ mod tests {
     /// An engine on the AM-over-ATM fabric, with a node for each of
     /// `fetchers` fetchers and two registry NICs.
     fn fabric_engine(fetchers: u32) -> Engine<CasEvent> {
-        Engine::with_transport(Box::new(FabricTransport::new(presets::am_atm(
-            fetchers + 2,
-        ))))
+        Engine::with_transport(Box::new(presets::am_atm(fetchers + 2)))
     }
 
     /// Runs one distribution of the smoke catalog to completion and

@@ -2,7 +2,6 @@
 //! cache, and the distribution strategies must hold for every input.
 
 use bytes::Bytes;
-use now_am::FabricTransport;
 use now_cas::{
     BlockHash, BlockStore, CasEvent, FetchConfig, FetchCore, FetchStrategy, ImageCatalog,
     ImageCatalogSpec, ImageManifest, PartialCache,
@@ -16,7 +15,7 @@ use proptest::prelude::*;
 fn distribute_digest(strategy: FetchStrategy, fetchers: u32, budget: u64, seed: u64) -> u64 {
     let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(seed));
     let config = FetchConfig::new(fetchers, 2, budget, seed ^ 0x9e37_79b9);
-    let fabric = FabricTransport::new(presets::am_atm(fetchers + 2));
+    let fabric = presets::am_atm(fetchers + 2);
     let mut engine: Engine<CasEvent> = Engine::with_transport(Box::new(fabric));
     let id = engine.register(FetchCore::new(catalog, strategy, config));
     engine.schedule_at(id, SimTime::ZERO, CasEvent::Start);

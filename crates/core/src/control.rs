@@ -31,6 +31,10 @@ use crate::scenario::JobEvent;
 
 /// Bytes of reconstruction data moved per rebuild event.
 const REBUILD_CHUNK_BYTES: u64 = 256 * 1024;
+/// Delay between detecting a dead worker and its spare taking over.
+pub(crate) const FAULT_RESTART_DELAY: SimDuration = SimDuration::from_millis(100);
+/// Reconstruction data streamed per replaced disk, MB.
+pub(crate) const RAID_REBUILD_MB: u64 = 8;
 
 /// Events driving a [`ClusterControl`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,8 +119,6 @@ pub struct ClusterControl {
     degraded_disks: BTreeSet<u32>,
     rebuild_remaining: BTreeMap<u32, u64>,
     rebuild_seq: u64,
-    rebuild_bytes_per_disk: u64,
-    restart_delay: SimDuration,
     tick_until: SimTime,
     detected: u64,
     detection_latency: SimDuration,
@@ -127,13 +129,13 @@ pub struct ClusterControl {
 
 impl ClusterControl {
     /// Creates a control over nodes `0..nodes` with the given detection
-    /// config and wiring. Heartbeat ticks self-arm until `tick_until`,
-    /// which must cover the plan's last fault plus a detection window.
+    /// config and wiring. A detected dead worker's spare takes over 100 ms
+    /// later, and a replaced disk streams 8 MB of reconstruction data.
+    /// Heartbeat ticks self-arm until `tick_until`, which must cover the
+    /// plan's last fault plus a detection window and the restart delay.
     pub fn new(
         nodes: u32,
         membership: MembershipConfig,
-        restart_delay: SimDuration,
-        rebuild_bytes_per_disk: u64,
         wiring: ControlWiring,
         tick_until: SimTime,
     ) -> Self {
@@ -150,8 +152,6 @@ impl ClusterControl {
             degraded_disks: BTreeSet::new(),
             rebuild_remaining: BTreeMap::new(),
             rebuild_seq: 0,
-            rebuild_bytes_per_disk,
-            restart_delay,
             tick_until,
             detected: 0,
             detection_latency: SimDuration::ZERO,
@@ -293,7 +293,7 @@ impl ClusterControl {
             Fault::DiskReplace { disk } => {
                 if self.degraded_disks.contains(&disk) {
                     self.rebuild_remaining
-                        .insert(disk, self.rebuild_bytes_per_disk);
+                        .insert(disk, RAID_REBUILD_MB * 1024 * 1024);
                     let ev =
                         <M as EventCast<ControlEvent>>::upcast(ControlEvent::RebuildChunk { disk });
                     ctx.schedule_at(now, ev);
@@ -318,10 +318,10 @@ impl ClusterControl {
                     self.pending_restart.insert(w);
                     // The edge to the Restart event is pure recovery
                     // latency: the spare waits out the restart delay.
-                    ctx.blame(category::FAULT_RECOVERY, self.restart_delay);
+                    ctx.blame(category::FAULT_RECOVERY, FAULT_RESTART_DELAY);
                     let ev =
                         <M as EventCast<ControlEvent>>::upcast(ControlEvent::Restart { worker: w });
-                    ctx.schedule_at(now + self.restart_delay, ev);
+                    ctx.schedule_at(now + FAULT_RESTART_DELAY, ev);
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! registry with a few NICs, every fetcher node holds the manifests in a
 //! partial cache ([`now_cas::PartialCache`]) and pulls the missing block
 //! data either registry-only ([`FetchStrategy::Registry`]) or peers-first
-//! ([`FetchStrategy::Cooperative`]). Under the fabric cost model the
+//! ([`FetchStrategy::Cooperative`]). On the shared fabric the
 //! registry NICs saturate as fetchers are added, so the crossover where
 //! cooperation wins *emerges* from contention rather than being assumed.
 //!

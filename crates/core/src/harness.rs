@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use now_am::{BatchConfig, BatchingTransport, FabricTransport};
+use now_am::{BatchConfig, BatchingTransport};
 use now_probe::causal::{critical_path, BlameTable, CausalLog};
 use now_probe::recorder::{TimeSeries, WindowedSeries};
 use now_probe::{Gauge, Probe};
@@ -186,10 +186,11 @@ pub(crate) trait Workload {
 }
 
 /// A private copy of `cluster`'s live fabric, probed through `probe`:
-/// the priced network, wrapped in the batching aggregator only when a
-/// nonzero flush quantum asks for it. With batching off the fabric is
-/// boxed bare, so disabled runs carry zero extra state and stay
-/// byte-identical to the pre-batching transport.
+/// the network itself (it is the engine's [`Transport`]), wrapped in the
+/// batching aggregator only when a nonzero flush quantum asks for it.
+/// With batching off the network is boxed bare, so disabled runs carry
+/// zero extra state and stay byte-identical to the pre-batching
+/// transport.
 pub(crate) fn fabric_transport(
     cluster: &NowCluster,
     batch: BatchConfig,
@@ -197,13 +198,12 @@ pub(crate) fn fabric_transport(
 ) -> Box<dyn Transport> {
     let mut network = cluster.interconnect().network(cluster.nodes());
     network.set_probe(probe.clone());
-    let fabric = FabricTransport::new(network);
     if batch.enabled() {
-        let mut wrapped = BatchingTransport::new(fabric, batch);
+        let mut wrapped = BatchingTransport::new(network, batch);
         wrapped.set_probe(probe.clone());
         Box::new(wrapped)
     } else {
-        Box::new(fabric)
+        Box::new(network)
     }
 }
 
@@ -279,8 +279,8 @@ fn run_cell<W: Workload>(
         engine.set_causal_sink(
             Arc::clone(log) as Arc<dyn CausalSink>,
             observer.trace_sample_every.max(1),
+            u64::from(cell) << 44,
         );
-        engine.set_causal_seq_offset(u64::from(cell) << 44);
     }
     let ids = workload.register(&mut engine, probe);
     // The flight recorder registers last (component ids above are stable

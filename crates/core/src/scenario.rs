@@ -33,7 +33,9 @@ use now_trace::fs::{FsTrace, FsTraceConfig};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::NowCluster;
-use crate::control::{ClusterControl, ControlEvent, ControlWiring, FaultOutcome};
+use crate::control::{
+    ClusterControl, ControlEvent, ControlWiring, FaultOutcome, FAULT_RESTART_DELAY,
+};
 use crate::harness::{
     self, fabric_transport, Accounting, RecorderEvent, Recording, ScenarioObservations,
     ScenarioObserver, Workload,
@@ -60,10 +62,6 @@ const BACKGROUND_BYTES: u64 = 8_192;
 const BACKGROUND_INTERVAL: SimDuration = SimDuration::from_micros(500);
 /// Heartbeat interval of the failure detector.
 const FAULT_HEARTBEAT: SimDuration = SimDuration::from_millis(50);
-/// Delay between detecting a dead worker and its spare taking over.
-const FAULT_RESTART_DELAY: SimDuration = SimDuration::from_millis(100);
-/// Reconstruction data streamed per replaced disk, MB.
-const RAID_REBUILD_MB: u64 = 8;
 
 /// Events of the coupled scenario's engine: one variant per subsystem,
 /// so each component keeps its own event type and [`EventCast`] routes.
@@ -129,8 +127,8 @@ pub enum JobEvent {
 
 /// A bulk-synchronous parallel job as an engine component.
 ///
-/// Each round every worker computes for the configured time, then sends
-/// its boundary data to its ring neighbour over the shared fabric; the
+/// Each round every worker computes for 200 µs, then sends its 8-KB
+/// boundary data to its ring neighbour over the shared fabric; the
 /// barrier closes when the slowest message is delivered, and the next
 /// round starts there.
 #[derive(Debug)]
@@ -138,8 +136,6 @@ pub struct BspJobComponent {
     worker_nodes: Vec<u32>,
     rounds: u32,
     done_rounds: u32,
-    compute: SimDuration,
-    message_bytes: u64,
     started: Option<SimTime>,
     finished: Option<SimTime>,
     down: BTreeSet<usize>,
@@ -150,17 +146,12 @@ pub struct BspJobComponent {
 
 impl BspJobComponent {
     /// A job of `rounds` rounds over the workers on `worker_nodes`, each
-    /// round `compute` of work then a `message_bytes` ring exchange.
+    /// round 200 µs of work then an 8-KB ring exchange.
     ///
     /// # Panics
     ///
     /// Panics with fewer than two workers (a ring needs a neighbour).
-    pub fn new(
-        worker_nodes: Vec<u32>,
-        rounds: u32,
-        compute: SimDuration,
-        message_bytes: u64,
-    ) -> Self {
+    pub fn new(worker_nodes: Vec<u32>, rounds: u32) -> Self {
         assert!(
             worker_nodes.len() >= 2,
             "a BSP ring needs at least 2 workers"
@@ -169,8 +160,6 @@ impl BspJobComponent {
             worker_nodes,
             rounds,
             done_rounds: 0,
-            compute,
-            message_bytes,
             started: None,
             finished: None,
             down: BTreeSet::new(),
@@ -183,11 +172,6 @@ impl BspJobComponent {
     /// Attaches a telemetry probe publishing the `job.rounds_done` gauge.
     pub fn set_probe(&mut self, probe: &Probe) {
         self.rounds_gauge = probe.gauge("job.rounds_done");
-    }
-
-    /// Rounds completed so far.
-    pub fn rounds_done(&self) -> u32 {
-        self.done_rounds
     }
 
     /// Time from the first round's start to the last barrier (`None`
@@ -244,7 +228,7 @@ impl<M: EventCast<JobEvent> + 'static> Component<M> for BspJobComponent {
         if self.started.is_none() {
             self.started = Some(now);
         }
-        let compute_done = now + self.compute;
+        let compute_done = now + JOB_COMPUTE;
         // The barrier closes when the slowest exchange lands; that
         // critical transfer's breakdown explains the round's fabric share.
         let mut critical: Option<TransferCost> = None;
@@ -253,7 +237,7 @@ impl<M: EventCast<JobEvent> + 'static> Component<M> for BspJobComponent {
         for w in 0..k {
             let src = self.worker_nodes[w];
             let dst = self.worker_nodes[(w + 1) % k];
-            let cost = ctx.transfer(src, dst, self.message_bytes, compute_done);
+            let cost = ctx.transfer(src, dst, JOB_MESSAGE_BYTES, compute_done);
             if cost.delivered > barrier {
                 barrier = cost.delivered;
                 critical = Some(cost);
@@ -261,7 +245,7 @@ impl<M: EventCast<JobEvent> + 'static> Component<M> for BspJobComponent {
         }
         self.done_rounds += 1;
         self.rounds_gauge.set(f64::from(self.done_rounds));
-        ctx.blame(category::COMPUTE, self.compute);
+        ctx.blame(category::COMPUTE, JOB_COMPUTE);
         if let Some(cost) = critical {
             ctx.blame(category::AM_OVERHEAD, cost.overhead);
             ctx.blame(category::FABRIC_WAIT, cost.wait);
@@ -284,7 +268,7 @@ pub enum TrafficEvent {
 }
 
 /// Open-loop background traffic: a fixed set of flows each sending one
-/// frame per tick at a fixed cadence until the horizon.
+/// 8-KB frame every 500 µs until the horizon.
 ///
 /// Deliberately *not* completion-chained — the offered load stays constant
 /// no matter how congested the fabric gets, which is what makes the
@@ -292,8 +276,6 @@ pub enum TrafficEvent {
 #[derive(Debug)]
 pub struct TrafficComponent {
     flows: Vec<(u32, u32)>,
-    frame_bytes: u64,
-    interval: SimDuration,
     horizon: SimTime,
     frames: u64,
     latency_sum: SimDuration,
@@ -301,26 +283,10 @@ pub struct TrafficComponent {
 }
 
 impl TrafficComponent {
-    /// Flows `(src, dst)` each sending `frame_bytes` every `interval`
-    /// until `horizon`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero interval (the tick chain would never advance).
-    pub fn new(
-        flows: Vec<(u32, u32)>,
-        frame_bytes: u64,
-        interval: SimDuration,
-        horizon: SimTime,
-    ) -> Self {
-        assert!(
-            interval > SimDuration::ZERO,
-            "traffic needs a nonzero cadence"
-        );
+    /// Flows `(src, dst)` each sending a frame every tick until `horizon`.
+    pub fn new(flows: Vec<(u32, u32)>, horizon: SimTime) -> Self {
         TrafficComponent {
             flows,
-            frame_bytes,
-            interval,
             horizon,
             frames: 0,
             latency_sum: SimDuration::ZERO,
@@ -350,12 +316,12 @@ impl<M: EventCast<TrafficEvent> + 'static> Component<M> for TrafficComponent {
         let TrafficEvent::Tick = event.downcast();
         let now = ctx.now();
         for &(src, dst) in &self.flows {
-            let delivered = ctx.transfer(src, dst, self.frame_bytes, now).delivered;
+            let delivered = ctx.transfer(src, dst, BACKGROUND_BYTES, now).delivered;
             self.latency_sum += delivered.saturating_since(now);
             self.frames += 1;
         }
         self.frames_gauge.set(self.frames as f64);
-        let next = now + self.interval;
+        let next = now + BACKGROUND_INTERVAL;
         if next <= self.horizon {
             ctx.schedule_at(next, M::upcast(TrafficEvent::Tick));
         }
@@ -510,18 +476,13 @@ fn build_cell(
     let server_node = n - 1;
 
     // The BSP job.
-    let mut job = BspJobComponent::new(
-        worker_nodes.clone(),
-        spec.job_rounds,
-        JOB_COMPUTE,
-        JOB_MESSAGE_BYTES,
-    );
+    let mut job = BspJobComponent::new(worker_nodes.clone(), spec.job_rounds);
     job.set_probe(probe);
     let job_id = engine.register(job);
 
     // The out-of-core paging process. The fixed-cost constants in the
-    // memory config are placeholders: under the fabric cost model every
-    // fetch is priced by the live network, not by them.
+    // memory config are placeholders: the solver is placed on the fabric,
+    // so every fetch is priced by the live network, not by them.
     let memory = MemoryConfig::LocalWithNetRam {
         mb: spec.paging_local_mb,
         hosts: h,
@@ -568,12 +529,7 @@ fn build_cell(
     let flows: Vec<(u32, u32)> = (0..spec.background_flows)
         .map(|i| (host_nodes[(i % h) as usize], worker_nodes[(i % k) as usize]))
         .collect();
-    let mut traffic = TrafficComponent::new(
-        flows,
-        BACKGROUND_BYTES,
-        BACKGROUND_INTERVAL,
-        SimTime::ZERO + spec.horizon,
-    );
+    let mut traffic = TrafficComponent::new(flows, SimTime::ZERO + spec.horizon);
     traffic.set_probe(probe);
     let traffic_id = engine.register(traffic);
 
@@ -600,8 +556,6 @@ fn build_cell(
     let mut control = ClusterControl::new(
         n,
         membership,
-        FAULT_RESTART_DELAY,
-        RAID_REBUILD_MB * 1024 * 1024,
         ControlWiring {
             job_id,
             solver_id,
@@ -890,6 +844,7 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::cluster::Interconnect;
+    use crate::control::RAID_REBUILD_MB;
 
     pub(crate) fn cluster() -> NowCluster {
         NowCluster::builder()

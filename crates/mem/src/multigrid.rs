@@ -16,11 +16,11 @@
 
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
-use now_sim::{Component, CostMode, Ctx, Engine, EventCast, SimDuration, SimTime};
+use now_sim::{Component, Ctx, Engine, EventCast, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::pager::{FixedPath, RemotePath};
-use crate::{DiskModel, NetworkRam, PageId, Pager, PagerStats, RemoteAccessCost};
+use crate::{DiskModel, FaultKind, NetworkRam, PageId, Pager, PagerStats, RemoteAccessCost};
 
 /// Bytes per page (8 KB, as in Table 2).
 pub const PAGE_BYTES: u64 = 8_192;
@@ -151,11 +151,12 @@ pub enum PageEvent {
 /// The multigrid solver as an engine [`Component`]: one page access per
 /// event, self-chained at `compute + stall` spacing.
 ///
-/// Under [`CostMode::Fixed`] network-RAM fetches charge the Table 2
-/// constants through [`FixedPath`] — the legacy arithmetic, bit-for-bit.
-/// Under [`CostMode::Fabric`] each fetch streams the page from the idle
-/// host's node over the engine's shared fabric, so competing traffic on
-/// the same wires shows up directly as paging stall.
+/// An unplaced component charges network-RAM fetches the Table 2
+/// constants through [`FixedPath`] — the legacy arithmetic, bit-for-bit —
+/// and needs no transport. A component placed on the fabric
+/// ([`MultigridComponent::with_placement`]) streams each fetch from the
+/// idle host's node over the engine's shared transport, so competing
+/// traffic on the same wires shows up directly as paging stall.
 pub struct MultigridComponent {
     pager: Pager,
     per_page: SimDuration,
@@ -164,10 +165,9 @@ pub struct MultigridComponent {
     idx: u64,
     compute: SimDuration,
     stall: SimDuration,
-    /// Fabric node this process runs on.
-    node: u32,
-    /// Fabric nodes of the idle hosts donating DRAM, indexed by pool host.
-    host_nodes: Vec<u32>,
+    /// Where the process and the pool hosts sit on the fabric; `None`
+    /// prices every fetch at the Table 2 constants.
+    placement: Option<Placement>,
     netram_service: SimDuration,
     netram_fetches: u64,
     fetch_gauge: Gauge,
@@ -212,27 +212,13 @@ impl<M> RemotePath for EnginePath<'_, '_, M> {
     }
 }
 
-/// Wraps any path to record the raw (pre-overlap) service time of every
-/// fetch, feeding the latency metric without touching the stall rule.
-struct Sampling<'p> {
-    inner: &'p mut dyn RemotePath,
-    sum: SimDuration,
-    count: u64,
-}
-
-impl RemotePath for Sampling<'_> {
-    fn netram_fetch(
-        &mut self,
-        host: u32,
-        sequential: bool,
-        bytes: u64,
-        cost: RemoteAccessCost,
-    ) -> SimDuration {
-        let service = self.inner.netram_fetch(host, sequential, bytes, cost);
-        self.sum += service;
-        self.count += 1;
-        service
-    }
+/// Where a placed [`MultigridComponent`] and its network-RAM pool sit on
+/// the fabric.
+struct Placement {
+    /// Fabric node this process runs on.
+    node: u32,
+    /// Fabric nodes of the idle hosts donating DRAM, indexed by pool host.
+    host_nodes: Vec<u32>,
 }
 
 impl MultigridComponent {
@@ -249,8 +235,7 @@ impl MultigridComponent {
             idx: 0,
             compute: SimDuration::ZERO,
             stall: SimDuration::ZERO,
-            node: 0,
-            host_nodes: Vec::new(),
+            placement: None,
             netram_service: SimDuration::ZERO,
             netram_fetches: 0,
             fetch_gauge: Gauge::default(),
@@ -264,12 +249,13 @@ impl MultigridComponent {
     }
 
     /// Places the process on fabric node `node` with the network-RAM pool
-    /// hosts living on `host_nodes`. Required for [`CostMode::Fabric`]
-    /// engines; ignored under [`CostMode::Fixed`].
+    /// hosts living on `host_nodes` (at least one), so every fetch is
+    /// priced over the engine's transport
+    /// ([`now_sim::Engine::with_transport`]) instead of at the Table 2
+    /// constants.
     #[must_use]
     pub fn with_placement(mut self, node: u32, host_nodes: Vec<u32>) -> Self {
-        self.node = node;
-        self.host_nodes = host_nodes;
+        self.placement = Some(Placement { node, host_nodes });
         self
     }
 
@@ -285,8 +271,8 @@ impl MultigridComponent {
     }
 
     /// Mean service time of a network-RAM page fetch, in microseconds
-    /// (`None` before the first fetch). Under [`CostMode::Fabric`] this is
-    /// the observed door-to-door fabric latency — the contention metric.
+    /// (`None` before the first fetch). Placed on the fabric, this is the
+    /// observed door-to-door fabric latency — the contention metric.
     pub fn mean_netram_fetch_us(&self) -> Option<f64> {
         (self.netram_fetches > 0)
             .then(|| self.netram_service.as_micros_f64() / self.netram_fetches as f64)
@@ -314,42 +300,31 @@ impl<M: EventCast<PageEvent> + 'static> Component<M> for MultigridComponent {
         // clock to fill the backing-device utilization ledgers.
         self.pager.set_clock(ctx.now());
         let mut fabric = (SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO);
-        let (fetched, fetches, stall) = match ctx.cost_mode() {
-            CostMode::Fixed => {
-                let mut sampler = Sampling {
-                    inner: &mut FixedPath,
-                    sum: SimDuration::ZERO,
-                    count: 0,
-                };
-                let (_, stall) = self
-                    .pager
-                    .access_via(page, true, self.per_page, &mut sampler);
-                (sampler.sum, sampler.count, stall)
-            }
-            CostMode::Fabric => {
+        let (kind, stall, service) = match &self.placement {
+            None => self
+                .pager
+                .access_via(page, true, self.per_page, &mut FixedPath),
+            Some(place) => {
                 let mut path = EnginePath {
                     ctx,
-                    node: self.node,
-                    hosts: &self.host_nodes,
+                    node: place.node,
+                    hosts: &place.host_nodes,
                     overhead: SimDuration::ZERO,
                     wait: SimDuration::ZERO,
                     wire: SimDuration::ZERO,
                 };
-                let mut sampler = Sampling {
-                    inner: &mut path,
-                    sum: SimDuration::ZERO,
-                    count: 0,
-                };
-                let (_, stall) = self
-                    .pager
-                    .access_via(page, true, self.per_page, &mut sampler);
-                let out = (sampler.sum, sampler.count, stall);
+                let out = self.pager.access_via(page, true, self.per_page, &mut path);
                 fabric = (path.overhead, path.wait, path.wire);
                 out
             }
         };
-        self.netram_service += fetched;
-        self.netram_fetches += fetches;
+        // An access fetches from the pool at most once: on a network-RAM
+        // fault, whose raw (pre-overlap) service time feeds the latency
+        // metric without touching the stall rule.
+        if kind == FaultKind::NetRamFault {
+            self.netram_service += service;
+            self.netram_fetches += 1;
+        }
         self.idx += 1;
         self.compute += self.per_page;
         self.stall += stall;

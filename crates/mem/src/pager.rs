@@ -359,12 +359,17 @@ impl Pager {
         write: bool,
         compute_since_last: SimDuration,
     ) -> (FaultKind, SimDuration) {
-        self.access_via(page, write, compute_since_last, &mut FixedPath)
+        let (kind, stall, _) = self.access_via(page, write, compute_since_last, &mut FixedPath);
+        (kind, stall)
     }
 
     /// [`Pager::access`] with an explicit [`RemotePath`] pricing
     /// network-RAM fetches. `access` is exactly `access_via` with
     /// [`FixedPath`].
+    ///
+    /// Returns the fault classification, the stall charged, and the
+    /// fault's service time before any overlap with computation (zero on
+    /// a hit).
     ///
     /// # Panics
     ///
@@ -376,7 +381,7 @@ impl Pager {
         write: bool,
         compute_since_last: SimDuration,
         path: &mut dyn RemotePath,
-    ) -> (FaultKind, SimDuration) {
+    ) -> (FaultKind, SimDuration, SimDuration) {
         assert!(page.0 < self.frames.index().pages(), "page out of range");
         self.stats.accesses += 1;
         self.probe.count("pager.accesses", 1);
@@ -393,7 +398,7 @@ impl Pager {
         if matches!(touch, Touch::Hit) {
             self.stats.hits += 1;
             self.probe.count("pager.hits", 1);
-            return (FaultKind::Hit, SimDuration::ZERO);
+            return (FaultKind::Hit, SimDuration::ZERO, SimDuration::ZERO);
         }
 
         // Miss: classify and charge.
@@ -427,7 +432,7 @@ impl Pager {
             _ => service,
         };
         self.stats.stall += stall;
-        (kind, stall)
+        (kind, stall, service)
     }
 
     fn evict(&mut self, victim: PageId, dirty: bool) {

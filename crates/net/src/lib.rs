@@ -17,7 +17,10 @@
 //! * [`Network`] — a fabric plus a stack plus NIC placement, exposing one
 //!   call ([`Network::transfer`]) that accounts wire occupancy and CPU
 //!   overhead; every higher-level simulator (paging, caching, scheduling)
-//!   goes through it.
+//!   goes through it. `Network` is also the simulation engine's
+//!   [`now_sim::Transport`]: an engine built with
+//!   [`now_sim::Engine::with_transport`] over a network prices every
+//!   component's traffic on its shared occupancy state.
 //! * [`LogP`] — the four-parameter abstract model (latency, overhead, gap,
 //!   processors) that the Berkeley group used to reason about these
 //!   networks; convertible from any [`Network`] preset.
@@ -46,6 +49,7 @@ mod logp;
 mod network;
 mod stack;
 mod topology;
+mod transport;
 
 pub mod presets;
 

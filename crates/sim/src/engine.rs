@@ -15,13 +15,13 @@
 //!   and schedule follow-ups or message other components through [`Ctx`].
 //!   Delivery order among equal timestamps is the order the events were
 //!   scheduled, regardless of component registration order.
-//! * **A cost model** — components ask [`Ctx::transfer`] /
+//! * **A shared transport** — components ask [`Ctx::transfer`] /
 //!   [`Ctx::rpc`] what remote traffic costs. On an
-//!   [`Engine::new`] engine there is no shared fabric and components
-//!   charge their own constants (the legacy behaviour, bit-for-bit). On an
 //!   [`Engine::with_transport`] engine every transfer reserves real
 //!   occupancy on one shared [`Transport`], so independent workloads slow
-//!   each other down — the composition the paper argues for.
+//!   each other down — the composition the paper argues for. An
+//!   [`Engine::new`] engine has no transport: its components charge their
+//!   own constants (the legacy behaviour, bit-for-bit).
 //!
 //! Heterogeneous engines (several subsystems on one fabric) wrap each
 //! subsystem's event enum in one routed enum via [`EventCast`]; a
@@ -296,29 +296,6 @@ impl CausalState {
     }
 }
 
-/// How an [`Engine`] prices remote traffic.
-pub(crate) enum CostModel {
-    /// No shared fabric: components charge their own constant costs.
-    /// Legacy single-subsystem runs use this mode and reproduce the
-    /// pre-engine results byte-for-byte.
-    Fixed,
-    /// All traffic traverses one live fabric and contends for its
-    /// occupancy.
-    Fabric(Box<dyn Transport>),
-}
-
-/// How an engine prices remote traffic, for components that branch on it
-/// without needing the transport itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostMode {
-    /// No shared fabric ([`Engine::new`]): components charge their own
-    /// constant costs.
-    Fixed,
-    /// Every transfer occupies one live fabric
-    /// ([`Engine::with_transport`]).
-    Fabric,
-}
-
 /// A simulated subsystem driven by an [`Engine`].
 ///
 /// The `Any` supertrait lets callers recover the concrete component (and
@@ -341,10 +318,10 @@ struct Envelope<M> {
 }
 
 /// The view a component gets of the engine while handling an event:
-/// the clock, scheduling, the message bus, and the cost model.
+/// the clock, scheduling, the message bus, and the shared transport.
 pub struct Ctx<'a, M> {
     queue: &'a mut EventQueue<Envelope<M>>,
-    cost: &'a mut CostModel,
+    transport: &'a mut Option<Box<dyn Transport>>,
     self_id: ComponentId,
     causal: Option<&'a mut CausalState>,
     /// Seq of the event currently being handled.
@@ -357,7 +334,7 @@ pub struct Ctx<'a, M> {
     /// capacity survives across events, and the disabled path never
     /// pushes into it at all.
     pending_blame: &'a mut Vec<(&'static str, SimDuration)>,
-    /// Host-time accumulator for cost-model calls, present only with the
+    /// Host-time accumulator for transport calls, present only with the
     /// profiler enabled (see [`Engine::enable_profiler`]). Dispatch
     /// subtracts what lands here from the component's own time, so
     /// component and fabric host time stay separable. A `Cell` because
@@ -476,14 +453,6 @@ impl<M> Ctx<'_, M> {
         self.self_id
     }
 
-    /// Which cost model the engine is running under.
-    pub fn cost_mode(&self) -> CostMode {
-        match self.cost {
-            CostModel::Fixed => CostMode::Fixed,
-            CostModel::Fabric(_) => CostMode::Fabric,
-        }
-    }
-
     /// Schedules an event to this component at absolute time `time`.
     ///
     /// # Panics
@@ -520,20 +489,17 @@ impl<M> Ctx<'_, M> {
         self.queue.cancel(id)
     }
 
-    /// The shared fabric every pricing call charges.
+    /// The shared transport every pricing call charges.
     ///
     /// # Panics
     ///
-    /// Panics on an [`Engine::new`] engine, which has no fabric:
-    /// fixed-mode components charge their own constants instead.
+    /// Panics on an [`Engine::new`] engine, which has no transport: its
+    /// components charge their own constants instead.
     fn transport(&mut self) -> &mut dyn Transport {
-        match self.cost {
-            CostModel::Fixed => panic!(
-                "fabric transfer requested under CostModel::Fixed; \
-                 fixed-mode components charge their own constants"
-            ),
-            CostModel::Fabric(t) => t.as_mut(),
-        }
+        self.transport.as_deref_mut().expect(
+            "fabric transfer requested on an engine without a transport; \
+             its components charge their own constants",
+        )
     }
 
     /// Charges a one-way transfer of `bytes` from node `src` to node
@@ -545,8 +511,8 @@ impl<M> Ctx<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics on an [`Engine::new`] engine, which has no fabric:
-    /// fixed-mode components charge their own constants instead.
+    /// Panics on an [`Engine::new`] engine, which has no transport: its
+    /// components charge their own constants instead.
     pub fn transfer(&mut self, src: u32, dst: u32, bytes: u64, at: SimTime) -> TransferCost {
         let fabric_ns = self.fabric_ns;
         let t = self.transport();
@@ -560,7 +526,7 @@ impl<M> Ctx<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics without a fabric (see [`Ctx::transfer`]).
+    /// Panics without a transport (see [`Ctx::transfer`]).
     pub fn rpc(
         &mut self,
         src: u32,
@@ -618,7 +584,9 @@ pub struct Engine<M> {
     queue: EventQueue<Envelope<M>>,
     /// Indexed by [`ComponentId`].
     components: Vec<Box<dyn Component<M>>>,
-    cost: CostModel,
+    /// The shared fabric [`Ctx::transfer`] and [`Ctx::rpc`] charge;
+    /// `None` on an [`Engine::new`] engine.
+    transport: Option<Box<dyn Transport>>,
     causal: Option<CausalState>,
     /// Reusable [`Ctx::blame`] staging buffer: allocated at most once per
     /// engine, lent to each dispatch's `Ctx` instead of constructing a
@@ -630,14 +598,14 @@ pub struct Engine<M> {
 }
 
 /// Accumulators behind [`Engine::enable_profiler`]: per-component host
-/// time with the cost-model share split out.
+/// time with the transport share split out.
 struct ProfilerState {
     /// Display labels in registration order; indices past the end render
     /// as `component<i>`.
     labels: Vec<String>,
-    /// Handler wall-ns per component, cost model excluded.
+    /// Handler wall-ns per component, transport calls excluded.
     self_ns: Vec<u64>,
-    /// Cost-model wall-ns charged while handling each component's events.
+    /// Transport wall-ns charged while handling each component's events.
     fabric_ns: Vec<u64>,
     /// Events dispatched per component.
     events: Vec<u64>,
@@ -703,26 +671,24 @@ impl<M: 'static> Default for Engine<M> {
 }
 
 impl<M: 'static> Engine<M> {
-    /// An engine with no shared fabric ([`CostMode::Fixed`]): components
-    /// charge their own constant costs.
+    /// An engine with no shared fabric: components charge their own
+    /// constant costs, and [`Ctx::transfer`] panics.
     pub fn new() -> Self {
-        Engine::with_cost_model(CostModel::Fixed)
-    }
-
-    /// An engine whose remote traffic traverses `transport`
-    /// ([`CostMode::Fabric`]).
-    pub fn with_transport(transport: Box<dyn Transport>) -> Self {
-        Engine::with_cost_model(CostModel::Fabric(transport))
-    }
-
-    fn with_cost_model(cost: CostModel) -> Self {
         Engine {
             queue: EventQueue::new(),
             components: Vec::new(),
-            cost,
+            transport: None,
             causal: None,
             blame_buf: Vec::new(),
             profiler: None,
+        }
+    }
+
+    /// An engine whose remote traffic traverses `transport`.
+    pub fn with_transport(transport: Box<dyn Transport>) -> Self {
+        Engine {
+            transport: Some(transport),
+            ..Engine::new()
         }
     }
 
@@ -754,26 +720,25 @@ impl<M: 'static> Engine<M> {
     /// every sampling rate*: observation never feeds back into the
     /// simulation. Without a sink the engine does no causal work at all —
     /// no records, no allocation, identical event history.
-    pub fn set_causal_sink(&mut self, sink: Arc<dyn CausalSink>, sample_every: u64) {
+    ///
+    /// Every causal id the engine emits (seqs, trace ids, mark seqs, and
+    /// the parent links between them) is shifted by `seq_offset`, so the
+    /// cell engines of a multi-cell run can share one sink without id
+    /// collisions: cell `c` passes `c << 44`, a single-cell run 0. Call
+    /// this before scheduling anything.
+    pub fn set_causal_sink(
+        &mut self,
+        sink: Arc<dyn CausalSink>,
+        sample_every: u64,
+        seq_offset: u64,
+    ) {
         self.causal = Some(CausalState {
             sink,
             next_trace: 0,
             next_mark: 0,
             sample_every: sample_every.max(1),
-            seq_offset: 0,
+            seq_offset,
         });
-    }
-
-    /// Shifts every causal id this engine emits (seqs, trace ids, mark
-    /// seqs, and the parent links between them) by `offset`, so the cell
-    /// engines of a multi-cell run can share one sink without id
-    /// collisions. Must be called after enabling a sink and before
-    /// scheduling anything; a no-op without a sink. Cell `c` uses
-    /// `c << 44`.
-    pub fn set_causal_seq_offset(&mut self, offset: u64) {
-        if let Some(causal) = &mut self.causal {
-            causal.seq_offset = offset;
-        }
     }
 
     /// Registers a component and returns its routing id.
@@ -855,7 +820,7 @@ impl<M: 'static> Engine<M> {
         });
         let mut ctx = Ctx {
             queue: &mut self.queue,
-            cost: &mut self.cost,
+            transport: &mut self.transport,
             self_id: dst,
             causal: self.causal.as_mut(),
             current_seq: id.seq(),
@@ -1006,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "CostModel::Fixed")]
+    #[should_panic(expected = "engine without a transport")]
     fn fixed_mode_rejects_fabric_transfers() {
         struct Greedy;
         impl Component<u32> for Greedy {
@@ -1046,7 +1011,6 @@ mod tests {
         }
         impl Component<u32> for Sender {
             fn on_event(&mut self, ctx: &mut Ctx<'_, u32>, _: u32) {
-                assert_eq!(ctx.cost_mode(), CostMode::Fabric);
                 self.delivered = Some(ctx.transfer(0, 1, 1_000, ctx.now()).delivered);
             }
         }
@@ -1091,7 +1055,7 @@ mod tests {
     fn causal_records_link_children_to_parents() {
         let sink = Arc::new(VecSink::default());
         let mut engine = Engine::new();
-        engine.set_causal_sink(sink.clone(), 1);
+        engine.set_causal_sink(sink.clone(), 1, 0);
         let b = ComponentId(1);
         let a = engine.register(Chainer { hops: 3, peer: b });
         engine.register(Chainer { hops: 3, peer: a });
@@ -1124,7 +1088,7 @@ mod tests {
     fn seeds_start_fresh_traces() {
         let sink = Arc::new(VecSink::default());
         let mut engine: Engine<u32> = Engine::new();
-        engine.set_causal_sink(sink.clone(), 1);
+        engine.set_causal_sink(sink.clone(), 1, 0);
         struct Quiet;
         impl Component<u32> for Quiet {
             fn on_event(&mut self, _: &mut Ctx<'_, u32>, _: u32) {}
@@ -1156,7 +1120,7 @@ mod tests {
             }
             let mut engine = Engine::new();
             if traced {
-                engine.set_causal_sink(Arc::new(VecSink::default()), 1);
+                engine.set_causal_sink(Arc::new(VecSink::default()), 1, 0);
             }
             let id = engine.register(Log {
                 peer: ComponentId(0),
@@ -1192,7 +1156,7 @@ mod tests {
     fn sampled_sink_records_one_in_n_chains_end_to_end() {
         let sink = Arc::new(VecSink::default());
         let mut engine = Engine::new();
-        engine.set_causal_sink(sink.clone(), 3);
+        engine.set_causal_sink(sink.clone(), 3, 0);
         let id = engine.register(OpenLoop {
             remaining: 8,
             fired_at: Vec::new(),
@@ -1223,7 +1187,7 @@ mod tests {
         let records = |untraced: bool| -> Vec<(u64, ComponentId, &'static str)> {
             let sink = Arc::new(VecSink::default());
             let mut engine = Engine::new();
-            engine.set_causal_sink(sink.clone(), 1);
+            engine.set_causal_sink(sink.clone(), 1, 0);
             let open = engine.register(OpenLoop {
                 remaining: 4,
                 fired_at: Vec::new(),
@@ -1254,7 +1218,7 @@ mod tests {
         let history = |sample: Option<u64>| -> Vec<u64> {
             let mut engine = Engine::new();
             if let Some(n) = sample {
-                engine.set_causal_sink(Arc::new(VecSink::default()), n);
+                engine.set_causal_sink(Arc::new(VecSink::default()), n, 0);
             }
             let id = engine.register(OpenLoop {
                 remaining: 20,
@@ -1273,7 +1237,7 @@ mod tests {
     fn default_sink_samples_every_trace() {
         let sink = Arc::new(VecSink::default());
         let mut engine = Engine::new();
-        engine.set_causal_sink(sink.clone(), 1);
+        engine.set_causal_sink(sink.clone(), 1, 0);
         let id = engine.register(OpenLoop {
             remaining: 3,
             fired_at: Vec::new(),

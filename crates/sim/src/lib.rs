@@ -65,8 +65,8 @@ pub mod parallel;
 pub mod report;
 
 pub use engine::{
-    CausalRecord, CausalSink, Component, ComponentId, CostMode, Ctx, Engine, EventCast,
-    TransferCost, Transport,
+    CausalRecord, CausalSink, Component, ComponentId, Ctx, Engine, EventCast, TransferCost,
+    Transport,
 };
 pub use hash::{IdBuildHasher, IdHasher};
 pub use lru::{DenseIndex, LruCache, LruIndex, Touch};

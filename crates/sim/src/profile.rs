@@ -30,8 +30,8 @@ pub struct ComponentProfile {
     pub label: String,
     /// Events dispatched to this component.
     pub events: u64,
-    /// Wall nanoseconds inside the component's handler, excluding the
-    /// cost model.
+    /// Wall nanoseconds inside the component's handler, excluding its
+    /// [`crate::Transport`] calls.
     pub self_ns: u64,
     /// Wall nanoseconds inside [`crate::Transport`] calls made while
     /// handling this component's events.
@@ -39,7 +39,7 @@ pub struct ComponentProfile {
 }
 
 impl ComponentProfile {
-    /// Handler time including the cost model.
+    /// Handler time including its transport calls.
     pub fn total_ns(&self) -> u64 {
         self.self_ns + self.fabric_ns
     }
