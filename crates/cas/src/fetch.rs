@@ -130,8 +130,10 @@ pub struct FetchStats {
     /// Blocks evicted from partial caches under the byte budget.
     pub evictions: u64,
     /// Delivered blocks whose bytes did not re-hash to the manifest's
-    /// hash — always zero unless the simulation corrupts data. Final once
-    /// [`FetchCore::complete`] is true.
+    /// hash — always zero unless the simulation corrupts data. Every
+    /// delivery counts on its own, including one that carries a buffer
+    /// already re-hashed for an earlier node and takes that result. Final
+    /// once [`FetchCore::complete`] is true.
     pub verify_failures: u64,
 }
 
@@ -217,8 +219,18 @@ pub struct FetchCore {
     /// Per node: manifest hash → recomputed hash of the bytes received,
     /// read in manifest order only.
     delivered: Vec<HashMap<BlockHash, BlockHash, IdBuildHasher>>,
-    /// Deliveries not yet re-hashed, verified [`LANES`] at a time.
+    /// Deliveries whose buffer no earlier re-hash covers, verified
+    /// [`LANES`] at a time. Never holds two deliveries to one node of one
+    /// block: each node's plan lists a block once.
     pending: Vec<Delivery>,
+    /// Manifest hash → the buffer last re-hashed for it and the hash its
+    /// bytes gave. A `Bytes` is immutable and this clone keeps its
+    /// allocation alive, so a delivery of the same buffer (same pointer,
+    /// same length) carries the same bytes and takes the stored result.
+    verified: HashMap<BlockHash, (bytes::Bytes, BlockHash), IdBuildHasher>,
+    /// Bytes re-hashed so far, to check the memo's traffic.
+    #[cfg(test)]
+    rehashed_bytes: u64,
     /// Round-robin cursors: registry NIC per request, peer per hit.
     rr_nic: u64,
     rr_peer: u64,
@@ -277,6 +289,9 @@ impl FetchCore {
             warmed: HashSet::default(),
             delivered: vec![HashMap::default(); n],
             pending: Vec::with_capacity(LANES),
+            verified: HashMap::default(),
+            #[cfg(test)]
+            rehashed_bytes: 0,
             rr_nic: 0,
             rr_peer: 0,
             remaining: config.fetchers,
@@ -379,17 +394,37 @@ impl FetchCore {
         Some(peer)
     }
 
-    /// Accepts a delivered block at `node`: queue the bytes for
-    /// verification against the manifest hash, cache them, and update the
-    /// tracker through any evictions the insert forced.
+    /// Accepts a delivered block at `node`: verify the bytes against the
+    /// manifest hash, cache them, and update the tracker through any
+    /// evictions the insert forced.
+    ///
+    /// A delivery of the very buffer last re-hashed for `hash` records
+    /// that result at once; any other buffer (a corrupt copy, another
+    /// block's bytes, a fresh allocation of the same content) is queued
+    /// for the next batch. Recording a hit ahead of an earlier queued
+    /// delivery cannot change a verdict or the digest: a node's plan lists
+    /// a block once, so the two never share an entry, and the completion
+    /// flush in [`FetchCore::finish_node`] records every queued one.
     fn accept(&mut self, node: u32, hash: BlockHash, bytes: bytes::Bytes) {
-        self.pending.push(Delivery {
-            node,
-            hash,
-            bytes: bytes.clone(),
-        });
-        if self.pending.len() == LANES {
-            self.verify_pending();
+        match self.verified.get(&hash) {
+            Some((seen, recomputed))
+                if seen.as_ptr() == bytes.as_ptr() && seen.len() == bytes.len() =>
+            {
+                if *recomputed != hash {
+                    self.stats.verify_failures += 1;
+                }
+                self.delivered[node as usize].insert(hash, *recomputed);
+            }
+            _ => {
+                self.pending.push(Delivery {
+                    node,
+                    hash,
+                    bytes: bytes.clone(),
+                });
+                if self.pending.len() == LANES {
+                    self.verify_pending();
+                }
+            }
         }
         self.stats.delivered_blocks += 1;
         let cache = &mut self.caches[node as usize];
@@ -411,15 +446,26 @@ impl FetchCore {
     }
 
     /// Re-hashes every queued delivery from the bytes it received, side by
-    /// side ([`BlockHash::of_chunks`]), and records what it found.
+    /// side ([`BlockHash::of_chunks`]), records what it found, and keeps
+    /// each buffer with its result for [`FetchCore::accept`] to reuse.
     fn verify_pending(&mut self) {
         let seed = self.store.seed();
         let hashes = BlockHash::of_chunks(seed, self.pending.iter().map(|d| &d.bytes[..]));
+        #[cfg(test)]
+        {
+            self.rehashed_bytes += self
+                .pending
+                .iter()
+                .map(|d| d.bytes.len() as u64)
+                .sum::<u64>();
+        }
         for (delivery, recomputed) in self.pending.drain(..).zip(hashes) {
             if recomputed != delivery.hash {
                 self.stats.verify_failures += 1;
             }
             self.delivered[delivery.node as usize].insert(delivery.hash, recomputed);
+            self.verified
+                .insert(delivery.hash, (delivery.bytes, recomputed));
         }
     }
 
@@ -585,6 +631,7 @@ mod tests {
     use now_sim::Engine;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+    use std::sync::OnceLock;
 
     /// An engine on the AM-over-ATM fabric, with a node for each of
     /// `fetchers` fetchers and two registry NICs.
@@ -823,24 +870,47 @@ mod tests {
         }
     }
 
+    /// A registry run of `fetchers` nodes over the smoke catalog, which
+    /// is generated once and cloned.
+    fn smoke_core(fetchers: u32) -> FetchCore {
+        static CATALOG: OnceLock<ImageCatalog> = OnceLock::new();
+        let catalog = CATALOG.get_or_init(|| ImageCatalog::generate(&ImageCatalogSpec::smoke(42)));
+        let config = FetchConfig::new(fetchers, 1, u64::MAX, 7);
+        FetchCore::new(catalog.clone(), FetchStrategy::Registry, config)
+    }
+
+    /// Per node, in plan order, the block and the buffer it is delivered
+    /// in: the registry's own, except that the deliveries numbered in
+    /// `corrupt` (in arrival order, node after node) get a fresh copy with
+    /// one bit flipped.
+    fn deliveries(core: &FetchCore, corrupt: &[usize]) -> Vec<Vec<(BlockHash, bytes::Bytes)>> {
+        let mut arrival = 0;
+        let mut deliver = |hash: BlockHash| {
+            let mut bytes = core.store.get(hash).expect("registry holds the catalog");
+            if corrupt.contains(&arrival) {
+                let mut flipped = bytes.to_vec();
+                flipped[0] ^= 1;
+                bytes = bytes::Bytes::from(flipped);
+            }
+            arrival += 1;
+            (hash, bytes)
+        };
+        let plans = core.plans.iter();
+        plans
+            .map(|plan| plan.iter().map(|&h| deliver(h)).collect())
+            .collect()
+    }
+
     /// Delivers every plan of `fetchers` nodes straight through `accept`,
     /// node after node, finishing each after its last block. The
     /// deliveries numbered in `corrupt` (in arrival order) get one bit
     /// flipped. Returns the stats, the content digest and the number of
     /// deliveries.
     fn deliver_in_order(fetchers: u32, corrupt: &[usize]) -> (FetchStats, u64, usize) {
-        let catalog = ImageCatalog::generate(&ImageCatalogSpec::smoke(42));
-        let config = FetchConfig::new(fetchers, 1, u64::MAX, 7);
-        let mut core = FetchCore::new(catalog, FetchStrategy::Registry, config);
+        let mut core = smoke_core(fetchers);
         let mut arrivals = 0;
-        for node in 0..fetchers as usize {
-            for hash in core.plans[node].clone() {
-                let mut bytes = core.store.get(hash).expect("registry holds the catalog");
-                if corrupt.contains(&arrivals) {
-                    let mut flipped = bytes.to_vec();
-                    flipped[0] ^= 1;
-                    bytes = bytes::Bytes::from(flipped);
-                }
+        for (node, blocks) in deliveries(&core, corrupt).into_iter().enumerate() {
+            for (hash, bytes) in blocks {
                 core.accept(node as u32, hash, bytes);
                 arrivals += 1;
             }
@@ -848,6 +918,97 @@ mod tests {
         }
         assert!(core.complete());
         (core.stats(), core.content_digest(), arrivals)
+    }
+
+    /// The verify failures and content digest of the deliveries
+    /// [`deliver_in_order`] makes, with every delivery hashed on its own
+    /// by [`BlockHash::of`] and the digest folded as
+    /// [`FetchCore::content_digest`] folds it.
+    fn reference_verdicts(fetchers: u32, corrupt: &[usize]) -> (u64, u64) {
+        let core = smoke_core(fetchers);
+        let seed = core.store.seed();
+        let (mut failures, mut digest) = (0, 0xcbf2_9ce4_8422_2325u64);
+        for (node, blocks) in deliveries(&core, corrupt).into_iter().enumerate() {
+            let got: HashMap<BlockHash, BlockHash> = blocks
+                .iter()
+                .map(|(hash, bytes)| (*hash, BlockHash::of(seed, bytes)))
+                .collect();
+            failures += got.iter().filter(|(want, got)| want != got).count() as u64;
+            for hash in core.manifests[core.images[node]].unique_blocks() {
+                for &b in &got[&hash].0.to_le_bytes() {
+                    digest ^= u64::from(b);
+                    digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        (failures, digest)
+    }
+
+    proptest! {
+        // A case hashes up to 7 nodes' deliveries one at a time: about
+        // 0.4 s in a debug build.
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Re-hashing each buffer once gives every delivery the verdict
+        /// hashing it on its own gives: the same verify failures and
+        /// content digest, over 1-7 fetchers (from 5 on, two nodes boot
+        /// one image) and random sets of corrupt deliveries.
+        #[test]
+        fn memoised_verdicts_match_hashing_every_delivery(
+            fetchers in 1u32..8,
+            picks in prop::collection::vec(any::<u32>(), 0..12),
+        ) {
+            let arrivals: usize = smoke_core(fetchers).plans.iter().map(Vec::len).sum();
+            let corrupt: Vec<usize> = picks.iter().map(|&p| p as usize % arrivals).collect();
+            let (stats, digest, _) = deliver_in_order(fetchers, &corrupt);
+            prop_assert_eq!(
+                (stats.verify_failures, digest),
+                reference_verdicts(fetchers, &corrupt)
+            );
+        }
+    }
+
+    #[test]
+    fn a_block_keeps_its_own_verdict_after_a_clean_or_corrupt_copy() {
+        let fetchers = 5;
+        let order = smoke_core(fetchers).plans.concat();
+        // A block delivered again more than a batch after its first
+        // delivery, which is verified by then.
+        let (first, again) = (0..order.len())
+            .find_map(|j| {
+                let i = order[..j].iter().position(|&h| h == order[j])?;
+                (j - i > LANES).then_some((i, j))
+            })
+            .expect("five fetchers share blocks");
+        // Corrupt after an earlier node received it clean, then clean
+        // after corrupt.
+        for corrupt in [again, first] {
+            let (stats, digest, _) = deliver_in_order(fetchers, &[corrupt]);
+            assert_eq!(stats.verify_failures, 1, "corrupt delivery {corrupt}");
+            assert_eq!(reference_verdicts(fetchers, &[corrupt]), (1, digest));
+        }
+    }
+
+    #[test]
+    fn a_registry_run_rehashes_each_buffer_not_each_delivery() {
+        run_with(FetchStrategy::Registry, 16, u64::MAX, |c| {
+            let distinct: HashSet<BlockHash> = c.plans.iter().flatten().copied().collect();
+            let distinct_bytes: u64 = distinct
+                .iter()
+                .map(|&h| c.store.get(h).expect("registry holds the catalog").len() as u64)
+                .sum();
+            let delivered = c.stats().registry_bytes;
+            assert!(
+                c.rehashed_bytes < delivered,
+                "{} B re-hashed of {delivered} B delivered",
+                c.rehashed_bytes
+            );
+            assert!(
+                c.rehashed_bytes >= distinct_bytes,
+                "{} B re-hashed, {distinct_bytes} B distinct",
+                c.rehashed_bytes
+            );
+        });
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl<M> RemotePath for EnginePath<'_, '_, M> {
         bytes: u64,
         _cost: RemoteAccessCost,
     ) -> SimDuration {
-        let src = self.hosts[host as usize % self.hosts.len()];
+        let src = self.hosts[host as usize];
         let now = self.ctx.now();
         let cost = if sequential {
             // Streaming: the request pipeline is hidden, the page rides
@@ -248,13 +248,24 @@ impl MultigridComponent {
         self.fetch_gauge = probe.gauge("mem.netram_fetch_us");
     }
 
-    /// Places the process on fabric node `node` with the network-RAM pool
-    /// hosts living on `host_nodes` (at least one), so every fetch is
-    /// priced over the engine's transport
-    /// ([`now_sim::Engine::with_transport`]) instead of at the Table 2
-    /// constants.
+    /// Places the process on fabric node `node` with network-RAM pool
+    /// host `h` living on `host_nodes[h]`, so every fetch is priced over
+    /// the engine's transport ([`now_sim::Engine::with_transport`])
+    /// instead of at the Table 2 constants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pager is backed by network RAM and `host_nodes` does
+    /// not name exactly one node per pool host.
     #[must_use]
     pub fn with_placement(mut self, node: u32, host_nodes: Vec<u32>) -> Self {
+        if let Some(hosts) = self.pager.netram_hosts() {
+            assert_eq!(
+                host_nodes.len(),
+                hosts as usize,
+                "the placement must name one fabric node per network-RAM pool host"
+            );
+        }
         self.placement = Some(Placement { node, host_nodes });
         self
     }
@@ -532,6 +543,15 @@ mod tests {
         let disk_end = series[0].1.last().unwrap().1;
         let netram_end = series[2].1.last().unwrap().1;
         assert!(disk_end > 4.0 * netram_end);
+    }
+
+    #[test]
+    #[should_panic(expected = "one fabric node per network-RAM pool host")]
+    fn a_placement_must_name_every_pool_host() {
+        // The paper's pool has sixteen hosts; name only fifteen.
+        let pager = MemoryConfig::local32_netram().build_pager(16);
+        let _ = MultigridComponent::new(pager, SimDuration::from_micros(1), 16, 16)
+            .with_placement(0, (1..16).collect());
     }
 
     #[test]

@@ -177,6 +177,11 @@ impl NetworkRam {
         self.used.iter().map(|&u| self.per_host_pages - u).sum()
     }
 
+    /// Number of idle hosts in the pool, departed ones included.
+    pub(crate) fn hosts(&self) -> u32 {
+        self.hosts
+    }
+
     /// Number of pages in the address space the pool serves.
     pub(crate) fn pages(&self) -> u64 {
         self.placements.len() as u64

@@ -338,6 +338,15 @@ impl Pager {
         }
     }
 
+    /// Number of hosts in the network-RAM pool; `None` for a disk-backed
+    /// pager.
+    pub(crate) fn netram_hosts(&self) -> Option<u32> {
+        match &self.backing {
+            Backing::NetRam { pool, .. } => Some(pool.hosts()),
+            Backing::Disk(_) => None,
+        }
+    }
+
     /// Number of local frames.
     pub fn frames(&self) -> usize {
         self.frames.capacity()
