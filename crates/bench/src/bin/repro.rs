@@ -15,7 +15,6 @@
 //! repro contention --timeseries-out ts.csv   # flight-recorder samples (.json for JSON)
 //! repro contention --jobs 4        # fan independent runs over 4 threads
 //! repro contention --nodes 256     # 8 cells of 32 nodes per sweep point
-//! repro contention --nodes 256 --partitions 4  # run each point's cells on 4 threads
 //! repro contention --util          # append the resource-utilization observatory
 //! repro contention --profile       # append host-time profile (where the wall went)
 //! repro serve --profile-out out.collapsed  # flamegraph-ready collapsed stacks
@@ -23,20 +22,17 @@
 //! repro diff baseline.json current.json --threshold 0.15   # regression gate
 //! ```
 //!
-//! `--jobs N` (or the `NOW_JOBS` environment variable) sets how many
-//! worker threads the contention sweep, the availability report, and the
-//! ablations fan their independent runs over; the default is the
-//! machine's available parallelism and `--jobs 1` forces the legacy
-//! serial path. Output is byte-identical whatever the worker count.
-//!
-//! `--partitions N` (or `NOW_PARTITIONS`) runs the cells of each
-//! *multi-cell* run over N threads — parallelism inside one run,
-//! orthogonal to `--jobs`' fan-out across runs. `--nodes N` (a multiple of
-//! 32) scales the contention scenario to N/32 independent 32-node cells,
-//! each its own serial engine. `--partitions 0` asks for one thread per
-//! core; requests clamp to the cell count, so single-cell runs (the
-//! availability, serve, and distribute reports) stay serial. Output is
-//! byte-identical whatever the value — only wall-clock time moves.
+//! `--jobs N` (or the `NOW_JOBS` environment variable) is the one
+//! thread knob: every fan-out of independent runs uses it — the points
+//! of the contention sweep, the availability trials and fault scenarios,
+//! the serve and distribute sweeps, the ablations and Figure 2's three
+//! curves. `--nodes N` (a multiple of 32) scales the contention scenario
+//! to N/32 independent 32-node cells per point, each its own serial
+//! engine; above 32 nodes the `--jobs` threads run each point's cells
+//! and the points run in order, so only one pool of threads runs at a
+//! time. The default is the machine's available parallelism and
+//! `--jobs 1` runs everything on the main thread. Output is
+//! byte-identical whatever the worker count — only wall-clock time moves.
 
 use std::env;
 use std::process::exit;
@@ -88,7 +84,6 @@ const SCENARIO_ALIASES: &[&str] = &["figure1", "figure2", "figure3", "figure4"];
 /// The report flags that take a value, with what the value must be.
 const VALUE_FLAGS: &[(&str, &str)] = &[
     ("--jobs", "a positive worker count"),
-    ("--partitions", "a thread count (0 = one per core)"),
     ("--nodes", "a positive multiple of 32"),
     ("--am-batch", "a flush quantum in microseconds (0 = off)"),
     ("--metrics-out", "a file path"),
@@ -118,8 +113,7 @@ fn usage() -> String {
          \x20 --fast                 Table 3 on a 12-hour trace instead of two days\n\
          \x20 --smoke                smaller sweeps and fewer Monte-Carlo trials\n\
          \x20 --blame                append critical-path blame tables\n\
-         \x20 --jobs N               fan independent runs over N worker threads\n\
-         \x20 --partitions N         run a multi-cell run's cells over N threads (0 = per core)\n\
+         \x20 --jobs N               fan independent runs (points, trials, cells) over N threads\n\
          \x20 --nodes N              scale scaled scenarios to N nodes (multiple of 32)\n\
          \x20 --am-batch N           active-message flush quantum in us (0 = batching off)\n\
          \x20 --metrics[=FMT]        append the probe snapshot (text|csv|json)\n\
@@ -237,7 +231,17 @@ fn run_diff(args: &[String]) -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
+    // A non-UTF-8 argument is a usage error, not a panic.
+    let args: Vec<String> = env::args_os()
+        .skip(1)
+        .map(|arg| {
+            arg.into_string().unwrap_or_else(|arg| {
+                let arg = arg.to_string_lossy();
+                eprintln!("argument {arg:?} is not valid UTF-8\n\n{}", usage());
+                exit(2);
+            })
+        })
+        .collect();
     // `repro diff` is a subcommand, not a scenario: dispatch before the
     // flag loop so its positional snapshot paths never look like typos.
     if args.first().map(String::as_str) == Some("diff") {
@@ -247,7 +251,6 @@ fn main() {
     let mut fast = false;
     let mut util = false;
     let mut jobs_arg: Option<usize> = None;
-    let mut partitions_arg: Option<u32> = None;
     let mut metrics: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -260,9 +263,6 @@ fn main() {
             match flag {
                 "--jobs" => {
                     jobs_arg = Some(parse_or_exit(flag, what, &value, |&n: &usize| n >= 1));
-                }
-                "--partitions" => {
-                    partitions_arg = Some(parse_or_exit(flag, what, &value, |_| true))
                 }
                 "--nodes" => {
                     opts.nodes =
@@ -321,10 +321,6 @@ fn main() {
     // The flight recorder runs only when its output has somewhere to go.
     opts.record = timeseries_out.is_some();
     opts.jobs = resolve_jobs(jobs_arg);
-    // CLI beats environment beats the serial default; 0 = one per core.
-    opts.partitions = partitions_arg
-        .or_else(|| env::var("NOW_PARTITIONS").ok().and_then(|s| s.parse().ok()))
-        .unwrap_or(1);
 
     let all = selected.is_empty();
     let want = |name: &str| all || selected.iter().any(|s| s == name);
@@ -362,7 +358,7 @@ fn main() {
         println!("{}", now_bench::table2(&probe));
     }
     if want("fig2") || want("figure2") {
-        println!("{}", now_bench::figure2(&probe));
+        println!("{}", now_bench::figure2(&probe, opts.jobs));
     }
     if want("table3") {
         println!("{}", now_bench::table3(!fast, &probe));

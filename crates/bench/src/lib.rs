@@ -156,51 +156,20 @@ pub fn table2(probe: &Probe) -> String {
 }
 
 /// Figure 2: multigrid execution time vs problem size on the three memory
-/// configurations. The three machine curves are independent, so they run
-/// on separate scoped threads.
+/// configurations. The three machine curves are independent, so
+/// [`figure2_series`](now_mem::multigrid::figure2_series) fans them out
+/// over up to `jobs` worker threads.
 ///
 /// Every multigrid run fires the `pager.*` / `netram.*` probes and
 /// records a `mem/multigrid` span, tagged with the curve's index as the
 /// probe node (0 = disk, 1 = big DRAM, 2 = network RAM). Counter updates
 /// are atomic and the trace is sorted at export, so the snapshot is
-/// identical run to run despite the worker threads.
-pub fn figure2(probe: &Probe) -> String {
-    use now_mem::multigrid::{figure2_sizes, run_probed, MemoryConfig};
-    let configs = [
-        ("32 MB + disk paging", MemoryConfig::local32_disk()),
-        ("128 MB local DRAM", MemoryConfig::local128()),
-        ("32 MB + network RAM", MemoryConfig::local32_netram()),
-    ];
-    // One worker per curve; handles are joined in `configs` order so the
-    // legend is stable no matter which thread finishes first.
-    let series: Vec<Series> = std::thread::scope(|scope| {
-        let handles: Vec<_> = configs
-            .iter()
-            .enumerate()
-            .map(|(node, (name, cfg))| {
-                let worker_probe = probe.for_node(node as u32);
-                scope.spawn(move || {
-                    let points = figure2_sizes()
-                        .into_iter()
-                        .map(|mb| {
-                            (
-                                mb as f64,
-                                run_probed(mb, cfg.clone(), &worker_probe)
-                                    .total
-                                    .as_secs_f64(),
-                            )
-                        })
-                        .collect::<Vec<_>>();
-                    Series::new(name, points)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("figure 2 worker"))
-            .collect()
-    });
-    debug_assert_eq!(series.len(), configs.len());
+/// identical run to run and at any `jobs`.
+pub fn figure2(probe: &Probe, jobs: usize) -> String {
+    let series: Vec<Series> = now_mem::multigrid::figure2_series(probe, jobs)
+        .into_iter()
+        .map(|(name, points)| Series::new(name, points))
+        .collect();
     render_figure(
         FIGURE2_TITLE,
         "problem size (MB)",
@@ -369,17 +338,15 @@ pub struct ReportOptions {
     /// Attribute host time per component and return the profile merged
     /// over every run and cell.
     pub profile: bool,
-    /// Worker threads the independent runs of a sweep fan out over
-    /// (forced to 1 while a shared enabled probe watches).
+    /// Worker threads every fan-out of a report uses: the runs of a sweep
+    /// (forced to 1 while a shared enabled probe watches), or, when
+    /// `nodes` is above 32, the cells of each contention point, which
+    /// are probed apart (under `cell{c}.`) and so spread under any probe.
     pub jobs: usize,
     /// Cluster size, a positive multiple of 32: the contention scenario
     /// runs `nodes / 32` independent 32-node cells per point, and the
     /// distribution sweep extends to `nodes` fetchers.
     pub nodes: u32,
-    /// Worker threads a multi-cell run spreads its cells over (0 = one
-    /// per core). Requests clamp to the run's cell count, so only
-    /// multi-cell contention runs use more than one.
-    pub partitions: u32,
     /// Active-message flush quantum in microseconds (0 = batching off,
     /// byte-identical to the classic transport).
     pub am_batch_us: u64,
@@ -394,7 +361,6 @@ impl Default for ReportOptions {
             profile: false,
             jobs: 1,
             nodes: 32,
-            partitions: 1,
             am_batch_us: 0,
         }
     }
@@ -463,8 +429,8 @@ pub struct ObservedReport {
 /// small.
 const RECORDER_CADENCE: SimDuration = SimDuration::from_millis(50);
 
-/// Runs one report's sweep: the `runs` fan out over `opts.jobs` workers
-/// and come back in sweep order, so the report is byte-identical for any
+/// Runs one report's sweep: the `runs` fan out over `jobs` workers and
+/// come back in sweep order, so the report is byte-identical for any
 /// `jobs`. A shared *enabled* probe forces the sweep serial: concurrent
 /// runs would interleave their gauge writes on that one registry in
 /// wall-clock order — the nondeterminism the serial path never has.
@@ -475,10 +441,10 @@ fn sweep<S: Sync, O: Send>(
     cluster: &NowCluster,
     runs: &[(S, ScenarioObserver)],
     run: fn(&NowCluster, &S, &ScenarioObserver) -> (O, ScenarioObservations),
-    opts: &ReportOptions,
+    jobs: usize,
     probe: &Probe,
 ) -> (Vec<(O, ScenarioObservations)>, Option<HostProfile>) {
-    let jobs = if probe.is_enabled() { 1 } else { opts.jobs };
+    let jobs = if probe.is_enabled() { 1 } else { jobs };
     let results = cluster.run_many(runs, jobs, run);
     // Say so when any run's bounded causal log filled up and dropped
     // records: the blame tables walked an incomplete DAG, and silence
@@ -514,9 +480,10 @@ fn sweep<S: Sync, O: Send>(
 /// `blame` appends a blame table per background-load point (where the
 /// BSP job's makespan went) and `record` returns the flight recorder's
 /// series per point. At `nodes = 32` this is the classic single-cell
-/// report; beyond that every point runs a population of cells, spread
-/// over `partitions` threads, and the title says so. The table is
-/// byte-identical at every `jobs` and `partitions` value.
+/// report; beyond that every point runs a population of cells, and the
+/// title says so. The `jobs` threads run the points at 32 nodes, and each
+/// point's cells (the points in order) beyond that, so one pool runs at a
+/// time. The table is byte-identical at every `jobs` value.
 ///
 /// # Panics
 ///
@@ -550,8 +517,14 @@ pub fn contention(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
     } else {
         t.title("Contention - one fabric under the paging + BSP job + file cache scenario");
     }
-    // Observers are built serially up front (fixed order), then the runs
-    // fan out; results come back in sweep order.
+    // The workers spread the cells when there are several, else the
+    // points. Observers are built serially up front (fixed order), and
+    // results come back in sweep order.
+    let (partitions, point_jobs) = if cells > 1 {
+        (u32::try_from(opts.jobs).unwrap_or(u32::MAX), 1)
+    } else {
+        (1, opts.jobs)
+    };
     let runs: Vec<(ScenarioSpec, ScenarioObserver)> = flows
         .iter()
         .map(|&n| {
@@ -560,7 +533,7 @@ pub fn contention(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
                     background_flows: n,
                     seed: SEED,
                     cells,
-                    partitions: opts.partitions,
+                    partitions,
                     am_batch: opts.am_batch(),
                     ..ScenarioSpec::contention_default()
                 },
@@ -573,7 +546,7 @@ pub fn contention(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
         &cluster,
         &runs,
         NowCluster::run_scenario_observed,
-        opts,
+        point_jobs,
         probe,
     );
     let mut blame_text = String::new();
@@ -660,9 +633,7 @@ pub fn am_batching_table() -> String {
 /// `blame` appends, per fault scenario, a blame table for the BSP job's
 /// makespan (where the stall went) and — when a disk rebuild ran — for
 /// the rebuild chain; `record` returns the flight recorder's series per
-/// scenario. `partitions` is threaded onto every spec, but faulted runs
-/// stay at one cell, so every run is serial; `nodes` and `am_batch_us`
-/// do not apply.
+/// scenario. `nodes` and `am_batch_us` do not apply.
 pub fn availability(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
     use now_fault::montecarlo;
     use now_raid::availability::FailureModel;
@@ -727,10 +698,7 @@ pub fn availability(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
         .iter()
         .map(|(_, spec)| {
             (
-                ScenarioSpec {
-                    partitions: opts.partitions,
-                    ..spec.clone()
-                },
+                spec.clone(),
                 opts.observer(probe, DEFAULT_CAUSAL_CAPACITY, RECORDER_CADENCE, None),
             )
         })
@@ -740,7 +708,7 @@ pub fn availability(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
         &cluster,
         &runs,
         NowCluster::run_scenario_observed,
-        opts,
+        opts.jobs,
         probe,
     );
     let mut blame_text = String::new();
@@ -865,7 +833,7 @@ fn serve_spec(population: u64, opts: &ReportOptions) -> ServeSpec {
             retain_exact: false,
         },
         front_ends: 8,
-        partitions: opts.partitions,
+        partitions: 1,
         am_batch: opts.am_batch(),
     }
 }
@@ -891,9 +859,8 @@ fn serve_expected_requests(spec: &ServeSpec) -> u64 {
 /// ~`SERVE_SAMPLED_CHAINS` request chains per population into a
 /// capacity-bounded log and appends one sampled chain's table, and
 /// `record` returns flight-recorder series downsampled into
-/// `SERVE_WINDOW_BUDGET` windows. The whole population is one
-/// event-coupled component, so `partitions` clamps to 1; `nodes` does not
-/// apply. The report is byte-identical for any `jobs` and `partitions`.
+/// `SERVE_WINDOW_BUDGET` windows. `nodes` does not apply. The report is
+/// byte-identical for any `jobs`.
 pub fn serve(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
     let populations: &[u64] = if opts.smoke {
         &[20_000, 100_000, 1_000_000]
@@ -934,7 +901,7 @@ pub fn serve(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
         &cluster,
         &runs,
         NowCluster::run_serve_observed,
-        opts,
+        opts.jobs,
         probe,
     );
     let mut blame_text = String::new();
@@ -1046,9 +1013,7 @@ fn distribute_sweep(smoke: bool, max_nodes: u32) -> Vec<u32> {
 ///
 /// `blame` appends blame tables for the largest cold start, per
 /// strategy, and `record` returns the flight recorder's series per run.
-/// A distribution run is one event-coupled component, so `partitions`
-/// clamps to 1. The report is byte-identical for any `jobs` and
-/// `partitions`.
+/// The report is byte-identical for any `jobs`.
 ///
 /// # Panics
 ///
@@ -1083,7 +1048,7 @@ pub fn distribute(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
                         strategy,
                         seed: SEED,
                         horizon: SimTime::from_secs(1),
-                        partitions: opts.partitions,
+                        partitions: 1,
                         am_batch: opts.am_batch(),
                     },
                     opts.observer(probe, DISTRIBUTE_CAUSAL_CAPACITY, RECORDER_CADENCE, None),
@@ -1096,7 +1061,7 @@ pub fn distribute(opts: &ReportOptions, probe: &Probe) -> ObservedReport {
         &cluster,
         &runs,
         NowCluster::run_distribute_observed,
-        opts,
+        opts.jobs,
         probe,
     );
     let mut t = TextTable::new(&[
@@ -1226,7 +1191,7 @@ mod tests {
             (TABLE3_TITLE, table3(false, &probe)),
             (TABLE4_TITLE, table4()),
             (FIGURE1_TITLE, figure1()),
-            (FIGURE2_TITLE, figure2(&probe)),
+            (FIGURE2_TITLE, figure2(&probe, 1)),
             (FIGURE3_TITLE, figure3()),
             (FIGURE4_TITLE, figure4(&probe)),
         ] {

@@ -1,16 +1,16 @@
 //! Golden determinism: the same artifact run twice must render the same
 //! bytes, and so must every telemetry export taken alongside it. Figure 2
-//! is the interesting case — its three curves run on scoped threads, so
-//! this also pins the thread-collection order and the commutativity of
-//! probe counter updates.
+//! is the interesting case — its three curves can run on worker threads,
+//! so this also pins the result order and the commutativity of probe
+//! counter updates.
 
 use now_probe::{Probe, Registry};
 
 #[test]
 fn figure2_render_and_telemetry_are_byte_identical_across_runs() {
-    let run = || {
+    let run = |jobs| {
         let registry = Registry::new();
-        let rendered = now_bench::figure2(&registry.probe());
+        let rendered = now_bench::figure2(&registry.probe(), jobs);
         (
             rendered,
             registry.render_text(),
@@ -19,13 +19,16 @@ fn figure2_render_and_telemetry_are_byte_identical_across_runs() {
             registry.chrome_trace(),
         )
     };
-    let a = run();
-    let b = run();
-    assert_eq!(a.0, b.0, "figure 2 rendering drifted between runs");
-    assert_eq!(a.1, b.1, "probe text snapshot drifted between runs");
-    assert_eq!(a.2, b.2, "probe CSV snapshot drifted between runs");
-    assert_eq!(a.3, b.3, "probe JSON snapshot drifted between runs");
-    assert_eq!(a.4, b.4, "Chrome trace drifted between runs");
+    // Two runs over three workers, one curve each, and one on a single
+    // worker.
+    let a = run(3);
+    for (b, what) in [(run(3), "between runs"), (run(1), "at 1 worker")] {
+        assert_eq!(a.0, b.0, "figure 2 rendering drifted {what}");
+        assert_eq!(a.1, b.1, "probe text snapshot drifted {what}");
+        assert_eq!(a.2, b.2, "probe CSV snapshot drifted {what}");
+        assert_eq!(a.3, b.3, "probe JSON snapshot drifted {what}");
+        assert_eq!(a.4, b.4, "Chrome trace drifted {what}");
+    }
 }
 
 #[test]

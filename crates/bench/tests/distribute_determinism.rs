@@ -1,7 +1,7 @@
 //! The distribution report's contracts, end to end: byte-identical
-//! output across repeated runs, worker counts, and partition requests;
-//! byte-identical delivered images across strategies; and a crossover
-//! that lands inside the sweep.
+//! output across repeated runs and worker counts; byte-identical
+//! delivered images across strategies; and a crossover that lands inside
+//! the sweep.
 
 use now_bench::ReportOptions;
 use now_probe::Probe;
@@ -36,23 +36,6 @@ fn distribute_report_is_byte_identical_across_runs_and_jobs() {
         serial, again,
         "distribution report diverged between repeated runs"
     );
-}
-
-#[test]
-fn distribute_report_is_byte_identical_across_partitions() {
-    // A distribution run is one event-coupled component, so partition
-    // requests clamp to 1 — the report must not change for any value.
-    let one = report(ReportOptions::default());
-    for partitions in [0u32, 4] {
-        assert_eq!(
-            one,
-            report(ReportOptions {
-                partitions,
-                ..ReportOptions::default()
-            }),
-            "distribution report diverged at partitions={partitions}"
-        );
-    }
 }
 
 #[test]

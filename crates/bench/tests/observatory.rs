@@ -3,6 +3,7 @@
 //! gate catches an injected regression with a nonzero exit, and bad
 //! `repro` arguments exit 2.
 
+use std::ffi::OsString;
 use std::process::Command;
 
 use now_mem::multigrid::{self, MemoryConfig};
@@ -136,20 +137,30 @@ fn repro_diff_usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(2), "unknown flags are usage errors");
 
     // Bad report flags and scenario names are usage errors too: exit 2
-    // with a message, never a panic.
-    for argv in [
+    // with a message, never a panic. `--partitions` is an unknown flag.
+    let mut argvs: Vec<Vec<OsString>> = [
         &["--nodes", "0"][..],
         &["--nodes", "33"],
         &["--nodes"],
         &["--jobs", "0"],
-        &["--partitions", "x"],
+        &["--jobs", "x"],
+        &["--partitions", "4"],
         &["--am-batch", "-1"],
         &["--metrics=xml"],
         &["--bogus"],
         &["tabel3"],
-    ] {
+    ]
+    .iter()
+    .map(|argv| argv.iter().map(OsString::from).collect())
+    .collect();
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStringExt;
+        argvs.push(vec![OsString::from_vec(vec![0xff])]);
+    }
+    for argv in argvs {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(argv)
+            .args(&argv)
             .output()
             .expect("repro runs");
         let stderr = String::from_utf8_lossy(&out.stderr);

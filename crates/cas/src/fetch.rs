@@ -200,6 +200,8 @@ pub struct FetchCore {
     config: FetchConfig,
     store: BlockStore,
     manifests: Vec<ImageManifest>,
+    /// Per image: its unique blocks in manifest order, built once.
+    blocks: Vec<Vec<BlockHash>>,
     /// Per node: the image it boots (index into `manifests`).
     images: Vec<usize>,
     /// Per node: its download order (unique blocks, shuffled per node so
@@ -262,10 +264,15 @@ impl FetchCore {
         let mut rng = SimRng::new(config.seed);
         let n = config.fetchers as usize;
         let images: Vec<usize> = (0..n).map(|i| i % catalog.manifests.len()).collect();
+        let blocks: Vec<Vec<BlockHash>> = catalog
+            .manifests
+            .iter()
+            .map(ImageManifest::unique_blocks)
+            .collect();
         let plans: Vec<Vec<BlockHash>> = images
             .iter()
             .map(|&img| {
-                let mut plan = catalog.manifests[img].unique_blocks();
+                let mut plan = blocks[img].clone();
                 let mut fork = rng.fork();
                 fork.shuffle(&mut plan);
                 plan
@@ -280,6 +287,7 @@ impl FetchCore {
             config,
             store: catalog.store,
             manifests: catalog.manifests,
+            blocks,
             images,
             plans,
             pos: vec![0; n],
@@ -360,10 +368,9 @@ impl FetchCore {
     pub fn content_digest(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for node in 0..self.config.fetchers as usize {
-            let manifest = &self.manifests[self.images[node]];
-            for hash in manifest.unique_blocks() {
-                let got = self.delivered[node].get(&hash).copied().unwrap_or_default();
+        for (node, &img) in self.images.iter().enumerate() {
+            for hash in &self.blocks[img] {
+                let got = self.delivered[node].get(hash).copied().unwrap_or_default();
                 for &b in &got.0.to_le_bytes() {
                     h ^= u64::from(b);
                     h = h.wrapping_mul(PRIME);

@@ -63,12 +63,10 @@ pub struct DistributeSpec {
     /// Flight-recorder sampling horizon (observed runs only; the
     /// workload itself ends when the last fetcher finishes).
     pub horizon: SimTime,
-    /// Accepted for CLI symmetry with the coupled scenario's
-    /// [`ScenarioSpec::partitions`](crate::ScenarioSpec::partitions) and
-    /// clamped to 1: the whole distribution lives in one event-coupled
+    /// Ignored: the whole distribution lives in one event-coupled
     /// component (every fetch contends for the same registry NICs and
     /// tracker), so there is no event-closed cut to shard along and the
-    /// run is serial at any requested value.
+    /// run is serial at any value.
     pub partitions: u32,
     /// Active-message batching knobs for the distribution fabric (the
     /// default zero quantum is batching off, byte-identical to the

@@ -27,7 +27,6 @@ use now_mem::multigrid::{MemoryConfig, MultigridConfig, RunResult, PAGE_BYTES};
 use now_mem::{MultigridComponent, PageEvent, RemoteAccessCost};
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
-use now_sim::parallel::default_jobs;
 use now_sim::{Component, ComponentId, Ctx, Engine, EventCast, SimDuration, SimTime, TransferCost};
 use now_trace::fs::{FsTrace, FsTraceConfig};
 use serde::{Deserialize, Serialize};
@@ -376,10 +375,11 @@ pub struct ScenarioSpec {
     /// run; larger values model a building-scale NOW as a population of
     /// 32-node cells and are what `--nodes 256` expands to.
     pub cells: u32,
-    /// Worker threads a multi-cell run spreads its cells over. Clamped to
-    /// `[1, cells]`; `0` asks for one per available core. The simulated
-    /// history, outcome, and every observation are byte-identical at any
-    /// value — only wall-clock time changes.
+    /// Worker threads a multi-cell run spreads its cells over, clamped to
+    /// `[1, cells]`: `0` and `1` both run the cells in order on the
+    /// calling thread. The simulated history, outcome, and every
+    /// observation are byte-identical at any value — only wall-clock time
+    /// changes.
     pub partitions: u32,
     /// Active-message batching knobs for the scenario fabric. The
     /// default (zero flush quantum) is batching off, which reproduces
@@ -770,11 +770,8 @@ impl NowCluster {
                 spec,
             })
             .collect();
-        let workers = match spec.partitions {
-            0 => default_jobs(),
-            p => p as usize,
-        };
-        let (outcomes, observations) = harness::run_cells(&cells, workers, observer);
+        let (outcomes, observations) =
+            harness::run_cells(&cells, spec.partitions as usize, observer);
         (aggregate_cells(&outcomes), observations)
     }
 }

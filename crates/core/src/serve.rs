@@ -48,12 +48,10 @@ pub struct ServeSpec {
     /// Front-end workstations, placed on nodes `0..front_ends`; the
     /// server takes the last node.
     pub front_ends: usize,
-    /// Accepted for CLI symmetry with the coupled scenario's
-    /// [`ScenarioSpec::partitions`](crate::ScenarioSpec::partitions) and
-    /// clamped to 1: the whole population lives in one event-coupled
+    /// Ignored: the whole population lives in one event-coupled
     /// [`ServeComponent`] (every request contends for the same server
     /// cache and fabric), so there is no event-closed cut to shard along
-    /// and the run is serial at any requested value.
+    /// and the run is serial at any value.
     pub partitions: u32,
     /// Active-message batching knobs for the serving fabric (the default
     /// zero quantum is batching off, byte-identical to the classic path).

@@ -16,6 +16,7 @@
 
 use now_probe::causal::category;
 use now_probe::{Gauge, Probe};
+use now_sim::parallel::run_indexed;
 use now_sim::{Component, Ctx, Engine, EventCast, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -433,20 +434,28 @@ pub fn figure2_sizes() -> Vec<u64> {
     vec![8, 16, 24, 32, 48, 64, 80, 96, 112, 120]
 }
 
-/// Generates the three Figure 2 curves as `(size_mb, seconds)` series in
-/// the order: 32 MB + disk, 128 MB, 32 MB + network RAM.
-pub fn figure2_series() -> [(String, Vec<(f64, f64)>); 3] {
+/// Generates the three Figure 2 curves as `(label, [(size_mb, seconds)])`
+/// series in the order: 32 MB + disk, 128 MB, 32 MB + network RAM.
+///
+/// The curves are independent runs, fanned out over up to `jobs` worker
+/// threads by [`run_indexed`] and returned in curve order. Curve `i` is
+/// probed as node `i` of `probe`; the series are the same at any `jobs`.
+pub fn figure2_series(probe: &Probe, jobs: usize) -> Vec<(&'static str, Vec<(f64, f64)>)> {
     let configs = [
         ("32 MB + disk paging", MemoryConfig::local32_disk()),
         ("128 MB local DRAM", MemoryConfig::local128()),
         ("32 MB + network RAM", MemoryConfig::local32_netram()),
     ];
-    configs.map(|(name, cfg)| {
+    run_indexed(jobs, &configs, |node, (name, cfg)| {
+        let probe = probe.for_node(node as u32);
         let points = figure2_sizes()
             .into_iter()
-            .map(|mb| (mb as f64, run(mb, cfg.clone()).total.as_secs_f64()))
+            .map(|mb| {
+                let run = run_probed(mb, cfg.clone(), &probe);
+                (mb as f64, run.total.as_secs_f64())
+            })
             .collect();
-        (name.to_string(), points)
+        (*name, points)
     })
 }
 
@@ -533,7 +542,7 @@ mod tests {
     #[test]
     fn figure2_series_has_three_labelled_curves() {
         // (Uses the same code path as the repro binary; small smoke check.)
-        let series = figure2_series();
+        let series = figure2_series(&Probe::disabled(), 1);
         assert_eq!(series.len(), 3);
         for (name, points) in &series {
             assert!(!name.is_empty());

@@ -6,10 +6,11 @@
 //! ```
 
 use now_mem::multigrid::{figure2_series, run, MemoryConfig};
+use now_probe::Probe;
 
 fn main() {
-    // The full figure.
-    let series = figure2_series();
+    // The full figure, its three curves on one thread.
+    let series = figure2_series(&Probe::disabled(), 1);
     println!("problem (MB)   32MB+disk (s)   128MB local (s)   32MB+netRAM (s)");
     let sizes: Vec<f64> = series[0].1.iter().map(|(x, _)| *x).collect();
     for (i, mb) in sizes.iter().enumerate() {
